@@ -11,7 +11,7 @@ from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, linking_accuracy,
                          typing_metrics)
 from .ingest import (CategoryAssignment, MentionExample, RawArticle, attach_categories,
-                     extract_examples, extract_links, iter_articles, read_examples,
+                     extract_examples, iter_articles, read_examples,
                      sample_training_set, write_examples)
 from .linker import (EntityCategoryIndex, LinkPrediction, build_category_index, link,
                      most_frequent_entity, score_candidates)
@@ -28,7 +28,7 @@ __all__ = [
     "FeatureVector", "Gradients", "LinkPrediction", "MentionExample", "PriorTable",
     "RawArticle", "TrainConfig", "TypePosterior", "TypingModel", "accumulate",
     "attach_categories", "build_category_index", "build_context", "expand_category",
-    "extract_examples", "extract_links", "featurize", "gold_recall", "hash_feature",
+    "extract_examples", "featurize", "gold_recall", "hash_feature",
     "ingest", "iter_articles", "link", "linking_accuracy", "loss_and_grad",
     "most_frequent_entity", "predict", "predict_example", "read_examples",
     "sample_training_set", "score_candidates", "select_vocabulary", "train",

@@ -12,23 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 # Whole-token, case-insensitive preposition triggers for splitting.
 DEFAULT_PREPOSITIONS = ("in", "from", "for", "of", "by", "involving")
-
-
-def normalize_prepositions(words: Iterable[str]) -> tuple[str, ...]:
-    """Lowercase and dedupe a preposition list, keeping first-seen order."""
-    seen = []
-    for w in words:
-        lw = w.strip().lower()
-        if lw and lw not in seen:
-            seen.append(lw)
-    if not seen:
-        raise ValueError("preposition list is empty")
-    return tuple(seen)
 
 
 def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> list[str]:
@@ -57,15 +45,6 @@ def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS
     if remainder not in out:
         out.append(remainder)
     return out
-
-
-def expand_all(raw_categories: Iterable[str],
-               prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> list[str]:
-    """Union of expand_category over several raw categories, sorted."""
-    out: set[str] = set()
-    for raw in raw_categories:
-        out.update(expand_category(raw, prepositions))
-    return sorted(out)
 
 
 @dataclass
@@ -130,9 +109,3 @@ def select_vocabulary(stream: Iterable[tuple[str, str, Iterable[str]]],
             mentions_by_category[cat].add(mention)
     ranked = sorted(mentions_by_category.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     return CategoryVocab([cat for cat, _ in ranked[:size]])
-
-
-def iter_expanded(raw_categories: Iterable[str],
-                  prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> Iterator[str]:
-    for raw in raw_categories:
-        yield from expand_category(raw, prepositions)

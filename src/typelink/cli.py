@@ -5,8 +5,9 @@ pipeline (all of them in order).  Every stage reads and writes plain
 files so any step can be rerun or swapped out.  Failures exit nonzero
 with a one-line message of the form ``error: CODE: detail``.
 
-All randomness flows through --seed; outputs are byte-reproducible at
---workers 1.
+All randomness flows through --seed, which only the stages that sample
+(ingest, train, pipeline) accept.  Outputs are byte-reproducible;
+--workers only splits article parsing across processes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from . import diagnostics as diag
-from .categories import CategoryVocab, select_vocabulary, expand_category
+from .categories import CategoryVocab, select_vocabulary
 from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, linking_accuracy,
                          typing_metrics, TYPING_THRESHOLD)
@@ -108,7 +109,7 @@ def stage_ingest(articles_path: str, categories_path: str, mentions_path: str,
     if vocab_path is not None:
         _require(vocab_path, "VOCAB_NOT_FOUND")
         vocab = CategoryVocab.load(vocab_path)
-        assignments = load_category_assignments(categories_path)
+        assignments = load_category_assignments(categories_path, log)
         examples = attach_categories(examples, assignments, vocab,
                                      keep_uncategorized=keep_uncategorized, log=log)
     write_examples(mentions_path, examples)
@@ -144,12 +145,8 @@ def stage_build_vocab(mentions_path: str, prior_path: str, categories_path: str,
         for ex in examples:
             for entity, _prob in table.candidates(ex.mention, threshold).candidates:
                 assignment = assignments.get(entity)
-                if assignment is None:
-                    continue
-                expanded: set[str] = set()
-                for raw in assignment.raw_categories:
-                    expanded.update(expand_category(raw))
-                yield ex.mention, entity, expanded
+                if assignment is not None:
+                    yield ex.mention, entity, assignment.categories
 
     vocab = select_vocabulary(stream(), vocab_size)
     vocab.save(vocab_path)
@@ -219,8 +216,9 @@ def stage_link(mentions_path: str, model_path: str, prior_path: str,
     _require(categories_path, "CATEGORIES_NOT_FOUND")
     model = TypingModel.load(model_path)
     table = PriorTable.load(prior_path)
-    index = build_category_index(load_category_assignments(categories_path), model.vocab)
     log = DiagnosticLog()
+    index = build_category_index(load_category_assignments(categories_path, log),
+                                 model.vocab)
     with open(predictions_path, "w", encoding="utf-8") as fh:
         for ex in read_examples(mentions_path):
             cset = table.candidates(ex.mention, threshold)
@@ -367,7 +365,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                        batch_size=args.batch_size, l2_penalty=args.l2_penalty,
                        seed=args.seed, feature_dim=args.feature_dim,
-                       hash_seed=args.hash_seed, workers=args.workers)
+                       hash_seed=args.hash_seed)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -377,10 +375,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l2-penalty", type=float, default=0.0)
     p.add_argument("--feature-dim", type=int, default=DEFAULT_FEATURE_DIM)
     p.add_argument("--hash-seed", type=int, default=DEFAULT_HASH_SEED)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--quiet", action="store_true")
 
@@ -408,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-dev", type=int)
     p.add_argument("--train-out")
     p.add_argument("--dev-out")
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     p = sub.add_parser("build-prior", help="count anchor statistics")

@@ -18,6 +18,7 @@ EMPTY_ANCHOR = "empty_anchor"
 EMPTY_TITLE = "empty_title"
 MISALIGNED_ANCHOR = "misaligned_anchor"
 NO_CANDIDATES = "no_candidates"
+EMPTY_CATEGORY = "empty_category"
 ENTITY_WITHOUT_CATEGORIES = "entity_without_categories"
 NO_VOCAB_CATEGORIES = "no_vocab_categories"
 CANDIDATE_WITHOUT_CATEGORIES = "candidate_without_categories"
@@ -38,9 +39,6 @@ class DiagnosticLog:
 
     def merge(self, other: "DiagnosticLog") -> None:
         self.counts.update(other.counts)
-
-    def as_dict(self) -> dict:
-        return {k: self.counts[k] for k in sorted(self.counts)}
 
     def summary(self) -> str:
         if not self.counts:

@@ -15,12 +15,13 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics as diag
-from .categories import DEFAULT_PREPOSITIONS, CategoryVocab, expand_category
+from .categories import CategoryVocab, expand_category
 from .diagnostics import DiagnosticLog
 
 ARTICLE_SEPARATOR = "%%%%"
@@ -86,6 +87,15 @@ class CategoryAssignment:
     entity: str
     raw_categories: set[str]
 
+    @cached_property
+    def categories(self) -> frozenset[str]:
+        """The entity's types: the union of its expanded raw categories.
+
+        Computed on first read and cached, so each entity is expanded at
+        most once however many mentions or candidates refer to it.
+        """
+        return frozenset(cat for raw in self.raw_categories for cat in expand_category(raw))
+
 
 def split_sentences(text: str) -> list[str]:
     """Split on '. ', '! ', '? ', keeping the punctuation mark."""
@@ -145,7 +155,8 @@ def _parse_markup(sentence: str, log: DiagnosticLog) -> list[_Segment]:
     rest as plain text.  A ``[[`` nested before the closing ``]]`` makes
     the outer link malformed: its marker is dropped and scanning resumes
     at the inner ``[[``.  Empty targets or anchors demote the link to
-    plain text.
+    plain text.  So does a tab inside the target, which would split the
+    target across columns of the prior file; it counts as malformed.
     """
     segments: list[_Segment] = []
     pos = 0
@@ -179,6 +190,9 @@ def _parse_markup(sentence: str, log: DiagnosticLog) -> list[_Segment]:
         elif not anchor.strip():
             log.bump(diag.EMPTY_ANCHOR)
             segments.append(_Segment(target))
+        elif "\t" in target:
+            log.bump(diag.MALFORMED_LINK)
+            segments.append(_Segment(anchor))
         else:
             segments.append(_Segment(anchor, entity=target))
         pos = close_at + 2
@@ -222,15 +236,6 @@ def _tokenize_segments(segments: Sequence[_Segment],
     return tokens, links
 
 
-def extract_links(article: RawArticle,
-                  log: Optional[DiagnosticLog] = None) -> list[tuple[str, str, list[str], tuple[int, int]]]:
-    """All link occurrences of an article as (mention, entity, tokens, span)."""
-    out = []
-    for ex in extract_examples(article, log):
-        out.append((ex.mention, ex.entity, ex.tokens, ex.span))
-    return out
-
-
 def extract_examples(article: RawArticle,
                      log: Optional[DiagnosticLog] = None) -> list[MentionExample]:
     """Parse one article into MentionExamples with full context fields."""
@@ -270,8 +275,13 @@ def extract_examples(article: RawArticle,
 
 # --- category attachment and sampling ---------------------------------------
 
-def load_category_assignments(path: str) -> dict[str, CategoryAssignment]:
-    """Read an entity<TAB>category TSV into per-entity assignments."""
+def load_category_assignments(path: str,
+                              log: Optional[DiagnosticLog] = None) -> dict[str, CategoryAssignment]:
+    """Read an entity<TAB>category TSV into per-entity assignments.
+
+    A line with an empty category is skipped and counted; an entity whose
+    every line is empty gets no assignment.
+    """
     table: dict[str, CategoryAssignment] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,6 +292,10 @@ def load_category_assignments(path: str) -> dict[str, CategoryAssignment]:
             if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
             entity, category = parts
+            if not category:
+                if log is not None:
+                    log.bump(diag.EMPTY_CATEGORY)
+                continue
             if entity not in table:
                 table[entity] = CategoryAssignment(entity, set())
             table[entity].raw_categories.add(category)
@@ -291,7 +305,6 @@ def load_category_assignments(path: str) -> dict[str, CategoryAssignment]:
 def attach_categories(examples: Iterable[MentionExample],
                       assignments: dict[str, CategoryAssignment],
                       vocab: CategoryVocab,
-                      prepositions: Sequence[str] = DEFAULT_PREPOSITIONS,
                       keep_uncategorized: bool = False,
                       log: Optional[DiagnosticLog] = None) -> list[MentionExample]:
     """Label examples with their entity's expanded categories, vocab-filtered.
@@ -314,10 +327,7 @@ def attach_categories(examples: Iterable[MentionExample],
                 continue
             cats: list[str] = []
         else:
-            expanded: set[str] = set()
-            for raw in assignment.raw_categories:
-                expanded.update(expand_category(raw, prepositions))
-            cats = sorted(c for c in expanded if c in vocab)
+            cats = sorted(c for c in assignment.categories if c in vocab)
             if not cats:
                 log.bump(diag.NO_VOCAB_CATEGORIES)
                 if not keep_uncategorized:

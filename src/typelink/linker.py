@@ -8,14 +8,14 @@ effectively tied, the decision falls back to the mention-entity prior.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
+from scipy.special import logit
 
 from . import diagnostics as diag
-from .categories import DEFAULT_PREPOSITIONS, CategoryVocab, expand_category
+from .categories import CategoryVocab
 from .diagnostics import DiagnosticLog
 from .ingest import CategoryAssignment
 from .model import TypePosterior
@@ -44,15 +44,11 @@ class EntityCategoryIndex:
 
 
 def build_category_index(assignments: dict[str, CategoryAssignment],
-                         vocab: CategoryVocab,
-                         prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> EntityCategoryIndex:
-    """Expand every entity's raw categories and keep the in-vocab ids."""
+                         vocab: CategoryVocab) -> EntityCategoryIndex:
+    """Keep the in-vocab ids of every entity's expanded categories."""
     index = EntityCategoryIndex()
     for entity, assignment in assignments.items():
-        expanded: set[str] = set()
-        for raw in assignment.raw_categories:
-            expanded.update(expand_category(raw, prepositions))
-        index.put(entity, vocab.to_ids(expanded))
+        index.put(entity, vocab.to_ids(assignment.categories))
     return index
 
 
@@ -65,29 +61,31 @@ class LinkPrediction:
     used_backoff: bool
 
 
-def _posterior_array(posterior) -> np.ndarray:
-    return posterior.probs if isinstance(posterior, TypePosterior) else np.asarray(posterior)
+def _score_terms(posterior, mode: str) -> np.ndarray:
+    """Per-category terms that a candidate's score sums.
+
+    Log-odds come from the model's logits when the posterior carries them:
+    the log-odds of sigmoid(z) is z, which stays finite where the
+    probability has rounded to exactly 0 or 1.
+    """
+    if mode not in SCORING_MODES:
+        raise ValueError(f"unknown scoring mode: {mode!r}")
+    if isinstance(posterior, TypePosterior):
+        return posterior.logits if mode == "logodds" else posterior.probs
+    probs = np.asarray(posterior)
+    return logit(probs) if mode == "logodds" else probs
 
 
-def _one_score(probs: np.ndarray, ids: Optional[np.ndarray], mode: str) -> float:
+def _one_score(terms: np.ndarray, ids: Optional[np.ndarray], mode: str) -> float:
     if ids is None or len(ids) == 0:
         return 0.0
     total = 0.0
     # Sequential sum in ascending category-id order; ids are kept sorted,
     # so the accumulation order is identical everywhere.
-    if mode == "sum":
-        for i in ids:
-            total += float(probs[i])
-    elif mode == "mean":
-        for i in ids:
-            total += float(probs[i])
+    for i in ids:
+        total += float(terms[i])
+    if mode == "mean":
         total /= len(ids)
-    elif mode == "logodds":
-        for i in ids:
-            p = float(probs[i])
-            total += math.log(p) - math.log1p(-p)
-    else:
-        raise ValueError(f"unknown scoring mode: {mode!r}")
     return total
 
 
@@ -98,13 +96,13 @@ def score_candidates(posterior, candidate_set: CandidateSet,
     """Score every candidate against the posterior; unknown entities get 0."""
     if len(candidate_set) == 0:
         raise ValueError("empty candidate set")
-    probs = _posterior_array(posterior)
+    terms = _score_terms(posterior, mode)
     out = []
     for entity, _prior in candidate_set.candidates:
         ids = index.get(entity)
         if ids is None and log is not None:
             log.bump(diag.CANDIDATE_WITHOUT_CATEGORIES)
-        out.append((entity, _one_score(probs, ids, mode)))
+        out.append((entity, _one_score(terms, ids, mode)))
     return out
 
 

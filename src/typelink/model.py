@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Callable, Iterable, Optional, Sequence
@@ -103,12 +102,10 @@ def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
 
 @dataclass
 class TypePosterior:
-    """Per-category probability vector for one mention."""
+    """Per-category probabilities for one mention and the logits they came from."""
 
     probs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.probs)
+    logits: np.ndarray
 
 
 @dataclass
@@ -120,7 +117,6 @@ class TrainConfig:
     seed: int = 0
     feature_dim: int = DEFAULT_FEATURE_DIM
     hash_seed: int = DEFAULT_HASH_SEED
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -135,8 +131,6 @@ class TrainConfig:
             raise ValueError("feature_dim must be positive")
         if not 0 <= self.hash_seed < 2 ** 64:
             raise ValueError("hash_seed must fit in 64 bits")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -203,7 +197,7 @@ def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
     if len(features.indices) and int(features.indices[-1]) >= model.feature_dim:
         raise ValueError("feature id out of range for this model")
     logits = model.weights[:, features.indices] @ features.values + model.bias
-    return TypePosterior(expit(logits))
+    return TypePosterior(expit(logits), logits)
 
 
 def predict_example(model: TypingModel, example: MentionExample) -> TypePosterior:
@@ -256,37 +250,40 @@ def loss_and_grad(model: TypingModel,
     return loss, Gradients(grad_w, err.sum(axis=0))
 
 
-def _batch_arrays(feats: Sequence[FeatureVector], labels: Sequence[np.ndarray],
-                  rows: np.ndarray, n_cats: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Densify one mini-batch onto its active feature columns."""
+def _encode(pairs: Sequence[tuple[MentionExample, Sequence[int]]], config: TrainConfig,
+            n_cats: int) -> tuple[list[FeatureVector], list[np.ndarray]]:
+    """Featurize the examples; label ids come back sorted, deduplicated and checked."""
+    feats = [featurize(ex, config.feature_dim, config.hash_seed) for ex, _ in pairs]
+    labels = [np.asarray(sorted(set(ids)), dtype=np.int64) for _, ids in pairs]
+    for arr in labels:
+        if len(arr) and (arr[0] < 0 or arr[-1] >= n_cats):
+            raise ValueError("label id outside vocabulary")
+    return feats, labels
+
+
+def _batch_forward(weights: np.ndarray, bias: np.ndarray, feats: Sequence[FeatureVector],
+                   labels: Sequence[np.ndarray], rows: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Densify one mini-batch onto its active feature columns and run it forward.
+
+    Logits come from one matrix-vector product per category row.  Returns
+    (active, local, targets, logits, summed BCE loss); the SGD step reuses
+    the densified batch for its gradient.
+    """
     if len(rows) == 0:
         raise ValueError("empty batch")
-    chunks = [feats[i].indices for i in rows]
-    active = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+    n_cats = len(bias)
+    active = np.unique(np.concatenate([feats[i].indices for i in rows]))
     local = np.zeros((len(rows), len(active)))
     targets = np.zeros((len(rows), n_cats))
     for r, i in enumerate(rows):
-        fv = feats[i]
-        local[r, np.searchsorted(active, fv.indices)] = fv.values
+        local[r, np.searchsorted(active, feats[i].indices)] = feats[i].values
         targets[r, labels[i]] = 1.0
-    return active, local, targets
-
-
-def _forward_rowwise(local: np.ndarray, weights_active: np.ndarray,
-                     bias: np.ndarray) -> np.ndarray:
-    """Logits via one matrix-vector product per category row."""
-    n, n_cats = local.shape[0], weights_active.shape[0]
-    logits = np.empty((n, n_cats))
+    weights_active = weights[:, active]
+    logits = np.empty((len(rows), n_cats))
     for cat in range(n_cats):
         logits[:, cat] = local @ weights_active[cat] + bias[cat]
-    return logits
-
-
-def _grad_rowwise(err: np.ndarray, local: np.ndarray) -> np.ndarray:
-    grad = np.empty((err.shape[1], local.shape[1]))
-    for cat in range(err.shape[1]):
-        grad[cat] = err[:, cat] @ local
-    return grad
+    return active, local, targets, logits, _bce_sum(logits, targets)
 
 
 def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
@@ -297,92 +294,53 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     """Mini-batch SGD on the summed BCE objective.
 
     `pairs` carries (example, vocab label ids).  Weights start at zero;
-    each epoch visits a fresh seeded permutation of the data.  With
-    workers > 1 every batch is split into contiguous shards whose
-    gradients are computed concurrently and merged in shard order, so
-    results are reproducible per worker count but bit-identical runs are
-    only promised at workers=1.  Raises FloatingPointError when a batch
-    loss goes non-finite.
+    each epoch visits a fresh seeded permutation of the data, so a fixed
+    seed gives bit-identical weights.  Raises FloatingPointError when a
+    batch loss goes non-finite.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training examples")
     n_cats = len(vocab)
-    feats = [featurize(ex, config.feature_dim, config.hash_seed) for ex, _ in pairs]
-    labels = [np.asarray(sorted(set(ids)), dtype=np.int64) for _, ids in pairs]
-    for arr in labels:
-        if len(arr) and (arr[0] < 0 or arr[-1] >= n_cats):
-            raise ValueError("label id outside vocabulary")
-    dev_feats = dev_labels = None
+    feats, labels = _encode(pairs, config, n_cats)
     if dev_pairs is not None:
-        dev_feats = [featurize(ex, config.feature_dim, config.hash_seed)
-                     for ex, _ in dev_pairs]
-        dev_labels = [np.asarray(sorted(set(ids)), dtype=np.int64) for _, ids in dev_pairs]
+        dev_feats, dev_labels = _encode(dev_pairs, config, n_cats)
 
     model = TypingModel.zeros(vocab, config.feature_dim, config.hash_seed)
     weights, bias = model.weights, model.bias
     rng = np.random.default_rng(config.seed)
     decay = 1.0 - config.learning_rate * config.l2_penalty
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-
-    def shard_grads(active, local, targets):
-        weights_active = weights[:, active]
-
-        def one_shard(bounds):
-            lo, hi = bounds
-            logits = _forward_rowwise(local[lo:hi], weights_active, bias)
-            loss = _bce_sum(logits, targets[lo:hi])
-            err = expit(logits) - targets[lo:hi]
-            return loss, _grad_rowwise(err, local[lo:hi]), err.sum(axis=0)
-
-        n = local.shape[0]
-        if pool is None or n < 2 * config.workers:
-            return one_shard((0, n))
-        step = (n + config.workers - 1) // config.workers
-        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        results = list(pool.map(one_shard, bounds))
-        loss = 0.0
-        grad = np.zeros_like(results[0][1])
-        grad_b = np.zeros(n_cats)
-        for part_loss, part_grad, part_b in results:
-            loss += part_loss
-            grad += part_grad
-            grad_b += part_b
-        return loss, grad, grad_b
-
-    try:
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(pairs))
-            epoch_loss = 0.0
-            for lo in range(0, len(order), config.batch_size):
-                rows = order[lo:lo + config.batch_size]
-                active, local, targets = _batch_arrays(feats, labels, rows, n_cats)
-                loss, grad, grad_b = shard_grads(active, local, targets)
-                if not np.isfinite(loss):
-                    raise FloatingPointError(
-                        f"training diverged: non-finite loss at epoch {epoch + 1}")
-                epoch_loss += loss
-                if config.l2_penalty:
-                    weights *= decay
-                weights[:, active] -= config.learning_rate * grad
-                bias -= config.learning_rate * grad_b
-            dev_loss = None
-            if dev_feats is not None:
-                dev_loss = _full_loss(weights, bias, dev_feats, dev_labels, n_cats)
-            if on_epoch is not None:
-                on_epoch(epoch + 1, epoch_loss, dev_loss)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(pairs))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            rows = order[lo:lo + config.batch_size]
+            active, local, targets, logits, loss = _batch_forward(weights, bias, feats,
+                                                                  labels, rows)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"training diverged: non-finite loss at epoch {epoch + 1}")
+            epoch_loss += loss
+            err = expit(logits) - targets
+            grad = np.empty((n_cats, len(active)))
+            for cat in range(n_cats):
+                grad[cat] = err[:, cat] @ local
+            if config.l2_penalty:
+                weights *= decay
+            weights[:, active] -= config.learning_rate * grad
+            bias -= config.learning_rate * err.sum(axis=0)
+        dev_loss = None
+        if dev_pairs is not None:
+            dev_loss = _full_loss(weights, bias, dev_feats, dev_labels)
+        if on_epoch is not None:
+            on_epoch(epoch + 1, epoch_loss, dev_loss)
     return model
 
 
 def _full_loss(weights: np.ndarray, bias: np.ndarray, feats: Sequence[FeatureVector],
-               labels: Sequence[np.ndarray], n_cats: int, chunk: int = 256) -> float:
+               labels: Sequence[np.ndarray], chunk: int = 256) -> float:
     total = 0.0
     for lo in range(0, len(feats), chunk):
         rows = np.arange(lo, min(lo + chunk, len(feats)))
-        active, local, targets = _batch_arrays(feats, labels, rows, n_cats)
-        logits = _forward_rowwise(local, weights[:, active], bias)
-        total += _bce_sum(logits, targets)
+        total += _batch_forward(weights, bias, feats, labels, rows)[-1]
     return total

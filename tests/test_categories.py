@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from typelink.categories import (DEFAULT_PREPOSITIONS, CategoryVocab, expand_category,
-                                 normalize_prepositions, select_vocabulary)
+                                 select_vocabulary)
 
 WORDS = ["Cities", "Towns", "People", "Rivers", "1624", "England", "York", "module"]
 PREPS = list(DEFAULT_PREPOSITIONS)
@@ -69,13 +69,6 @@ def test_expansion_idempotent_on_preposition_free_members(raw):
 @given(category_strings())
 def test_expansion_deterministic(raw):
     assert expand_category(raw) == expand_category(raw)
-
-
-def test_normalize_prepositions_dedupes():
-    assert normalize_prepositions(["In", "from", "for", "of", "by", "for",
-                                   "involving"]) == DEFAULT_PREPOSITIONS
-    with pytest.raises(ValueError):
-        normalize_prepositions([])
 
 
 class TestSelectVocabulary:

@@ -1,11 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from typelink.cli import main, read_predictions
+from typelink.cli import build_parser, main, read_predictions
 from typelink.ingest import MentionExample, write_examples
+from typelink.prior import PriorTable
 
 from conftest import pipeline_argv
 
@@ -317,6 +319,42 @@ class TestHandCorpus:
                                     "here", "."]
         assert split["tokens"] == ["A", "b", "c", "."]
         assert split["right_extra"] == ["Next", "sentence", "here", "."]
+
+
+    def test_tab_target_and_empty_category_are_counted_not_fatal(self, tmp_path, capsys):
+        articles = write_text(tmp_path / "a.txt",
+                              "T\nx [[A|aa]] y [[Foo\tBar|foo]] z .\n%%%%\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tThings in Ohio\nA\t\n")
+        vocab = write_text(tmp_path / "v.txt", "Things\n")
+        model = tmp_path / "model.json"
+        steps = [
+            (["build-prior", "--articles", articles, "--prior", str(tmp_path / "prior.tsv")],
+             "malformed_link=1"),
+            (["ingest", "--articles", articles, "--categories", cats, "--vocab", vocab,
+              "--mentions", str(tmp_path / "m.jsonl")], "empty_category=1"),
+            (["train", "--mentions", str(tmp_path / "m.jsonl"), "--vocab", vocab,
+              "--model", str(model), "--feature-dim", "64", "--epochs", "1", "--quiet"],
+             ""),
+            (["link", "--mentions", str(tmp_path / "m.jsonl"), "--model", str(model),
+              "--prior", str(tmp_path / "prior.tsv"), "--categories", cats,
+              "--predictions", str(tmp_path / "p.jsonl")], "empty_category=1"),
+        ]
+        for argv, counted in steps:
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv[0], err)
+            assert counted in err, (argv[0], err)
+        assert PriorTable.load(str(tmp_path / "prior.tsv")).candidates("aa").entities() == ["A"]
+        assert read_predictions(str(tmp_path / "p.jsonl"))[0]["chosen"] == "A"
+
+
+def test_seed_accepted_only_where_read():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for a in p._actions for opt in a.option_strings}
+             for name, p in sub.choices.items()}
+    assert {name for name, opts in flags.items() if "--seed" in opts} == {
+        "ingest", "train", "pipeline"}
+    assert all({"--workers", "--quiet"} <= opts for opts in flags.values())
 
 
 def test_module_entry_point_help():

@@ -4,76 +4,87 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import typelink.ingest
 from typelink import diagnostics as diag
-from typelink.categories import CategoryVocab
+from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
 from typelink.ingest import (CategoryAssignment, MentionExample, RawArticle,
                              attach_categories, example_from_dict, example_to_dict,
-                             extract_examples, extract_links, iter_articles,
+                             extract_examples, iter_articles,
                              load_category_assignments, read_examples,
                              sample_training_set, split_sentences, write_examples)
+from typelink.linker import build_category_index
 
 
 class TestLinkGrammar:
     def test_anchored_link(self):
         art = RawArticle("Apache Ant", ["Install [[Apache Ant|Ant]] to build ."])
-        links = extract_links(art)
-        assert links == [("Ant", "Apache Ant",
-                          ["Install", "Ant", "to", "build", "."], (1, 2))]
+        [ex] = extract_examples(art)
+        assert (ex.mention, ex.entity, ex.tokens, ex.span) == (
+            "Ant", "Apache Ant", ["Install", "Ant", "to", "build", "."], (1, 2))
 
     def test_bare_link_uses_target_as_mention(self):
-        links = extract_links(RawArticle("X", ["See [[Apache Ant]] docs"]))
-        assert links == [("Apache Ant", "Apache Ant",
-                          ["See", "Apache", "Ant", "docs"], (1, 3))]
+        [ex] = extract_examples(RawArticle("X", ["See [[Apache Ant]] docs"]))
+        assert (ex.mention, ex.entity, ex.tokens, ex.span) == (
+            "Apache Ant", "Apache Ant", ["See", "Apache", "Ant", "docs"], (1, 3))
 
     def test_no_links_means_no_output(self):
-        assert extract_links(RawArticle("X", ["plain text only"])) == []
+        assert extract_examples(RawArticle("X", ["plain text only"])) == []
 
     def test_two_links_in_one_sentence(self):
-        links = extract_links(RawArticle("X", ["[[A]] and [[B|b]]"]))
-        assert len(links) == 2
-        assert [l[0] for l in links] == ["A", "b"]
-        assert [l[1] for l in links] == ["A", "B"]
-        assert links[0][2] == links[1][2] == ["A", "and", "b"]
+        examples = extract_examples(RawArticle("X", ["[[A]] and [[B|b]]"]))
+        assert len(examples) == 2
+        assert [ex.mention for ex in examples] == ["A", "b"]
+        assert [ex.entity for ex in examples] == ["A", "B"]
+        assert examples[0].tokens == examples[1].tokens == ["A", "and", "b"]
 
     def test_unclosed_link_logged_and_text_kept(self):
         log = DiagnosticLog()
-        links = extract_links(RawArticle("X", ["broken [[Oops start here"]), log)
-        assert links == []
+        examples = extract_examples(RawArticle("X", ["broken [[Oops start here"]), log)
+        assert examples == []
         assert log.counts[diag.UNCLOSED_LINK] == 1
 
     def test_empty_target_skipped(self):
         log = DiagnosticLog()
-        links = extract_links(RawArticle("X", ["a [[|anchor]] b"]), log)
-        assert links == []
+        examples = extract_examples(RawArticle("X", ["a [[|anchor]] b"]), log)
+        assert examples == []
         assert log.counts[diag.EMPTY_TARGET] == 1
 
     def test_empty_anchor_skipped(self):
         log = DiagnosticLog()
-        links = extract_links(RawArticle("X", ["a [[Target|]] b"]), log)
-        assert links == []
+        examples = extract_examples(RawArticle("X", ["a [[Target|]] b"]), log)
+        assert examples == []
         assert log.counts[diag.EMPTY_ANCHOR] == 1
 
     def test_nested_open_is_malformed(self):
         log = DiagnosticLog()
-        links = extract_links(RawArticle("X", ["[[Outer [[Inner]] tail]]"]), log)
-        assert [l[1] for l in links] == ["Inner"]
+        examples = extract_examples(RawArticle("X", ["[[Outer [[Inner]] tail]]"]), log)
+        assert [ex.entity for ex in examples] == ["Inner"]
         assert log.counts[diag.MALFORMED_LINK] == 1
+
+    def test_tab_in_target_is_malformed_and_kept_as_text(self):
+        # A tab would split the target across columns of the prior TSV.
+        log = DiagnosticLog()
+        examples = extract_examples(
+            RawArticle("X", ["a [[Foo\tBar|foo]] b [[Baz]]", "c [[Qux\tQuux]] d"]), log)
+        assert [(ex.entity, ex.tokens) for ex in examples] == [
+            ("Baz", ["a", "foo", "b", "Baz"])]
+        assert log.counts[diag.MALFORMED_LINK] == 2
 
     def test_glued_anchor_is_misaligned(self):
         log = DiagnosticLog()
-        links = extract_links(RawArticle("X", ["pre[[A|a]] b"]), log)
-        assert links == []
+        examples = extract_examples(RawArticle("X", ["pre[[A|a]] b"]), log)
+        assert examples == []
         assert log.counts[diag.MISALIGNED_ANCHOR] == 1
 
     def test_multiword_anchor_span(self):
-        links = extract_links(RawArticle("X", ["the [[NY|New York]] area"]))
-        assert links == [("New York", "NY", ["the", "New", "York", "area"], (1, 3))]
+        [ex] = extract_examples(RawArticle("X", ["the [[NY|New York]] area"]))
+        assert (ex.mention, ex.entity, ex.tokens, ex.span) == (
+            "New York", "NY", ["the", "New", "York", "area"], (1, 3))
 
     def test_link_count_conservation(self):
         body = ["[[A]] x [[B|b]] y [[C]] .", "none here", "[[D|dd]] end"]
-        links = extract_links(RawArticle("X", body))
-        assert len(links) == 4
+        assert len(extract_examples(RawArticle("X", body))) == 4
 
 
 class TestArticleFile:
@@ -283,3 +294,44 @@ def test_load_category_assignments_rejects_bad_line(tmp_path):
     path.write_text("no tab here\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_category_assignments(str(path))
+
+
+def test_load_category_assignments_skips_empty_category(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("E1\tCats\nE1\t\nE2\t\n", encoding="utf-8")
+    log = DiagnosticLog()
+    table = load_category_assignments(str(path), log)
+    assert list(table) == ["E1"]
+    assert table["E1"].raw_categories == {"Cats"}
+    assert log.counts[diag.EMPTY_CATEGORY] == 2
+
+
+def test_assignment_categories_are_union_of_expansions():
+    raw = {"Cities in New York (state)", "Software", "People from Ohio", "of things"}
+    expected = set()
+    for category in raw:
+        expected.update(expand_category(category))
+    assert CategoryAssignment("E", raw).categories == frozenset(expected)
+
+
+def test_each_entity_expanded_at_most_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return expand_category(raw)
+
+    monkeypatch.setattr(typelink.ingest, "expand_category", counting)
+    raw = {"E": {"Cities in Ohio", "Software"}, "F": {"People from Ohio"}}
+    vocab = CategoryVocab(["Cities", "Software", "People"])
+
+    def fresh():
+        return {e: CategoryAssignment(e, set(cats)) for e, cats in raw.items()}
+
+    examples = [MentionExample(mention="m", tokens=["m"], span=(0, 1), entity=e)
+                for e in ("E", "F", "E", "E", "F")]
+    attach_categories(examples, fresh(), vocab)
+    assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)
+    calls.clear()
+    build_category_index(fresh(), vocab)
+    assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)

@@ -11,6 +11,7 @@ from typelink.diagnostics import DiagnosticLog
 from typelink.ingest import CategoryAssignment
 from typelink.linker import (EntityCategoryIndex, build_category_index, link,
                              most_frequent_entity, score_candidates)
+from typelink.model import FeatureVector, TypingModel, predict
 from typelink.prior import CandidateSet, PriorTable
 
 
@@ -87,6 +88,18 @@ class TestScoreCandidates:
         scored = score_candidates(probs, CandidateSet("m", [("A", 1.0)]), index,
                                   mode="logodds")
         assert scored[0][1] == pytest.approx(math.log(3.0), abs=1e-12)
+
+    def test_logodds_mode_scores_saturated_posteriors_by_logit(self):
+        # sigmoid(50) and sigmoid(-800) round to exactly 1.0 and 0.0; their
+        # log-odds are the logits themselves.
+        model = TypingModel.zeros(CategoryVocab(["hi", "lo"]), feature_dim=4)
+        model.bias[:] = [50.0, -800.0]
+        posterior = predict(model, FeatureVector([], []))
+        assert posterior.probs.tolist() == [1.0, 0.0]
+        index = make_index({"A": [0], "B": [1], "C": [0, 1]})
+        cands = CandidateSet("m", [("A", 0.4), ("B", 0.3), ("C", 0.3)])
+        scored = dict(score_candidates(posterior, cands, index, mode="logodds"))
+        assert scored == {"A": 50.0, "B": -800.0, "C": -750.0}
 
     def test_unknown_mode_rejected(self):
         index = make_index({"A": [0]})

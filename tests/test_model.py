@@ -306,6 +306,8 @@ class TestTrain:
         ex = MentionExample(mention="m", tokens=["m"], span=(0, 1))
         with pytest.raises(ValueError):
             train([(ex, [4])], vocab, TrainConfig(feature_dim=16))
+        with pytest.raises(ValueError):
+            train([(ex, [0])], vocab, TrainConfig(feature_dim=16), dev_pairs=[(ex, [-1])])
 
     def test_removing_a_category_leaves_other_rows_bitwise_identical(self):
         rng = np.random.default_rng(11)
@@ -337,12 +339,6 @@ class TestTrain:
             assert np.array_equal(full_row, drop_row)
             assert (model_full.bias[vocab_full.id_of(cat)]
                     == model_drop.bias[vocab_drop.id_of(cat)])
-
-    def test_multi_worker_training_runs(self):
-        vocab = CategoryVocab(["cat_a", "cat_b"])
-        config = TrainConfig(feature_dim=256, epochs=2, seed=0, workers=3)
-        model = train(separable_pairs(), vocab, config)
-        assert np.all(np.isfinite(model.weights))
 
 
 class TestModelFile:
@@ -391,7 +387,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"epochs": 0},
         {"batch_size": 0}, {"l2_penalty": -0.1}, {"feature_dim": 0},
-        {"workers": 0}, {"hash_seed": -1},
+        {"hash_seed": -1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
