@@ -387,7 +387,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"epochs": 0},
         {"batch_size": 0}, {"l2_penalty": -0.1}, {"feature_dim": 0},
-        {"hash_seed": -1},
+        {"hash_seed": -1}, {"hash_seed": 2 ** 64},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
