@@ -14,6 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .atomic import atomic_write
+
 
 # Whole-token, case-insensitive preposition triggers for splitting.
 DEFAULT_PREPOSITIONS = ("in", "from", "for", "of", "by", "involving")
@@ -78,7 +80,7 @@ class CategoryVocab:
         return sorted(self.index[c] for c in categories if c in self.index)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for cat in self.entries:
                 fh.write(cat + "\n")
 

@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from . import diagnostics as diag
+from .atomic import atomic_write
 from .categories import CategoryVocab, select_vocabulary
 from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, linking_accuracy,
@@ -219,7 +220,7 @@ def stage_link(mentions_path: str, model_path: str, prior_path: str,
     log = DiagnosticLog()
     index = build_category_index(load_category_assignments(categories_path, log),
                                  model.vocab)
-    with open(predictions_path, "w", encoding="utf-8") as fh:
+    with atomic_write(predictions_path) as fh:
         for ex in read_examples(mentions_path):
             cset = table.candidates(ex.mention, threshold)
             if len(cset) == 0:
@@ -297,7 +298,7 @@ def stage_eval(mentions_path: str, predictions_path: str, report_path: str,
                                           with_per_category=per_category)
 
     report = EvalReport(accuracy, recall, buckets, per_cat)
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path) as fh:
         json.dump(report.to_dict(), fh, ensure_ascii=False, separators=(",", ":"))
         fh.write("\n")
     if not quiet:

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import diagnostics as diag
+from .atomic import atomic_write
 from .categories import CategoryVocab, expand_category
 from .diagnostics import DiagnosticLog
 
@@ -386,7 +387,7 @@ def example_from_dict(obj: dict) -> MentionExample:
 
 def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(json.dumps(example_to_dict(ex), ensure_ascii=False,
                                 separators=(",", ":")) + "\n")

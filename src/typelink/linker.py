@@ -24,6 +24,7 @@ from .prior import CandidateSet, PriorTable
 DEFAULT_BACKOFF_MIN_CATS = 2
 DEFAULT_TIE_EPS = 1e-9
 SCORING_MODES = ("sum", "mean", "logodds")
+_PROB_MIN, _PROB_MAX = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 
 @dataclass
@@ -66,14 +67,18 @@ def _score_terms(posterior, mode: str) -> np.ndarray:
 
     Log-odds come from the model's logits when the posterior carries them:
     the log-odds of sigmoid(z) is z, which stays finite where the
-    probability has rounded to exactly 0 or 1.
+    probability has rounded to exactly 0 or 1.  A plain probability array
+    is first clipped to the open interval (0, 1), so 0 and 1 map to the
+    log-odds of the nearest representable probabilities, not to -inf/+inf.
     """
     if mode not in SCORING_MODES:
         raise ValueError(f"unknown scoring mode: {mode!r}")
     if isinstance(posterior, TypePosterior):
         return posterior.logits if mode == "logodds" else posterior.probs
     probs = np.asarray(posterior)
-    return logit(probs) if mode == "logodds" else probs
+    if mode != "logodds":
+        return probs
+    return logit(np.clip(probs, _PROB_MIN, _PROB_MAX))
 
 
 def _one_score(terms: np.ndarray, ids: Optional[np.ndarray], mode: str) -> float:

@@ -28,12 +28,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_write
 from .categories import CategoryVocab
 from .ingest import MentionExample
 
 DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 WINDOW_DISTANCE = 3
 
 
@@ -166,30 +167,76 @@ class TypingModel:
                    vocab, hash_seed, feature_dim)
 
     def save(self, path: str) -> None:
-        """Single-document model file; field names are the wire contract."""
-        doc = {
+        """Write the model file: a JSON header line, then raw little-endian arrays.
+
+        The header is ``{"format_version", "D", "hash_seed", "vocab",
+        "columns"}``; the body is the bias (C x <f8), the ids of the k
+        stored weight columns (k x <i8, ascending) and those columns as a
+        C x k row-major block (<f8).  A column is stored when any entry has
+        a nonzero bit pattern, so every other column is +0.0 throughout and
+        the round trip is bit-exact, -0.0 included.
+        """
+        stored = np.flatnonzero((self.weights.view(np.uint64) != 0).any(axis=0))
+        header = {
             "format_version": MODEL_FORMAT_VERSION,
             "D": self.feature_dim,
             "hash_seed": self.hash_seed,
             "vocab": self.vocab.entries,
-            "bias": self.bias.tolist(),
-            "weights": [row.tolist() for row in self.weights],
+            "columns": len(stored),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, ensure_ascii=False, separators=(",", ":"))
-            fh.write("\n")
+        with atomic_write(path, binary=True) as fh:
+            fh.write(json.dumps(header, ensure_ascii=False,
+                                separators=(",", ":")).encode("utf-8") + b"\n")
+            fh.write(self.bias.astype("<f8", copy=False).tobytes())
+            fh.write(stored.astype("<i8", copy=False).tobytes())
+            fh.write(self.weights[:, stored].astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        version = doc.get("format_version")
+        """Read a file written by `save`; raises ValueError on any malformed part."""
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            body = fh.read()
+        if not isinstance(header, dict):
+            raise ValueError("model header is not a JSON object")
+        version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
-        vocab = CategoryVocab(list(doc["vocab"]))
-        return cls(np.array(doc["weights"], dtype=np.float64),
-                   np.array(doc["bias"], dtype=np.float64),
-                   vocab, int(doc["hash_seed"]), int(doc["D"]))
+        for key in ("D", "hash_seed", "vocab", "columns"):
+            if key not in header:
+                raise ValueError(f"model header lacks {key!r}")
+        entries = header["vocab"]
+        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+            raise ValueError("model vocab must be a list of strings")
+        dim = _header_int(header, "D", 1)
+        hash_seed = _header_int(header, "hash_seed", 0, 2 ** 64)
+        n_cols = _header_int(header, "columns", 0)
+        n_cats = len(entries)
+        if len(body) != 8 * (n_cats + n_cols + n_cats * n_cols):
+            raise ValueError(f"model body is {len(body)} bytes, expected "
+                             f"{8 * (n_cats + n_cols + n_cats * n_cols)}")
+        bias = np.frombuffer(body, "<f8", n_cats)
+        ids = np.frombuffer(body, "<i8", n_cols, offset=8 * n_cats)
+        block = np.frombuffer(body, "<f8", n_cats * n_cols,
+                              offset=8 * (n_cats + n_cols)).reshape(n_cats, n_cols)
+        if not (np.isfinite(bias).all() and np.isfinite(block).all()):
+            raise ValueError("model holds a non-finite weight or bias")
+        if n_cols and not (ids[0] >= 0 and ids[-1] < dim and (np.diff(ids) > 0).all()):
+            raise ValueError("model column ids must be strictly increasing in [0, D)")
+        try:
+            weights = np.zeros((n_cats, dim))
+        except MemoryError as err:
+            raise ValueError(f"model of {n_cats} x {dim} weights does not fit in memory") from err
+        weights[:, ids] = block
+        return cls(weights, bias.copy(), CategoryVocab(entries), hash_seed, dim)
+
+
+def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
+    """An integer header field in [lo, hi); hi None means unbounded."""
+    value = header[key]
+    if type(value) is not int or value < lo or (hi is not None and value >= hi):
+        raise ValueError(f"model header {key!r} is not an integer in range: {value!r}")
+    return value
 
 
 def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
@@ -334,6 +381,10 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
             dev_loss = _full_loss(weights, bias, dev_feats, dev_labels)
         if on_epoch is not None:
             on_epoch(epoch + 1, epoch_loss, dev_loss)
+    # A batch's loss is checked before its update, so only the last update
+    # can overflow unseen; the model file refuses non-finite values.
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise FloatingPointError("training diverged: non-finite weights after the last update")
     return model
 
 

@@ -12,6 +12,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .atomic import atomic_write
+
 DEFAULT_CANDIDATE_THRESHOLD = 0.05
 
 
@@ -91,7 +93,7 @@ class PriorTable:
 
     def save(self, path: str) -> None:
         """Write mention<TAB>entity<TAB>count, sorted for reproducibility."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for mention in sorted(self.counts):
                 per_entity = self.counts[mention]
                 for entity in sorted(per_entity):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import math
+import struct
 import subprocess
 import sys
 
@@ -227,19 +229,52 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
 
-    def test_corrupt_model_version(self, pipeline_run, capsys, tmp_path):
+    def link_with_model(self, pipeline_run, capsys, tmp_path, corrupt):
+        """Run link on a corrupted copy of the pipeline's model file."""
         _, paths, workdir = pipeline_run
-        doc = json.loads((workdir / "model.json").read_text(encoding="utf-8"))
-        doc["format_version"] = 99
+        head, _, body = (workdir / "model.json").read_bytes().partition(b"\n")
+        header, body = corrupt(json.loads(head), body)
         bad = tmp_path / "bad_model.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run_cli(
+        bad.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        return run_cli(
             ["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
              "--model", str(bad), "--prior", str(workdir / "prior.tsv"),
              "--categories", paths["categories"],
              "--predictions", str(tmp_path / "p.jsonl")], capsys)
+
+    def test_corrupt_model_version(self, pipeline_run, capsys, tmp_path):
+        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path,
+                                            lambda h, b: ({**h, "format_version": 99}, b))
         assert code == 2
         assert "error: INVALID_INPUT:" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h, b: (h, b[:-8] + struct.pack("<d", math.nan)),
+        lambda h, b: (h, b[:-1]),
+        lambda h, b: (h, b + b"\0"),
+        lambda h, b: ({k: v for k, v in h.items() if k != "vocab"}, b),
+        lambda h, b: ({**h, "columns": -1}, b),
+        lambda h, b: ({**h, "D": 1}, b),
+    ], ids=["nan_weight", "truncated", "trailing_byte", "missing_key",
+            "negative_columns", "column_id_beyond_D"])
+    def test_corrupt_model_file(self, pipeline_run, capsys, tmp_path, corrupt):
+        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, corrupt)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert "Traceback" not in err
+
+    def test_failed_link_leaves_existing_predictions(self, pipeline_run, capsys, tmp_path):
+        _, paths, workdir = pipeline_run
+        mentions = write_text(tmp_path / "m.jsonl", "{not json\n")
+        predictions = write_text(tmp_path / "p.jsonl", "earlier output\n")
+        code, _, err = run_cli(
+            ["link", "--mentions", mentions, "--model", str(workdir / "model.json"),
+             "--prior", str(workdir / "prior.tsv"), "--categories", paths["categories"],
+             "--predictions", predictions], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "p.jsonl"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_divergence_reported(self, pipeline_run, capsys, tmp_path):

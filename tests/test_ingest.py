@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -274,6 +275,29 @@ def test_jsonl_key_order(tmp_path):
                      object_pairs_hook=lambda pairs: [k for k, _ in pairs])
     assert raw == ["mention", "tokens", "span", "entity", "categories",
                    "doc_first_sentence", "left_extra", "right_extra"]
+
+
+def test_failed_write_leaves_existing_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "mentions.jsonl"
+    path.write_text("earlier output\n", encoding="utf-8")
+
+    def rows():
+        yield MentionExample(mention="m", tokens=["m"], span=(0, 1))
+        raise RuntimeError("source failed mid-stream")
+
+    with pytest.raises(RuntimeError):
+        write_examples(str(path), rows())
+    assert path.read_text(encoding="utf-8") == "earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["mentions.jsonl"]
+
+
+def test_written_file_has_the_mode_plain_open_gives(tmp_path):
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w", encoding="utf-8"):
+        pass
+    written = tmp_path / "mentions.jsonl"
+    write_examples(str(written), [])
+    assert os.stat(written).st_mode == os.stat(plain).st_mode
 
 
 def test_round_trip_via_dict_helpers():

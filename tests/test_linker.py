@@ -89,6 +89,14 @@ class TestScoreCandidates:
                                   mode="logodds")
         assert scored[0][1] == pytest.approx(math.log(3.0), abs=1e-12)
 
+    def test_logodds_mode_saturated_probability_array_is_finite(self):
+        # 1.0 and 0.0 are clipped to the nearest probabilities with finite log-odds.
+        index = make_index({"A": [0, 1]})
+        scored = score_candidates(np.array([1.0, 0.0]), CandidateSet("m", [("A", 1.0)]),
+                                  index, mode="logodds")
+        assert scored[0][1] == pytest.approx(53 * math.log(2.0) + math.log(5e-324),
+                                             rel=1e-12)
+
     def test_logodds_mode_scores_saturated_posteriors_by_logit(self):
         # sigmoid(50) and sigmoid(-800) round to exactly 1.0 and 0.0; their
         # log-odds are the logits themselves.

@@ -1,10 +1,11 @@
 import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typelink.categories import CategoryVocab
@@ -288,6 +289,16 @@ class TestTrain:
         m2 = train(separable_pairs(), vocab, TrainConfig(feature_dim=256, epochs=2, seed=2))
         assert not np.array_equal(m1.weights, m2.weights)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_the_last_update_is_divergence(self):
+        # One batch: its loss is finite, and only the update after it overflows.
+        vocab = CategoryVocab(["cat_a", "cat_b"])
+        pairs = separable_pairs()
+        config = TrainConfig(feature_dim=2, epochs=1, batch_size=len(pairs),
+                             learning_rate=1e308)
+        with pytest.raises(FloatingPointError):
+            train(pairs, vocab, config)
+
     def test_dev_loss_reported_per_epoch(self):
         vocab = CategoryVocab(["cat_a", "cat_b"])
         pairs = separable_pairs()
@@ -341,12 +352,39 @@ class TestTrain:
                     == model_drop.bias[vocab_drop.id_of(cat)])
 
 
+def read_model_file(path):
+    """(header dict, body bytes) of a saved model file."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(head), body
+
+
+def write_model_file(path, header, body):
+    path.write_bytes(json.dumps(header, separators=(",", ":")).encode("utf-8")
+                     + b"\n" + body)
+
+
+def patch_f8(body, offset, value):
+    out = bytearray(body)
+    struct.pack_into("<d", out, offset, value)
+    return bytes(out)
+
+
+def patch_ids(body, ids):
+    return body[:16] + struct.pack("<2q", *ids) + body[32:]
+
+
 class TestModelFile:
     def build(self):
         vocab = CategoryVocab(["one", "two"])
         model = TypingModel.zeros(vocab, feature_dim=8, hash_seed=5)
         model.weights[0, 3] = 1.25
         model.bias[1] = -0.5
+        return model
+
+    def build_with_signed_zero(self):
+        """`build` plus a column holding only -0.0: two stored columns, ids at bytes 16-32."""
+        model = self.build()
+        model.weights[1, 6] = -0.0
         return model
 
     def test_round_trip(self, tmp_path):
@@ -367,20 +405,115 @@ class TestModelFile:
 
     def test_wire_fields(self, tmp_path):
         path = tmp_path / "model.json"
-        self.build().save(str(path))
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert list(doc) == ["format_version", "D", "hash_seed", "vocab", "bias",
-                             "weights"]
-        assert doc["format_version"] == 1 and doc["D"] == 8
+        self.build_with_signed_zero().save(str(path))
+        header, body = read_model_file(path)
+        assert list(header) == ["format_version", "D", "hash_seed", "vocab", "columns"]
+        assert header["format_version"] == 2 and header["D"] == 8
+        # the -0.0 column is stored: its bit pattern is nonzero
+        assert header["columns"] == 2
+        c, k = 2, 2
+        assert len(body) == 8 * (c + k + c * k)
+        assert np.frombuffer(body, "<f8", c).tolist() == [0.0, -0.5]
+        assert np.frombuffer(body, "<i8", k, offset=8 * c).tolist() == [3, 6]
+        block = np.frombuffer(body, "<f8", c * k, offset=8 * (c + k)).reshape(c, k)
+        assert block.tolist() == [[1.25, 0.0], [0.0, -0.0]]
+        assert math.copysign(1.0, block[1, 1]) == -1.0
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         self.build().save(str(path))
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["format_version"] = 99
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        header, body = read_model_file(path)
+        header["format_version"] = 99
+        write_model_file(path, header, body)
+        with pytest.raises(ValueError, match="unsupported model format version: 99"):
+            TypingModel.load(str(path))
+
+    def test_version_1_document_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = {"format_version": 1, "D": 2, "hash_seed": 0, "vocab": ["one"],
+               "bias": [0.0], "weights": [[0.0, 1.0]]}
+        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unsupported model format version: 1"):
+            TypingModel.load(str(path))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h, b: (h, patch_f8(b, 32, math.nan)),
+        lambda h, b: (h, patch_f8(b, 56, -math.inf)),
+        lambda h, b: (h, patch_f8(b, 0, math.nan)),
+        lambda h, b: (h, patch_f8(b, 8, math.inf)),
+        lambda h, b: (h, b[:-1]),
+        lambda h, b: (h, b + b"\0"),
+        lambda h, b: (h, patch_ids(b, (6, 3))),
+        lambda h, b: (h, patch_ids(b, (3, 3))),
+        lambda h, b: (h, patch_ids(b, (-1, 3))),
+        lambda h, b: (h, patch_ids(b, (3, 8))),
+        lambda h, b: ({**h, "columns": -1}, b),
+        lambda h, b: ({**h, "columns": 1.5}, b),
+        lambda h, b: ({**h, "D": "8"}, b),
+        lambda h, b: ({**h, "vocab": ["one", 2]}, b),
+        lambda h, b: (["not", "an", "object"], b),
+    ], ids=["nan_weight", "inf_weight", "nan_bias", "inf_bias", "truncated",
+            "trailing_byte", "ids_decreasing", "ids_repeated", "id_negative",
+            "id_equals_D", "negative_columns", "float_columns", "string_D",
+            "non_string_category", "header_not_object"])
+    def test_corrupt_file_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "model.json"
+        self.build_with_signed_zero().save(str(path))
+        write_model_file(path, *corrupt(*read_model_file(path)))
         with pytest.raises(ValueError):
             TypingModel.load(str(path))
+
+    @pytest.mark.parametrize("key", ["format_version", "D", "hash_seed", "vocab", "columns"])
+    def test_header_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        self.build().save(str(path))
+        header, body = read_model_file(path)
+        del header[key]
+        write_model_file(path, header, body)
+        with pytest.raises(ValueError):
+            TypingModel.load(str(path))
+
+    def test_header_too_large_for_memory_rejected(self, tmp_path):
+        # 2**14 categories x 2**43 features is 2**60 bytes of weights, beyond
+        # any address space; the file itself is 128 KiB of zero biases.
+        path = tmp_path / "model.json"
+        header = {"format_version": 2, "D": 2 ** 43, "hash_seed": 0,
+                  "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
+        write_model_file(path, header, bytes(8 * 2 ** 14))
+        with pytest.raises(ValueError, match="memory"):
+            TypingModel.load(str(path))
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1e300]
+_weight_st = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
+    entries = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=4))
+    dim = data.draw(st.integers(1, 40))
+    hash_seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    model = TypingModel.zeros(CategoryVocab(entries), feature_dim=dim, hash_seed=hash_seed)
+    for col in data.draw(st.sets(st.integers(0, dim - 1), max_size=dim)):
+        for row in range(len(entries)):
+            model.weights[row, col] = data.draw(_weight_st)
+    for row in range(len(entries)):
+        model.bias[row] = data.draw(_weight_st)
+
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    model.save(str(path))
+    header, _ = read_model_file(path)
+    assert header["columns"] == int((model.weights.view(np.uint64) != 0).any(axis=0).sum())
+    loaded = TypingModel.load(str(path))
+    assert np.array_equal(loaded.weights.view(np.uint64), model.weights.view(np.uint64))
+    assert np.array_equal(loaded.bias.view(np.uint64), model.bias.view(np.uint64))
+    assert loaded.vocab.entries == entries
+    assert (loaded.feature_dim, loaded.hash_seed) == (dim, hash_seed)
+    again = path.with_name("again.json")
+    loaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 class TestTrainConfig:
