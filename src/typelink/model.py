@@ -163,8 +163,13 @@ class TypingModel:
     @classmethod
     def zeros(cls, vocab: CategoryVocab, feature_dim: int = DEFAULT_FEATURE_DIM,
               hash_seed: int = DEFAULT_HASH_SEED) -> "TypingModel":
-        return cls(np.zeros((len(vocab), feature_dim)), np.zeros(len(vocab)),
-                   vocab, hash_seed, feature_dim)
+        """An all-zero model; raises ValueError when its weights do not fit in memory."""
+        try:
+            weights = np.zeros((len(vocab), feature_dim))
+        except MemoryError as err:
+            raise ValueError(f"model of {len(vocab)} x {feature_dim} weights "
+                             "does not fit in memory") from err
+        return cls(weights, np.zeros(len(vocab)), vocab, hash_seed, feature_dim)
 
     def save(self, path: str) -> None:
         """Write the model file: a JSON header line, then raw little-endian arrays.
@@ -223,12 +228,10 @@ class TypingModel:
             raise ValueError("model holds a non-finite weight or bias")
         if n_cols and not (ids[0] >= 0 and ids[-1] < dim and (np.diff(ids) > 0).all()):
             raise ValueError("model column ids must be strictly increasing in [0, D)")
-        try:
-            weights = np.zeros((n_cats, dim))
-        except MemoryError as err:
-            raise ValueError(f"model of {n_cats} x {dim} weights does not fit in memory") from err
-        weights[:, ids] = block
-        return cls(weights, bias.copy(), CategoryVocab(entries), hash_seed, dim)
+        model = cls.zeros(CategoryVocab(entries), dim, hash_seed)
+        model.weights[:, ids] = block
+        model.bias[:] = bias
+        return model
 
 
 def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
@@ -348,13 +351,12 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training examples")
+    model = TypingModel.zeros(vocab, config.feature_dim, config.hash_seed)
+    weights, bias = model.weights, model.bias
     n_cats = len(vocab)
     feats, labels = _encode(pairs, config, n_cats)
     if dev_pairs is not None:
         dev_feats, dev_labels = _encode(dev_pairs, config, n_cats)
-
-    model = TypingModel.zeros(vocab, config.feature_dim, config.hash_seed)
-    weights, bias = model.weights, model.bias
     rng = np.random.default_rng(config.seed)
     decay = 1.0 - config.learning_rate * config.l2_penalty
     for epoch in range(config.epochs):

@@ -15,6 +15,7 @@ from typing import Iterable
 from .atomic import atomic_write
 
 DEFAULT_CANDIDATE_THRESHOLD = 0.05
+CASE_FOLD_MARKER = "#case_fold"  # first line of a case-folded prior file
 
 
 @dataclass
@@ -92,20 +93,29 @@ class PriorTable:
         return CandidateSet(mention, kept)
 
     def save(self, path: str) -> None:
-        """Write mention<TAB>entity<TAB>count, sorted for reproducibility."""
+        """Write mention<TAB>entity<TAB>count, sorted for reproducibility.
+
+        A case-folded table starts with a `#case_fold` line, so that it is
+        loaded folded and still finds capitalized mentions.
+        """
         with atomic_write(path) as fh:
+            if self.case_fold:
+                fh.write(CASE_FOLD_MARKER + "\n")
             for mention in sorted(self.counts):
                 per_entity = self.counts[mention]
                 for entity in sorted(per_entity):
                     fh.write(f"{mention}\t{entity}\t{per_entity[entity]}\n")
 
     @classmethod
-    def load(cls, path: str, case_fold: bool = False) -> "PriorTable":
+    def load(cls, path: str) -> "PriorTable":
         """Read a count TSV; line order is irrelevant, duplicates add up."""
-        table = cls(case_fold=case_fold)
+        table = cls()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
+                if lineno == 1 and line == CASE_FOLD_MARKER:
+                    table.case_fold = True
+                    continue
                 if not line:
                     continue
                 parts = line.split("\t")

@@ -110,6 +110,27 @@ class TestPipeline:
         for name in PIPELINE_FILES:
             assert (b / name).read_bytes() == (workdir_a / name).read_bytes(), name
 
+    def test_two_workers_give_the_same_bytes(self, pipeline_run, tmp_path):
+        _, paths, workdir_a = pipeline_run
+        code = main(pipeline_argv(paths, tmp_path, **{"--workers": "2"}))
+        assert code == 0
+        for name in PIPELINE_FILES:
+            assert (tmp_path / name).read_bytes() == (workdir_a / name).read_bytes(), name
+
+    def test_vocab_override_leaves_raw_mentions_unlabeled(self, pipeline_run, tmp_path):
+        _, paths, workdir_a = pipeline_run
+        vocab = tmp_path / "elsewhere" / "v.txt"
+        vocab.parent.mkdir()
+        workdir = tmp_path / "run"
+        code = main(pipeline_argv(paths, workdir, **{"--vocab": str(vocab)}))
+        assert code == 0
+        assert not (workdir / "vocab.txt").exists()
+        assert vocab.read_bytes() == (workdir_a / "vocab.txt").read_bytes()
+        raw = (workdir / "eval_mentions_raw.jsonl").read_bytes()
+        assert raw == (workdir_a / "eval_mentions_raw.jsonl").read_bytes()
+        rows = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
+        assert rows and all(row["categories"] is None for row in rows)
+
     def test_train_is_reproducible_at_cli_level(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
         models = []
@@ -276,6 +297,17 @@ class TestErrorCodes:
         assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "p.jsonl"]
 
+    def test_unallocatable_model(self, pipeline_run, capsys, tmp_path):
+        _, _, workdir = pipeline_run
+        code, _, err = run_cli(
+            ["train", "--mentions", str(workdir / "train_mentions.jsonl"),
+             "--vocab", str(workdir / "vocab.txt"), "--model", str(tmp_path / "m.json"),
+             "--feature-dim", str(2 ** 43), "--quiet"], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_divergence_reported(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
@@ -380,6 +412,58 @@ class TestHandCorpus:
             assert counted in err, (argv[0], err)
         assert PriorTable.load(str(tmp_path / "prior.tsv")).candidates("aa").entities() == ["A"]
         assert read_predictions(str(tmp_path / "p.jsonl"))[0]["chosen"] == "A"
+
+
+class TestPipelineHandCorpus:
+    """`pipeline` on one hand-written article used as train, eval and prior text."""
+
+    def run(self, tmp_path, capsys, article, categories, *flags):
+        articles = write_text(tmp_path / "a.txt", article)
+        cats = write_text(tmp_path / "c.tsv", categories)
+        workdir = tmp_path / "run"
+        code, _, err = run_cli(
+            ["pipeline", "--articles", articles, "--eval-articles", articles,
+             "--categories", cats, "--workdir", str(workdir),
+             "--feature-dim", "64", "--epochs", "1", *flags], capsys)
+        assert code == 0, err
+        return workdir, [line for line in err.splitlines() if "diagnostics:" in line]
+
+    def test_each_stage_prints_its_diagnostics(self, tmp_path, capsys):
+        _, lines = self.run(tmp_path, capsys, "T\nx [[A|aa]] y [[Foo\tBar|foo]] z .\n%%%%\n",
+                            "A\tThings in Ohio\nA\t\n")
+        by_stage = {line.split(" diagnostics: ")[0]: line for line in lines}
+        assert "malformed_link=1" in by_stage["build-prior"]
+        assert "empty_category=1" in by_stage["link"]
+        assert all(line.split(" diagnostics: ")[1] for line in lines)
+
+    def test_quiet_prints_no_diagnostics(self, tmp_path, capsys):
+        _, lines = self.run(tmp_path, capsys, "T\nx [[A|aa]] y [[Foo\tBar|foo]] z .\n%%%%\n",
+                            "A\tThings in Ohio\nA\t\n", "--quiet")
+        assert lines == []
+
+    def test_case_fold_finds_capitalized_anchors(self, tmp_path, capsys):
+        workdir, _ = self.run(tmp_path, capsys, "T\nx [[A|Aa]] y [[A|AA]] z .\n%%%%\n",
+                              "A\tThings in Ohio\n", "--case-fold", "--quiet")
+        assert (workdir / "prior.tsv").read_text(encoding="utf-8") == "#case_fold\naa\tA\t2\n"
+        assert [row["chosen"] for row in read_predictions(str(workdir / "predictions.jsonl"))] \
+            == ["A", "A"]
+
+
+def test_standalone_stages_print_diagnostics(tmp_path, capsys):
+    articles = write_text(tmp_path / "a.txt", "T\nx [[A|aa]] y [[B|bb]] z .\n%%%%\n")
+    cats = write_text(tmp_path / "c.tsv", "A\tThings\nB\tOther\n")
+    vocab = write_text(tmp_path / "v.txt", "Things\n")
+    mentions = str(tmp_path / "m.jsonl")
+    code, _, err = run_cli(["ingest", "--articles", articles, "--categories", cats,
+                            "--vocab", vocab, "--keep-uncategorized", "--mentions", mentions],
+                           capsys)
+    assert code == 0, err
+    assert err == "diagnostics: no_vocab_categories=1\n"
+    code, _, err = run_cli(["train", "--mentions", mentions, "--vocab", vocab,
+                            "--model", str(tmp_path / "model.json"),
+                            "--feature-dim", "64", "--epochs", "1"], capsys)
+    assert code == 0, err
+    assert err.splitlines()[-1] == "diagnostics: unlabeled_example=1"
 
 
 def test_seed_accepted_only_where_read():

@@ -299,6 +299,17 @@ class TestTrain:
         with pytest.raises(FloatingPointError):
             train(pairs, vocab, config)
 
+    def test_unallocatable_model_rejected_before_featurizing(self, monkeypatch):
+        # 2 categories x 2**58 features is 2**62 bytes of weights, beyond any
+        # address space.
+        def featurize_fails(*args, **kwargs):
+            raise AssertionError("featurized before the weights were allocated")
+
+        monkeypatch.setattr("typelink.model.featurize", featurize_fails)
+        vocab = CategoryVocab(["cat_a", "cat_b"])
+        with pytest.raises(ValueError, match="memory"):
+            train(separable_pairs(), vocab, TrainConfig(feature_dim=2 ** 58))
+
     def test_dev_loss_reported_per_epoch(self):
         vocab = CategoryVocab(["cat_a", "cat_b"])
         pairs = separable_pairs()

@@ -131,6 +131,24 @@ def test_case_folding_flag():
     assert plain.prob("Paris", "Paris") == 1.0
 
 
+def test_case_folded_table_round_trips(tmp_path):
+    table = accumulate([("Paris", "Paris"), ("paris", "Paris_(band)")], case_fold=True)
+    path = tmp_path / "prior.tsv"
+    table.save(str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[0] == "#case_fold"
+    loaded = PriorTable.load(str(path))
+    assert loaded == table
+    assert loaded.prob("PARIS", "Paris") == 0.5
+    assert loaded.candidates("Paris").entities() == ["Paris", "Paris_(band)"]
+
+
+def test_case_fold_line_only_first(tmp_path):
+    path = tmp_path / "prior.tsv"
+    path.write_text("m\tE\t2\n#case_fold\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        PriorTable.load(str(path))
+
+
 class TestGoldRecall:
     def setset(self, entities):
         return CandidateSet("m", [(e, 1.0 / len(entities)) for e in entities])
