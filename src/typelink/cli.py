@@ -135,7 +135,8 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     _require(args.categories, "CATEGORIES_NOT_FOUND")
     examples = read_examples(args.mentions)
     table = PriorTable.load(args.prior)
-    assignments = load_category_assignments(args.categories)
+    log = DiagnosticLog()
+    assignments = load_category_assignments(args.categories, log)
 
     def stream():
         for ex in examples:
@@ -145,7 +146,7 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
                     yield ex.mention, entity, assignment.categories
 
     select_vocabulary(stream(), args.vocab_size).save(args.vocab)
-    return DiagnosticLog()
+    return log
 
 
 def _labeled_pairs(examples: list[MentionExample], vocab: CategoryVocab,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import logit
 
 from . import diagnostics as diag
 from .categories import CategoryVocab
@@ -29,28 +28,37 @@ _PROB_MIN, _PROB_MAX = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 @dataclass
 class EntityCategoryIndex:
-    """entity -> sorted vocabulary ids of its expanded categories."""
+    """entity -> sorted vocabulary ids of its expanded categories.
 
+    An index built from category assignments fills an entity's entry on
+    its first read, so only the entities asked about (the candidates of
+    the linked mentions) are ever expanded.
+    """
+
+    assignments: dict[str, CategoryAssignment] = field(default_factory=dict)
+    vocab: Optional[CategoryVocab] = None
     ids_by_entity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def put(self, entity: str, ids: Iterable[int]) -> None:
         self.ids_by_entity[entity] = np.asarray(sorted(set(ids)), dtype=np.int64)
 
     def get(self, entity: str) -> Optional[np.ndarray]:
-        return self.ids_by_entity.get(entity)
+        if entity not in self.ids_by_entity:
+            assignment = self.assignments.get(entity)
+            if assignment is None:
+                return None
+            self.put(entity, self.vocab.to_ids(assignment.categories))
+        return self.ids_by_entity[entity]
 
     def category_count(self, entity: str) -> int:
-        ids = self.ids_by_entity.get(entity)
+        ids = self.get(entity)
         return 0 if ids is None else len(ids)
 
 
 def build_category_index(assignments: dict[str, CategoryAssignment],
                          vocab: CategoryVocab) -> EntityCategoryIndex:
-    """Keep the in-vocab ids of every entity's expanded categories."""
-    index = EntityCategoryIndex()
-    for entity, assignment in assignments.items():
-        index.put(entity, vocab.to_ids(assignment.categories))
-    return index
+    """Index the in-vocab ids of each entity's expanded categories, read on demand."""
+    return EntityCategoryIndex(assignments, vocab)
 
 
 @dataclass
@@ -78,7 +86,8 @@ def _score_terms(posterior, mode: str) -> np.ndarray:
     probs = np.asarray(posterior)
     if mode != "logodds":
         return probs
-    return logit(np.clip(probs, _PROB_MIN, _PROB_MAX))
+    probs = np.clip(probs, _PROB_MIN, _PROB_MAX)
+    return np.log(probs) - np.log1p(-probs)
 
 
 def _one_score(terms: np.ndarray, ids: Optional[np.ndarray], mode: str) -> float:

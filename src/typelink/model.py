@@ -7,10 +7,17 @@ examples.  The feature side is a plain hashing-trick encoder over
 context words, position-tagged window words, mention words, and mention
 character n-grams.
 
-All per-category arithmetic in the SGD loop goes through row-local
-matrix-vector products, never a joint matrix-matrix product, so the
-trained weights of one category are bit-for-bit unaffected by which
-other categories share the vocabulary.
+In memory a model holds only the columns of W for the features seen in
+training, feature-major: the ascending feature ids and a k x categories
+block, one row per feature (the layout of Vowpal Wabbit's weights, after
+the hashing trick of Weinberger et al., 2009).  Its size follows the
+training data, not the feature-space size D.  One forward kernel serves
+training, the dev loss and `predict`: an input's logits are its block
+rows, scaled by the feature values and added one after another, plus the
+bias.  Every category has its own lane in that sum, so the trained
+weights of one category are bit-for-bit unaffected by which other
+categories share the vocabulary, and a logit computed in training equals
+the one `predict` gives for the same input.
 
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
@@ -21,12 +28,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .atomic import atomic_write
 from .categories import CategoryVocab
@@ -140,36 +146,90 @@ class Gradients:
     bias: np.ndarray
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)); exp only ever sees -|z|, so nothing overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _zeros(n_rows: int, n_cols: int) -> np.ndarray:
+    """A zero float64 matrix; raises ValueError when it does not fit in memory."""
+    try:
+        return np.zeros((n_rows, n_cols))
+    except MemoryError as err:
+        raise ValueError(f"{n_rows} x {n_cols} weights do not fit in memory") from err
+
+
 @dataclass
 class TypingModel:
-    """Weights (categories x feature_dim), bias, and the hashing contract."""
+    """The weights of the feature columns a model holds, its bias, and the hashing contract.
 
-    weights: np.ndarray
+    `feature_ids` are the ascending ids of the k feature columns held and
+    `block` their weights, feature-major: k rows of one weight per
+    category.  Every other column of the categories x D weight matrix is
+    zero.  A dense model holds all D columns, ids 0 .. D-1.
+    """
+
+    feature_ids: np.ndarray
+    block: np.ndarray
     bias: np.ndarray
     vocab: CategoryVocab
     hash_seed: int = DEFAULT_HASH_SEED
     feature_dim: int = DEFAULT_FEATURE_DIM
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.feature_ids = np.asarray(self.feature_ids, dtype=np.int64)
+        self.block = np.asarray(self.block, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.shape != (len(self.vocab), self.feature_dim):
-            raise ValueError(
-                f"weights shape {self.weights.shape} does not match "
-                f"{len(self.vocab)} categories x {self.feature_dim} features")
+        ids = self.feature_ids
+        if ids.ndim != 1 or self.block.shape != (len(ids), len(self.vocab)):
+            raise ValueError(f"block shape {self.block.shape} does not match "
+                             f"{len(ids)} feature ids x {len(self.vocab)} categories")
+        if len(ids) and not (ids[0] >= 0 and ids[-1] < self.feature_dim
+                             and (np.diff(ids) > 0).all()):
+            raise ValueError("feature ids must be strictly increasing in [0, D)")
         if self.bias.shape != (len(self.vocab),):
             raise ValueError("bias length does not match vocabulary")
 
     @classmethod
     def zeros(cls, vocab: CategoryVocab, feature_dim: int = DEFAULT_FEATURE_DIM,
               hash_seed: int = DEFAULT_HASH_SEED) -> "TypingModel":
-        """An all-zero model; raises ValueError when its weights do not fit in memory."""
-        try:
-            weights = np.zeros((len(vocab), feature_dim))
-        except MemoryError as err:
-            raise ValueError(f"model of {len(vocab)} x {feature_dim} weights "
-                             "does not fit in memory") from err
-        return cls(weights, np.zeros(len(vocab)), vocab, hash_seed, feature_dim)
+        """An all-zero dense model; raises ValueError when its weights do not fit in memory."""
+        block = _zeros(feature_dim, len(vocab))
+        return cls(np.arange(feature_dim), block, np.zeros(len(vocab)), vocab, hash_seed,
+                   feature_dim)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The categories x D weight matrix.
+
+        A writable view of `block` for a dense model; for any other, a
+        read-only matrix built on each read.
+        """
+        if len(self.feature_ids) == self.feature_dim:
+            return self.block.T
+        dense = _zeros(len(self.vocab), self.feature_dim)
+        dense[:, self.feature_ids] = self.block.T
+        dense.flags.writeable = False
+        return dense
+
+    @weights.setter
+    def weights(self, value: np.ndarray) -> None:
+        # Augmented assignment (`model.weights -= step`) ends in this set.
+        if len(self.feature_ids) != self.feature_dim:
+            raise AttributeError("only a dense model's weights can be assigned")
+        self.block.T[...] = value
+
+    def held_rows(self, features: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
+        """Block rows of the input's features that this model holds, and their values.
+
+        A feature the model does not hold has weight zero everywhere, so
+        dropping it leaves every logit unchanged.
+        """
+        rows = np.searchsorted(self.feature_ids, features.indices)
+        held = rows < len(self.feature_ids)
+        held[held] = self.feature_ids[rows[held]] == features.indices[held]
+        return rows[held], features.values[held]
 
     def save(self, path: str) -> None:
         """Write the model file: a JSON header line, then raw little-endian arrays.
@@ -181,24 +241,28 @@ class TypingModel:
         a nonzero bit pattern, so every other column is +0.0 throughout and
         the round trip is bit-exact, -0.0 included.
         """
-        stored = np.flatnonzero((self.weights.view(np.uint64) != 0).any(axis=0))
+        stored = (self.block.view(np.uint64) != 0).any(axis=1)
         header = {
             "format_version": MODEL_FORMAT_VERSION,
             "D": self.feature_dim,
             "hash_seed": self.hash_seed,
             "vocab": self.vocab.entries,
-            "columns": len(stored),
+            "columns": int(stored.sum()),
         }
         with atomic_write(path, binary=True) as fh:
             fh.write(json.dumps(header, ensure_ascii=False,
                                 separators=(",", ":")).encode("utf-8") + b"\n")
             fh.write(self.bias.astype("<f8", copy=False).tobytes())
-            fh.write(stored.astype("<i8", copy=False).tobytes())
-            fh.write(self.weights[:, stored].astype("<f8", copy=False).tobytes())
+            fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
+            fh.write(self.block[stored].T.astype("<f8", copy=False).tobytes())
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
-        """Read a file written by `save`; raises ValueError on any malformed part."""
+        """Read a file written by `save`; raises ValueError on any malformed part.
+
+        The model holds just the stored columns, so its memory follows the
+        file's size and not categories x D.
+        """
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             body = fh.read()
@@ -222,16 +286,13 @@ class TypingModel:
                              f"{8 * (n_cats + n_cols + n_cats * n_cols)}")
         bias = np.frombuffer(body, "<f8", n_cats)
         ids = np.frombuffer(body, "<i8", n_cols, offset=8 * n_cats)
-        block = np.frombuffer(body, "<f8", n_cats * n_cols,
-                              offset=8 * (n_cats + n_cols)).reshape(n_cats, n_cols)
-        if not (np.isfinite(bias).all() and np.isfinite(block).all()):
+        stored = np.frombuffer(body, "<f8", n_cats * n_cols,
+                               offset=8 * (n_cats + n_cols)).reshape(n_cats, n_cols)
+        if not (np.isfinite(bias).all() and np.isfinite(stored).all()):
             raise ValueError("model holds a non-finite weight or bias")
-        if n_cols and not (ids[0] >= 0 and ids[-1] < dim and (np.diff(ids) > 0).all()):
-            raise ValueError("model column ids must be strictly increasing in [0, D)")
-        model = cls.zeros(CategoryVocab(entries), dim, hash_seed)
-        model.weights[:, ids] = block
-        model.bias[:] = bias
-        return model
+        block = _zeros(n_cols, n_cats)
+        block[:] = stored.T
+        return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim)
 
 
 def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
@@ -242,12 +303,38 @@ def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> in
     return value
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum a 2-D array over its rows, one row after another.
+
+    numpy adds the rows of a matrix with two or more columns in order,
+    every column on its own; a single column it would sum pairwise, so
+    that case accumulates explicitly.  Either way a column's sum depends
+    on that column alone.
+    """
+    if a.shape[1] == 1 and len(a) > 1:
+        return np.cumsum(a, axis=0)[-1]
+    return a.sum(axis=0)
+
+
+def _logits(block: np.ndarray, bias: np.ndarray, rows: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """The forward kernel: one input's logits from its held block rows and their values.
+
+    Training, the dev loss and `predict` all call it, so a logit seen in
+    training and one seen at link time for the same input are the same
+    bits, and no category's logit depends on which other categories exist.
+    """
+    terms = block[rows]
+    terms *= values[:, None]
+    return _sum_rows(terms) + bias
+
+
 def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
     """t = sigmoid(W v + b) for one sparse input."""
     if len(features.indices) and int(features.indices[-1]) >= model.feature_dim:
         raise ValueError("feature id out of range for this model")
-    logits = model.weights[:, features.indices] @ features.values + model.bias
-    return TypePosterior(expit(logits), logits)
+    logits = _logits(model.block, model.bias, *model.held_rows(features))
+    return TypePosterior(sigmoid(logits), logits)
 
 
 def predict_example(model: TypingModel, example: MentionExample) -> TypePosterior:
@@ -275,29 +362,36 @@ def loss_and_grad(model: TypingModel,
     """Summed BCE loss (plus optional L2 on W) and its exact gradient.
 
     The gradient with respect to each logit is (t - y); it lands on the
-    active features of the example, plus the dense L2 term.  Intended for
-    small models and tests; the SGD loop keeps its own sparse path.
+    active features of the example, plus the dense L2 term.  Works on the
+    dense categories x D matrix, so it is meant for small models and
+    tests; the SGD loop keeps its own sparse path.
     """
     if not batch:
         raise ValueError("empty batch")
     n = len(batch)
     n_cats = len(model.vocab)
+    weights = model.weights
     dense = np.zeros((n, model.feature_dim))
     targets = np.zeros((n, n_cats))
     for row, (fv, y) in enumerate(batch):
         dense[row, fv.indices] = fv.values
         targets[row] = np.asarray(y, dtype=np.float64)
-    logits = dense @ model.weights.T + model.bias
+    logits = dense @ weights.T + model.bias
     loss = _bce_sum(logits, targets)
     if l2_penalty:
-        loss += l2_penalty * float(np.sum(model.weights * model.weights)) / 2.0
+        loss += l2_penalty * float(np.sum(weights * weights)) / 2.0
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; model or inputs have diverged")
-    err = expit(logits) - targets
+    err = sigmoid(logits) - targets
     grad_w = err.T @ dense
     if l2_penalty:
-        grad_w += l2_penalty * model.weights
+        grad_w += l2_penalty * weights
     return loss, Gradients(grad_w, err.sum(axis=0))
+
+
+# A training or dev example as the SGD loop sees it: the block rows of its
+# features, their values, and its sorted label ids.
+Encoded = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _encode(pairs: Sequence[tuple[MentionExample, Sequence[int]]], config: TrainConfig,
@@ -311,29 +405,39 @@ def _encode(pairs: Sequence[tuple[MentionExample, Sequence[int]]], config: Train
     return feats, labels
 
 
-def _batch_forward(weights: np.ndarray, bias: np.ndarray, feats: Sequence[FeatureVector],
-                   labels: Sequence[np.ndarray], rows: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Densify one mini-batch onto its active feature columns and run it forward.
+def _forward(model: TypingModel, batch: Sequence[Encoded]) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and 0/1 targets (examples x categories) of encoded examples."""
+    logits = np.empty((len(batch), len(model.bias)))
+    targets = np.zeros((len(batch), len(model.bias)))
+    for i, (rows, values, labels) in enumerate(batch):
+        logits[i] = _logits(model.block, model.bias, rows, values)
+        targets[i, labels] = 1.0
+    return logits, targets
 
-    Logits come from one matrix-vector product per category row.  Returns
-    (active, local, targets, logits, summed BCE loss); the SGD step reuses
-    the densified batch for its gradient.
+
+def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float,
+              l2_penalty: float) -> float:
+    """One mini-batch update of the model; returns the batch's summed BCE before it.
+
+    Each example's gradient, its feature values times (t - y), is added
+    into the rows the batch touches in example order.  L2 decays the
+    held block only: every other weight is zero.  A non-finite loss leaves
+    the model unchanged.
     """
-    if len(rows) == 0:
-        raise ValueError("empty batch")
-    n_cats = len(bias)
-    active = np.unique(np.concatenate([feats[i].indices for i in rows]))
-    local = np.zeros((len(rows), len(active)))
-    targets = np.zeros((len(rows), n_cats))
-    for r, i in enumerate(rows):
-        local[r, np.searchsorted(active, feats[i].indices)] = feats[i].values
-        targets[r, labels[i]] = 1.0
-    weights_active = weights[:, active]
-    logits = np.empty((len(rows), n_cats))
-    for cat in range(n_cats):
-        logits[:, cat] = local @ weights_active[cat] + bias[cat]
-    return active, local, targets, logits, _bce_sum(logits, targets)
+    logits, targets = _forward(model, batch)
+    loss = _bce_sum(logits, targets)
+    if not np.isfinite(loss):
+        return loss
+    err = sigmoid(logits) - targets
+    touched = np.unique(np.concatenate([rows for rows, _, _ in batch]))
+    grad = np.zeros((len(touched), len(model.bias)))
+    for (rows, values, _), example_err in zip(batch, err):
+        grad[np.searchsorted(touched, rows)] += values[:, None] * example_err
+    if l2_penalty:
+        model.block *= 1.0 - learning_rate * l2_penalty
+    model.block[touched] -= learning_rate * grad
+    model.bias -= learning_rate * _sum_rows(err)
+    return loss
 
 
 def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
@@ -343,57 +447,48 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
           on_epoch: Optional[Callable[[int, float, Optional[float]], None]] = None) -> TypingModel:
     """Mini-batch SGD on the summed BCE objective.
 
-    `pairs` carries (example, vocab label ids).  Weights start at zero;
-    each epoch visits a fresh seeded permutation of the data, so a fixed
-    seed gives bit-identical weights.  Raises FloatingPointError when a
-    batch loss goes non-finite.
+    `pairs` carries (example, vocab label ids).  The model holds the
+    feature columns of the training examples, all starting at zero; no
+    other weight can move.  Each epoch visits a fresh seeded permutation of
+    the data, so a fixed seed gives bit-identical weights.  Raises
+    FloatingPointError when a batch loss goes non-finite.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no training examples")
-    model = TypingModel.zeros(vocab, config.feature_dim, config.hash_seed)
-    weights, bias = model.weights, model.bias
     n_cats = len(vocab)
     feats, labels = _encode(pairs, config, n_cats)
+    feature_ids = np.unique(np.concatenate([fv.indices for fv in feats]))
+    model = TypingModel(feature_ids, _zeros(len(feature_ids), n_cats), np.zeros(n_cats),
+                        vocab, config.hash_seed, config.feature_dim)
+    examples = [(*model.held_rows(fv), y) for fv, y in zip(feats, labels)]
+    dev = None
     if dev_pairs is not None:
-        dev_feats, dev_labels = _encode(dev_pairs, config, n_cats)
+        dev = [(*model.held_rows(fv), y)
+               for fv, y in zip(*_encode(dev_pairs, config, n_cats))]
     rng = np.random.default_rng(config.seed)
-    decay = 1.0 - config.learning_rate * config.l2_penalty
     for epoch in range(config.epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
-            rows = order[lo:lo + config.batch_size]
-            active, local, targets, logits, loss = _batch_forward(weights, bias, feats,
-                                                                  labels, rows)
+            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
+            loss = _sgd_step(model, batch, config.learning_rate, config.l2_penalty)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}")
             epoch_loss += loss
-            err = expit(logits) - targets
-            grad = np.empty((n_cats, len(active)))
-            for cat in range(n_cats):
-                grad[cat] = err[:, cat] @ local
-            if config.l2_penalty:
-                weights *= decay
-            weights[:, active] -= config.learning_rate * grad
-            bias -= config.learning_rate * err.sum(axis=0)
-        dev_loss = None
-        if dev_pairs is not None:
-            dev_loss = _full_loss(weights, bias, dev_feats, dev_labels)
+        dev_loss = None if dev is None else _full_loss(model, dev)
         if on_epoch is not None:
             on_epoch(epoch + 1, epoch_loss, dev_loss)
     # A batch's loss is checked before its update, so only the last update
     # can overflow unseen; the model file refuses non-finite values.
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+    if not (np.isfinite(model.block).all() and np.isfinite(model.bias).all()):
         raise FloatingPointError("training diverged: non-finite weights after the last update")
     return model
 
 
-def _full_loss(weights: np.ndarray, bias: np.ndarray, feats: Sequence[FeatureVector],
-               labels: Sequence[np.ndarray], chunk: int = 256) -> float:
+def _full_loss(model: TypingModel, examples: Sequence[Encoded], chunk: int = 256) -> float:
     total = 0.0
-    for lo in range(0, len(feats), chunk):
-        rows = np.arange(lo, min(lo + chunk, len(feats)))
-        total += _batch_forward(weights, bias, feats, labels, rows)[-1]
+    for lo in range(0, len(examples), chunk):
+        total += _bce_sum(*_forward(model, examples[lo:lo + chunk]))
     return total

@@ -4,11 +4,15 @@ import math
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import typelink.ingest
+from typelink.categories import expand_category
 from typelink.cli import build_parser, main, read_predictions
-from typelink.ingest import MentionExample, write_examples
+from typelink.ingest import (MentionExample, load_category_assignments, read_examples,
+                             write_examples)
 from typelink.prior import PriorTable
 
 from conftest import pipeline_argv
@@ -130,6 +134,55 @@ class TestPipeline:
         assert raw == (workdir_a / "eval_mentions_raw.jsonl").read_bytes()
         rows = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
         assert rows and all(row["categories"] is None for row in rows)
+
+    def test_huge_feature_dim_trains_and_links(self, pipeline_run, capsys, tmp_path):
+        # A dense model would be categories x 2**43 x 8 bytes; the compact one
+        # holds the columns of the training features only.
+        _, paths, workdir = pipeline_run
+        model = str(tmp_path / "m.json")
+        n_cats = len((workdir / "vocab.txt").read_text(encoding="utf-8").splitlines())
+        tracemalloc.start()
+        try:
+            train = run_cli(["train", "--mentions", str(workdir / "train_mentions.jsonl"),
+                             "--vocab", str(workdir / "vocab.txt"), "--model", model,
+                             "--feature-dim", str(2 ** 43), "--quiet"], capsys)
+            linked = run_cli(["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
+                              "--model", model, "--prior", str(workdir / "prior.tsv"),
+                              "--categories", paths["categories"],
+                              "--predictions", str(tmp_path / "p.jsonl"), "--quiet"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train[0] == 0 and linked[0] == 0, (train, linked)
+        assert peak < 2 ** 27 < n_cats * 2 ** 43 * 8
+        rows = read_predictions(str(tmp_path / "p.jsonl"))
+        assert len(rows) == len(read_predictions(str(workdir / "predictions.jsonl")))
+        assert all(row["chosen"] is not None for row in rows)
+
+    def test_link_expands_only_the_candidates(self, pipeline_run, monkeypatch, capsys,
+                                              tmp_path):
+        _, paths, workdir = pipeline_run
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return expand_category(raw)
+
+        monkeypatch.setattr(typelink.ingest, "expand_category", counting)
+        code, _, err = run_cli(
+            ["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
+             "--model", str(workdir / "model.json"), "--prior", str(workdir / "prior.tsv"),
+             "--categories", paths["categories"], "--predictions", str(tmp_path / "p.jsonl"),
+             "--quiet"], capsys)
+        assert code == 0, err
+        assert (tmp_path / "p.jsonl").read_bytes() == (workdir / "predictions.jsonl").read_bytes()
+        table = PriorTable.load(str(workdir / "prior.tsv"))
+        assignments = load_category_assignments(paths["categories"])
+        candidates = {entity for ex in read_examples(str(workdir / "eval_mentions.jsonl"))
+                      for entity in table.candidates(ex.mention).entities()}
+        assert len(candidates & set(assignments)) < len(assignments)
+        assert sorted(calls) == sorted(raw for entity in candidates if entity in assignments
+                                       for raw in assignments[entity].raw_categories)
 
     def test_train_is_reproducible_at_cli_level(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
@@ -297,17 +350,6 @@ class TestErrorCodes:
         assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "p.jsonl"]
 
-    def test_unallocatable_model(self, pipeline_run, capsys, tmp_path):
-        _, _, workdir = pipeline_run
-        code, _, err = run_cli(
-            ["train", "--mentions", str(workdir / "train_mentions.jsonl"),
-             "--vocab", str(workdir / "vocab.txt"), "--model", str(tmp_path / "m.json"),
-             "--feature-dim", str(2 ** 43), "--quiet"], capsys)
-        assert code == 2
-        assert "error: INVALID_INPUT:" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_training_divergence_reported(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
@@ -413,6 +455,25 @@ class TestHandCorpus:
         assert PriorTable.load(str(tmp_path / "prior.tsv")).candidates("aa").entities() == ["A"]
         assert read_predictions(str(tmp_path / "p.jsonl"))[0]["chosen"] == "A"
 
+    def test_build_vocab_counts_an_empty_category(self, tmp_path, capsys):
+        articles = write_text(tmp_path / "a.txt", "T\nx [[A|aa]] y .\n%%%%\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tThings in Ohio\nA\t\n")
+        prior, raw = str(tmp_path / "prior.tsv"), str(tmp_path / "raw.jsonl")
+        for argv in (["build-prior", "--articles", articles, "--prior", prior],
+                     ["ingest", "--articles", articles, "--categories", cats,
+                      "--mentions", raw]):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv[0], err)
+        argv = ["build-vocab", "--mentions", raw, "--prior", prior, "--categories", cats,
+                "--vocab", str(tmp_path / "v.txt")]
+        args = build_parser().parse_args(argv)
+        assert dict(args.run(args).counts) == {"empty_category": 1}
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == "diagnostics: empty_category=1\n"
+        assert (tmp_path / "v.txt").read_text(encoding="utf-8").splitlines() == [
+            "Things", "Things in Ohio", "in Ohio"]
+
 
 class TestPipelineHandCorpus:
     """`pipeline` on one hand-written article used as train, eval and prior text."""
@@ -483,6 +544,19 @@ def test_module_entry_point_help():
     for name in ("ingest", "build-vocab", "build-prior", "train", "link",
                  "eval", "pipeline"):
         assert name in proc.stdout
+
+
+def test_no_scipy_import():
+    code = "import sys, typelink.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    # -X importtime logs every module the process imports, one per line.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "typelink", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "typelink.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -357,5 +357,9 @@ def test_each_entity_expanded_at_most_once_per_call(monkeypatch):
     attach_categories(examples, fresh(), vocab)
     assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)
     calls.clear()
-    build_category_index(fresh(), vocab)
+    index = build_category_index(fresh(), vocab)
+    assert calls == []
+    for entity in ("E", "F", "E", "F"):
+        index.get(entity)
+        index.category_count(entity)
     assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import typelink.model as model_module
 from typelink.categories import CategoryVocab
 from typelink.ingest import MentionExample
 from typelink.model import (FeatureVector, TrainConfig, TypingModel, feature_strings,
                             featurize, hash_feature, labels_to_vector, loss_and_grad,
-                            predict, predict_example, train)
+                            predict, predict_example, train, _sgd_step)
 
 
 class TestHashFeature:
@@ -299,16 +301,32 @@ class TestTrain:
         with pytest.raises(FloatingPointError):
             train(pairs, vocab, config)
 
-    def test_unallocatable_model_rejected_before_featurizing(self, monkeypatch):
-        # 2 categories x 2**58 features is 2**62 bytes of weights, beyond any
-        # address space.
-        def featurize_fails(*args, **kwargs):
-            raise AssertionError("featurized before the weights were allocated")
-
-        monkeypatch.setattr("typelink.model.featurize", featurize_fails)
+    def test_huge_feature_dim_trains_in_compact_memory(self):
+        # 2 categories x 2**58 features would be 2**62 bytes of dense weights,
+        # beyond any address space; the model holds only the columns seen.
         vocab = CategoryVocab(["cat_a", "cat_b"])
+        pairs = separable_pairs()
+        config = TrainConfig(feature_dim=2 ** 58)
+        tracemalloc.start()
+        try:
+            model = train(pairs, vocab, config)
+            posteriors = [predict_example(model, ex) for ex, _ in pairs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        seen = np.unique(np.concatenate(
+            [featurize(ex, config.feature_dim, config.hash_seed).indices for ex, _ in pairs]))
+        assert np.array_equal(model.feature_ids, seen)
+        assert model.block.shape == (len(seen), 2)
+        for (_, labels), posterior in zip(pairs, posteriors):
+            assert posterior.probs[labels[0]] > 0.5 > posterior.probs[1 - labels[0]]
         with pytest.raises(ValueError, match="memory"):
-            train(separable_pairs(), vocab, TrainConfig(feature_dim=2 ** 58))
+            model.weights
+
+    def test_dense_model_too_large_for_memory_rejected(self):
+        with pytest.raises(ValueError, match="memory"):
+            TypingModel.zeros(CategoryVocab(["cat_a", "cat_b"]), feature_dim=2 ** 58)
 
     def test_dev_loss_reported_per_epoch(self):
         vocab = CategoryVocab(["cat_a", "cat_b"])
@@ -362,6 +380,86 @@ class TestTrain:
             assert (model_full.bias[vocab_full.id_of(cat)]
                     == model_drop.bias[vocab_drop.id_of(cat)])
 
+    def test_one_category_model_matches_its_row_of_a_wider_model(self):
+        pairs = separable_pairs()
+        config = TrainConfig(feature_dim=256, epochs=3, seed=2)
+        wide = train(pairs, CategoryVocab(["cat_a", "cat_b"]), config)
+        narrow = train([(ex, [l for l in labels if l == 0]) for ex, labels in pairs],
+                       CategoryVocab(["cat_a"]), config)
+        assert np.array_equal(narrow.feature_ids, wide.feature_ids)
+        assert np.array_equal(narrow.block[:, 0].view(np.uint64),
+                              wide.block[:, 0].view(np.uint64))
+        assert narrow.bias[0] == wide.bias[0]
+
+
+class TestForwardKernel:
+    """Training, the dev loss and predict run the same forward kernel."""
+
+    def test_training_and_prediction_logits_are_the_same_bits(self, tmp_path, monkeypatch):
+        vocab = CategoryVocab(["cat_a", "cat_b", "cat_c"])
+        pairs = [(ex, labels + [2]) for ex, labels in separable_pairs()]
+        seen = []
+        forward = model_module._forward
+
+        def recording(model, batch):
+            logits, targets = forward(model, batch)
+            seen.append(logits)
+            return logits, targets
+
+        monkeypatch.setattr(model_module, "_forward", recording)
+        model = train(pairs, vocab, TrainConfig(feature_dim=512, epochs=2, seed=4),
+                      dev_pairs=pairs)
+        # per epoch: two SGD batches of at most 64, then the dev loss on the model
+        assert [len(logits) for logits in seen] == [64, 16, 80] * 2
+        model.save(str(tmp_path / "model.json"))
+        loaded = TypingModel.load(str(tmp_path / "model.json"))
+        for row, (ex, _) in zip(seen[-1], pairs):
+            for m in (model, loaded):
+                assert np.array_equal(predict_example(m, ex).logits.view(np.uint64),
+                                      row.view(np.uint64))
+
+    def test_gradient_adds_examples_in_order(self):
+        # Contributions 1, 1e16 and -1e16 to one weight: in this order the 1 is
+        # absorbed (1 + 1e16 rounds to 1e16), in any other it can survive.
+        model = TypingModel(np.array([0]), np.zeros((1, 1)), np.zeros(1),
+                            CategoryVocab(["a"]), feature_dim=1)
+        no_label = np.array([], dtype=np.int64)
+        batch = [(np.array([0]), np.array([2.0]), no_label),
+                 (np.array([0]), np.array([2e16]), no_label),
+                 (np.array([0]), np.array([2e16]), np.array([0]))]
+        _sgd_step(model, batch, 1.0, 0.0)
+        assert model.block[0, 0] == 0.0
+        assert model.bias[0] == -0.5
+
+    def test_unheld_features_are_dropped(self):
+        model = TypingModel(np.array([2, 5]), np.array([[1.0, -1.0], [0.5, 0.25]]),
+                            np.array([0.0, 1.0]), CategoryVocab(["a", "b"]), feature_dim=8)
+        posterior = predict(model, FeatureVector(np.array([0, 5, 7]), np.array([3.0, 2.0, 4.0])))
+        assert posterior.logits.tolist() == [1.0, 1.5]
+        assert np.array_equal(posterior.logits, model.weights @ np.array(
+            [3.0, 0, 0, 0, 0, 2.0, 0, 4.0]) + model.bias)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), l2=st.sampled_from([0.0, 0.05]),
+       learning_rate=st.floats(0.01, 1.0))
+def test_one_sgd_step_matches_loss_and_grad(seed, l2, learning_rate):
+    rng = np.random.default_rng(seed)
+    dense, batch = random_model_and_batch(rng)
+    # A compact model: the batch's features plus a few others, every other column zero.
+    active = np.concatenate([fv.indices for fv, _ in batch])
+    held = np.union1d(active, rng.choice(dense.feature_dim, size=3, replace=False))
+    model = TypingModel(held, dense.weights.T[held], dense.bias.copy(), dense.vocab,
+                        feature_dim=dense.feature_dim)
+    bce, _ = loss_and_grad(model, batch)
+    _, grads = loss_and_grad(model, batch, l2)
+    weights = model.weights - learning_rate * grads.weights
+    bias = model.bias - learning_rate * grads.bias
+    encoded = [(*model.held_rows(fv), np.flatnonzero(y)) for fv, y in batch]
+    assert _sgd_step(model, encoded, learning_rate, l2) == pytest.approx(bce, abs=1e-12)
+    assert np.abs(model.weights - weights).max() <= 1e-12
+    assert np.abs(model.bias - bias).max() <= 1e-12
+
 
 def read_model_file(path):
     """(header dict, body bytes) of a saved model file."""
@@ -407,6 +505,15 @@ class TestModelFile:
         assert np.array_equal(loaded.bias, model.bias)
         assert loaded.vocab.entries == model.vocab.entries
         assert loaded.hash_seed == 5 and loaded.feature_dim == 8
+
+    def test_loaded_model_holds_only_stored_columns(self, tmp_path):
+        path = tmp_path / "model.json"
+        self.build().save(str(path))
+        loaded = TypingModel.load(str(path))
+        assert loaded.feature_ids.tolist() == [3]
+        assert loaded.block.tolist() == [[1.25, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.weights[0, 3] = 2.0
 
     def test_resave_is_bit_identical(self, tmp_path):
         model = self.build()
@@ -484,15 +591,24 @@ class TestModelFile:
         with pytest.raises(ValueError):
             TypingModel.load(str(path))
 
-    def test_header_too_large_for_memory_rejected(self, tmp_path):
-        # 2**14 categories x 2**43 features is 2**60 bytes of weights, beyond
-        # any address space; the file itself is 128 KiB of zero biases.
+    def test_header_larger_than_memory_loads_compact(self, tmp_path):
+        # 2**14 categories x 2**43 features would be 2**60 bytes of dense
+        # weights; the file itself is 128 KiB of zero biases and no columns.
         path = tmp_path / "model.json"
         header = {"format_version": 2, "D": 2 ** 43, "hash_seed": 0,
                   "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
         write_model_file(path, header, bytes(8 * 2 ** 14))
-        with pytest.raises(ValueError, match="memory"):
-            TypingModel.load(str(path))
+        tracemalloc.start()
+        try:
+            model = TypingModel.load(str(path))
+            posterior = predict(model, FeatureVector(np.array([5, 2 ** 42]),
+                                                     np.array([1.0, 2.0])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 25
+        assert model.feature_dim == 2 ** 43 and model.block.shape == (0, 2 ** 14)
+        assert np.array_equal(posterior.probs, np.full(2 ** 14, 0.5))
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1e300]
