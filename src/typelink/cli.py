@@ -34,8 +34,7 @@ from .ingest import (MentionExample, RawArticle, attach_categories, extract_exam
                      sample_training_set, write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
                      build_category_index, link)
-from .model import (DEFAULT_FEATURE_DIM, DEFAULT_HASH_SEED, TrainConfig, TypingModel,
-                    predict_example, train)
+from .model import TrainConfig, TypingModel, predict_example, train
 from .prior import DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate, gold_recall
 
 
@@ -354,12 +353,12 @@ SETTINGS = {
     "--threshold": dict(type=float, default=DEFAULT_CANDIDATE_THRESHOLD),
     "--context-mode": dict(choices=[m.value for m in ContextMode],
                            default=ContextMode.SENTENCE_PLUS_FIRST_DOC_SENTENCE.value),
-    "--learning-rate": dict(type=float, default=0.1),
-    "--epochs": dict(type=int, default=5),
-    "--batch-size": dict(type=int, default=64),
-    "--l2-penalty": dict(type=float, default=0.0),
-    "--feature-dim": dict(type=int, default=DEFAULT_FEATURE_DIM),
-    "--hash-seed": dict(type=int, default=DEFAULT_HASH_SEED),
+    "--learning-rate": dict(type=float, default=TrainConfig.learning_rate),
+    "--epochs": dict(type=int, default=TrainConfig.epochs),
+    "--batch-size": dict(type=int, default=TrainConfig.batch_size),
+    "--l2-penalty": dict(type=float, default=TrainConfig.l2_penalty),
+    "--feature-dim": dict(type=int, default=TrainConfig.feature_dim),
+    "--hash-seed": dict(type=int, default=TrainConfig.hash_seed),
     "--seed": dict(type=int, default=0),
     "--backoff-min-cats": dict(type=int, default=DEFAULT_BACKOFF_MIN_CATS),
     "--tie-eps": dict(type=float, default=DEFAULT_TIE_EPS),
@@ -429,13 +428,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         log = args.run(args)
     except CliError as err:
-        print(f"error: {err.code}: {err.detail}", file=sys.stderr)
-        return 2
+        code, detail = err.code, err.detail
     except FloatingPointError as err:
-        print(f"error: TRAINING_DIVERGED: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
-        print(f"error: INVALID_INPUT: {err}", file=sys.stderr)
-        return 2
-    _print_diagnostics(args, log)
-    return 0
+        code, detail = "TRAINING_DIVERGED", err
+    except (ValueError, KeyError) as err:  # json.JSONDecodeError is a ValueError
+        code, detail = "INVALID_INPUT", err
+    except OSError as err:
+        code, detail = "IO_ERROR", err
+    else:
+        _print_diagnostics(args, log)
+        return 0
+    print(f"error: {code}: {detail}", file=sys.stderr)
+    return 2

@@ -7,6 +7,11 @@ sentence becomes one distantly supervised example whose labels are the
 expanded categories of its target entity.  Nothing here tries to be a
 full wiki-markup parser; anything outside the two link forms is plain
 text.
+
+An article file is read in one streaming pass, one record at a time.
+Each sentence is scanned once for markup (`_parse_sentence`), its text
+split into tokens once, and each link placed on its tokens by binary
+search over the token offsets.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -105,171 +112,133 @@ def split_sentences(text: str) -> list[str]:
 
 def iter_articles(path: str, split: bool = False,
                   log: Optional[DiagnosticLog] = None) -> Iterator[RawArticle]:
-    """Read an article file: records separated by a '%%%%' line, title first."""
-    title: Optional[str] = None
-    sentences: list[str] = []
-    pending = False
+    """Read an article file: records separated by a '%%%%' line, title first.
 
-    def flush() -> Optional[RawArticle]:
-        if not pending:
-            return None
-        if not title:
-            if log is not None:
-                log.bump(diag.EMPTY_TITLE)
-            return None
-        return RawArticle(title, list(sentences))
-
+    A record whose title line is blank is skipped and counted.  Blank
+    body lines are dropped; with `split`, each body line is cut into
+    sentences by `split_sentences`.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line == ARTICLE_SEPARATOR:
-                art = flush()
-                if art is not None:
-                    yield art
-                title, sentences, pending = None, [], False
+        lines = (line.rstrip("\n") for line in fh)
+        for is_separator, record in groupby(lines, key=lambda line: line == ARTICLE_SEPARATOR):
+            if is_separator:
                 continue
-            if not pending:
-                title = line.strip()
-                pending = True
-            elif line.strip():
-                if split:
-                    sentences.extend(split_sentences(line))
-                else:
-                    sentences.append(line)
-    art = flush()
-    if art is not None:
-        yield art
+            title = next(record).strip()
+            if not title:
+                if log is not None:
+                    log.bump(diag.EMPTY_TITLE)
+                continue
+            body = [line for line in record if line.strip()]
+            if split:
+                body = [sentence for line in body for sentence in split_sentences(line)]
+            yield RawArticle(title, body)
 
 
 # --- link grammar -----------------------------------------------------------
 
-@dataclass
-class _Segment:
-    text: str
-    entity: Optional[str] = None  # set only for link segments
+def _parse_sentence(sentence: str,
+                    log: DiagnosticLog) -> tuple[list[str], list[tuple[str, int, int]]]:
+    """Tokenize one raw sentence and place its links on token spans.
 
+    Returns (tokens, [(entity, start, end), ...]), each span a half-open
+    token interval.  Link markup is removed from the text and the anchor
+    stays.  Broken markup is logged and kept as plain text:
 
-def _parse_markup(sentence: str, log: DiagnosticLog) -> list[_Segment]:
-    """Break a raw sentence into plain-text and link segments.
+    - an unclosed ``[[`` loses its marker and the rest stays text;
+    - a ``[[`` nested before the closing ``]]`` makes the outer link
+      malformed: its marker is dropped and scanning resumes at the
+      inner ``[[``;
+    - an empty target or anchor demotes the link to text, and so does a
+      tab inside the target (counted as malformed), which would split
+      the target across columns of the prior file.
 
-    Unclosed ``[[`` drops the marker, logs a diagnostic, and leaves the
-    rest as plain text.  A ``[[`` nested before the closing ``]]`` makes
-    the outer link malformed: its marker is dropped and scanning resumes
-    at the inner ``[[``.  Empty targets or anchors demote the link to
-    plain text.  So does a tab inside the target, which would split the
-    target across columns of the prior file; it counts as malformed.
+    A link whose anchor does not sit exactly on token boundaries (it got
+    glued to adjacent text) is logged as misaligned and dropped; its
+    text still contributes tokens.
     """
-    segments: list[_Segment] = []
+    parts: list[str] = []
+    linked: list[tuple[str, int]] = []  # (entity, index of its anchor in parts)
     pos = 0
-    n = len(sentence)
-    while pos < n:
+    while pos < len(sentence):
         open_at = sentence.find("[[", pos)
         if open_at < 0:
-            segments.append(_Segment(sentence[pos:]))
+            parts.append(sentence[pos:])
             break
-        if open_at > pos:
-            segments.append(_Segment(sentence[pos:open_at]))
+        parts.append(sentence[pos:open_at])
         close_at = sentence.find("]]", open_at + 2)
         if close_at < 0:
             log.bump(diag.UNCLOSED_LINK)
-            segments.append(_Segment(sentence[open_at + 2:]))
+            parts.append(sentence[open_at + 2:])
             break
         inner_open = sentence.find("[[", open_at + 2, close_at)
         if inner_open >= 0:
             log.bump(diag.MALFORMED_LINK)
-            segments.append(_Segment(sentence[open_at + 2:inner_open]))
+            parts.append(sentence[open_at + 2:inner_open])
             pos = inner_open
             continue
-        payload = sentence[open_at + 2:close_at]
-        if "|" in payload:
-            target, anchor = payload.split("|", 1)
-        else:
-            target, anchor = payload, payload
+        target, bar, anchor = sentence[open_at + 2:close_at].partition("|")
+        if not bar:
+            anchor = target
         if not target.strip():
             log.bump(diag.EMPTY_TARGET)
-            segments.append(_Segment(anchor))
+            parts.append(anchor)
         elif not anchor.strip():
             log.bump(diag.EMPTY_ANCHOR)
-            segments.append(_Segment(target))
+            parts.append(target)
         elif "\t" in target:
             log.bump(diag.MALFORMED_LINK)
-            segments.append(_Segment(anchor))
+            parts.append(anchor)
         else:
-            segments.append(_Segment(anchor, entity=target))
+            linked.append((target, len(parts)))
+            parts.append(anchor)
         pos = close_at + 2
-    return segments
 
-
-def _tokenize_segments(segments: Sequence[_Segment],
-                       log: DiagnosticLog) -> tuple[list[str], list[tuple[str, int, int]]]:
-    """Tokenize the joined segment text and align links to token spans.
-
-    Returns (tokens, [(entity, start, end), ...]).  A link whose anchor
-    does not sit exactly on token boundaries (it got glued to adjacent
-    text) is logged and dropped; its text still contributes tokens.
-    """
-    text = "".join(seg.text for seg in segments)
-    token_spans = [(m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-    tokens = [text[a:b] for a, b in token_spans]
-
+    text = "".join(parts)
+    matches = list(_TOKEN_RE.finditer(text))
+    tokens = [m.group() for m in matches]
+    starts = [m.start() for m in matches]
+    ends = [m.end() for m in matches]
+    offsets = list(accumulate(map(len, parts), initial=0))
     links: list[tuple[str, int, int]] = []
-    offset = 0
-    for seg in segments:
-        begin, stop = offset, offset + len(seg.text)
-        offset = stop
-        if seg.entity is None:
-            continue
-        covered = [i for i, (a, b) in enumerate(token_spans) if a < stop and b > begin]
-        if not covered:
-            log.bump(diag.EMPTY_ANCHOR)
-            continue
-        first, last = covered[0], covered[-1]
-        stripped = seg.text.strip()
-        aligned = (
-            token_spans[first][0] >= begin
-            and token_spans[last][1] <= stop
-            and text[token_spans[first][0]:token_spans[last][1]].strip() == stripped
-        )
-        if not aligned:
+    for entity, i in linked:
+        begin, stop = offsets[i], offsets[i + 1]
+        # The anchor holds a non-space character, so it overlaps a token:
+        # `first` is the first token ending after it begins, `last` the
+        # last token starting before it stops.
+        first = bisect_right(ends, begin)
+        last = bisect_left(starts, stop) - 1
+        if starts[first] < begin or ends[last] > stop:
             log.bump(diag.MISALIGNED_ANCHOR)
             continue
-        links.append((seg.entity, first, last + 1))
+        links.append((entity, first, last + 1))
     return tokens, links
 
 
 def extract_examples(article: RawArticle,
                      log: Optional[DiagnosticLog] = None) -> list[MentionExample]:
-    """Parse one article into MentionExamples with full context fields."""
+    """Parse one article into MentionExamples with full context fields.
+
+    The context windows are slices of the article's tokens, all
+    sentences concatenated, around the example's sentence.
+    """
     if log is None:
         log = DiagnosticLog()
-    per_sentence: list[tuple[list[str], list[tuple[str, int, int]]]] = []
-    for raw in article.sentences:
-        segments = _parse_markup(raw, log)
-        per_sentence.append(_tokenize_segments(segments, log))
-
-    all_tokens = [toks for toks, _ in per_sentence]
-    first_sentence = all_tokens[0] if all_tokens else []
+    parsed = [_parse_sentence(raw, log) for raw in article.sentences]
+    flat = [token for tokens, _ in parsed for token in tokens]
+    first_sentence = parsed[0][0] if parsed else []
     examples: list[MentionExample] = []
-    for idx, (tokens, links) in enumerate(per_sentence):
-        if not links:
-            continue
-        left: list[str] = []
-        for prev in all_tokens[:idx]:
-            left.extend(prev)
-        right: list[str] = []
-        for nxt in all_tokens[idx + 1:]:
-            right.extend(nxt)
-            if len(right) >= CONTEXT_WINDOW:
-                break
-        for entity, start, end in links:
+    for idx, ((tokens, links), end) in enumerate(
+            zip(parsed, accumulate(len(tokens) for tokens, _ in parsed))):
+        begin = end - len(tokens)
+        for entity, start, stop in links:
             examples.append(MentionExample(
-                mention=" ".join(tokens[start:end]),
+                mention=" ".join(tokens[start:stop]),
                 tokens=list(tokens),
-                span=(start, end),
+                span=(start, stop),
                 entity=entity,
                 doc_first_sentence=[] if idx == 0 else list(first_sentence),
-                left_extra=left[-CONTEXT_WINDOW:],
-                right_extra=right[:CONTEXT_WINDOW],
+                left_extra=flat[max(0, begin - CONTEXT_WINDOW):begin],
+                right_extra=flat[end:end + CONTEXT_WINDOW],
             ))
     return examples
 

@@ -30,7 +30,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -213,13 +213,6 @@ class TypingModel:
         dense.flags.writeable = False
         return dense
 
-    @weights.setter
-    def weights(self, value: np.ndarray) -> None:
-        # Augmented assignment (`model.weights -= step`) ends in this set.
-        if len(self.feature_ids) != self.feature_dim:
-            raise AttributeError("only a dense model's weights can be assigned")
-        self.block.T[...] = value
-
     def held_rows(self, features: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
         """Block rows of the input's features that this model holds, and their values.
 
@@ -339,15 +332,6 @@ def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
 
 def predict_example(model: TypingModel, example: MentionExample) -> TypePosterior:
     return predict(model, featurize(example, model.feature_dim, model.hash_seed))
-
-
-def labels_to_vector(label_ids: Iterable[int], n_categories: int) -> np.ndarray:
-    y = np.zeros(n_categories)
-    for i in label_ids:
-        if not 0 <= i < n_categories:
-            raise ValueError(f"label id {i} outside vocabulary of {n_categories}")
-        y[i] = 1.0
-    return y
 
 
 def _bce_sum(logits: np.ndarray, targets: np.ndarray) -> float:

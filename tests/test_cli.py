@@ -1,18 +1,28 @@
 import argparse
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import pathlib
+import re
 import struct
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import typelink.cli
 import typelink.ingest
-from typelink.categories import expand_category
+from typelink.categories import CategoryVocab, expand_category
 from typelink.cli import build_parser, main, read_predictions
 from typelink.ingest import (MentionExample, load_category_assignments, read_examples,
                              write_examples)
+from typelink.linker import SCORING_MODES
+from typelink.model import TrainConfig, TypingModel
 from typelink.prior import PriorTable
 
 from conftest import pipeline_argv
@@ -362,6 +372,20 @@ class TestErrorCodes:
         assert code == 2
         assert "error: TRAINING_DIVERGED:" in err
 
+    def test_os_errors_are_reported_as_io_error(self, pipeline_run, capsys, tmp_path):
+        _, paths, workdir = pipeline_run
+        link = ["link", "--model", str(workdir / "model.json"),
+                "--prior", str(workdir / "prior.tsv"), "--categories", paths["categories"]]
+        mentions = str(workdir / "eval_mentions.jsonl")
+        for argv in (
+                [*link, "--mentions", mentions,
+                 "--predictions", str(tmp_path / "no" / "such" / "p.jsonl")],
+                [*link, "--mentions", str(tmp_path), "--predictions", str(tmp_path / "p.jsonl")],
+                pipeline_argv(paths, write_text(tmp_path / "workdir", ""))):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 2
+            assert err.splitlines()[-1].startswith("error: IO_ERROR: ")
+
 
 class TestHandCorpus:
     def build(self, tmp_path, capsys):
@@ -537,6 +561,14 @@ def test_seed_accepted_only_where_read():
     assert all({"--workers", "--quiet"} <= opts for opts in flags.values())
 
 
+def test_bare_train_parse_gives_the_default_config():
+    args = build_parser().parse_args(["train", "--mentions", "m", "--vocab", "v",
+                                      "--model", "x"])
+    config = TrainConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(TrainConfig)})
+    assert config == TrainConfig()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "typelink", "--help"],
                           capture_output=True, text=True)
@@ -563,3 +595,71 @@ def test_unknown_subcommand_exits_nonzero():
     proc = subprocess.run([sys.executable, "-m", "typelink", "frobnicate"],
                           capture_output=True, text=True)
     assert proc.returncode != 0
+
+
+def test_readme_lists_every_error_code_the_cli_prints():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Errors and diagnostics", 1)[1].split("Recoverable", 1)[0]
+    source = pathlib.Path(typelink.cli.__file__).read_text(encoding="utf-8")
+    printed = set(re.findall(r'"([A-Z]+(?:_[A-Z]+)+)"', source))
+    assert "IO_ERROR" in printed
+    assert set(re.findall(r"`([A-Z_]+)`", section)) == printed
+
+
+ENTITIES = ("Ann", "Bo b", "Cy")
+SENTENCE_PIECES = st.one_of(
+    st.sampled_from(["[[Ann|ann]]", "[[Bo b]]", "[[Cy|the cy]]", "[[Cy]]",
+                     "[[Ann|a\u00a0nn]]"]),
+    st.sampled_from(["word", "x.", "y!", "[[Ann", "[[Ann [[Cy]] z]]", "[[|ann]]",
+                     "[[Ann|]]", "[[Ann\tX|ann]]", "glued[[Cy|cy]]", "\u00a0", "\x1c"]))
+TITLES = st.sampled_from(["Title", "Doc", "  Padded  ", "", "   "])
+
+
+@st.composite
+def category_files(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(ENTITIES), st.sampled_from(
+        ["People", "Cities in Ohio", "Rivers of Spain", "Software"])).map("\t".join),
+        min_size=1, max_size=6))
+    rows += draw(st.lists(st.sampled_from(["", " ", "Ann\t", "Cy\tLine\u2028break"]),
+                          max_size=2))
+    return "\n".join(draw(st.permutations(rows))) + "\n"
+
+
+@st.composite
+def article_files(draw):
+    articles = draw(st.lists(st.tuples(TITLES, st.lists(
+        st.lists(SENTENCE_PIECES, min_size=1, max_size=6).map(" ".join), max_size=3)),
+        min_size=1, max_size=4))
+    return "".join("\n".join([title, *body]) + "\n%%%%\n" for title, body in articles)
+
+
+@settings(max_examples=50, deadline=None)
+@given(train=article_files(), eval_=st.none() | article_files(),
+       categories=category_files(),
+       scoring_mode=st.sampled_from(SCORING_MODES), case_fold=st.booleans())
+def test_pipeline_finishes_or_reports_a_documented_error(
+        train, eval_, categories, scoring_mode, case_fold, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"train_articles": write_text(root / "train.txt", train),
+             "eval_articles": write_text(root / "eval.txt", eval_ or train),
+             "prior_articles": None,
+             "categories": write_text(root / "cats.tsv", categories)}
+    argv = pipeline_argv(paths, root / "work", **{
+        "--feature-dim": "64", "--epochs": "1", "--scoring-mode": scoring_mode})
+    if case_fold:
+        argv.append("--case-fold")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    if code != 0:
+        assert code == 2
+        assert re.match(r"error: [A-Z_]+: ", stderr.getvalue().splitlines()[-1])
+        return
+    work = root / "work"
+    PriorTable.load(str(work / "prior.tsv"))
+    for name in ("eval_mentions_raw.jsonl", "train_mentions.jsonl", "eval_mentions.jsonl"):
+        read_examples(str(work / name))
+    CategoryVocab.load(str(work / "vocab.txt"))
+    TypingModel.load(str(work / "model.json"))
+    read_predictions(str(work / "predictions.jsonl"))
+    json.loads((work / "report.json").read_text(encoding="utf-8"))

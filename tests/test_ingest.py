@@ -9,7 +9,7 @@ import typelink.ingest
 from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
-from typelink.ingest import (CategoryAssignment, MentionExample, RawArticle,
+from typelink.ingest import (CONTEXT_WINDOW, CategoryAssignment, MentionExample, RawArticle,
                              attach_categories, example_from_dict, example_to_dict,
                              extract_examples, iter_articles,
                              load_category_assignments, read_examples,
@@ -78,6 +78,22 @@ class TestLinkGrammar:
         assert examples == []
         assert log.counts[diag.MISALIGNED_ANCHOR] == 1
 
+    @pytest.mark.parametrize("sentence", ["[[A|a]]post b", "pre [[A|a]]. b"])
+    def test_anchor_glued_on_the_right_is_misaligned(self, sentence):
+        log = DiagnosticLog()
+        assert extract_examples(RawArticle("X", [sentence]), log) == []
+        assert log.counts == {diag.MISALIGNED_ANCHOR: 1}
+
+    @pytest.mark.parametrize("sentence, tokens, span, mention", [
+        ("x [[A| a ]] y", ["x", "a", "y"], (1, 2), "a"),
+        ("x[[A| a ]]y", ["x", "a", "y"], (1, 2), "a"),
+        ("x [[A|a\u00a0b]] y", ["x", "a", "b", "y"], (1, 3), "a b"),
+        ("x [[A]]", ["x", "A"], (1, 2), "A"),
+    ])
+    def test_anchor_spans_the_tokens_inside_it(self, sentence, tokens, span, mention):
+        [ex] = extract_examples(RawArticle("X", [sentence]))
+        assert (ex.tokens, ex.span, ex.mention) == (tokens, span, mention)
+
     def test_multiword_anchor_span(self):
         [ex] = extract_examples(RawArticle("X", ["the [[NY|New York]] area"]))
         assert (ex.mention, ex.entity, ex.tokens, ex.span) == (
@@ -86,6 +102,21 @@ class TestLinkGrammar:
     def test_link_count_conservation(self):
         body = ["[[A]] x [[B|b]] y [[C]] .", "none here", "[[D|dd]] end"]
         assert len(extract_examples(RawArticle("X", body))) == 4
+
+
+markup_st = st.lists(st.sampled_from(
+    ["[[", "]]", "|", " ", "a", "B", ".", "\t", "\x1c", "\u00a0"])).map("".join)
+
+
+@given(sentences=st.lists(markup_st, max_size=4))
+def test_extraction_never_raises_and_keeps_the_example_invariants(sentences):
+    for ex in extract_examples(RawArticle("X", sentences)):
+        start, end = ex.span
+        assert 0 <= start < end <= len(ex.tokens)
+        assert ex.mention == " ".join(ex.tokens[start:end])
+        assert all(tok.split() == [tok] for tok in ex.tokens)
+        assert ex.entity.strip() and "\t" not in ex.entity and ex.categories is None
+        assert len(ex.left_extra) <= CONTEXT_WINDOW and len(ex.right_extra) <= CONTEXT_WINDOW
 
 
 class TestArticleFile:
