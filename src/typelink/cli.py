@@ -66,7 +66,7 @@ def _extract_all(articles: list[RawArticle], workers: int,
     else:
         step = -(-len(articles) // (workers * 4))
         chunks = [articles[i:i + step] for i in range(0, len(articles), step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             results = list(pool.map(_extract_chunk, chunks))
     out: list[MentionExample] = []
     for examples, chunk_log in results:
@@ -185,7 +185,8 @@ def stage_train(args: argparse.Namespace) -> DiagnosticLog:
             line += f" dev_loss={dev_loss:.6f}"
         print(line, file=sys.stderr)
 
-    train(pairs, vocab, config, dev_pairs=dev_pairs, on_epoch=report).save(args.model)
+    model = train(pairs, vocab, config, dev_pairs=dev_pairs, on_epoch=report)
+    dataclasses.replace(model, context_mode=args.context_mode).save(args.model)
     return log
 
 
@@ -212,7 +213,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
                 row = {"mention": ex.mention, "chosen": None,
                        "used_backoff": False, "scores": []}
             else:
-                posterior = predict_example(model, build_context(ex, args.context_mode))
+                posterior = predict_example(model, build_context(ex, model.context_mode))
                 pred = link(posterior, cset, index, table,
                             backoff_min_cats=args.backoff_min_cats, tie_eps=args.tie_eps,
                             mode=args.scoring_mode, log=log)
@@ -269,7 +270,7 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     if args.model is not None:
         _require(args.model, "MODEL_NOT_FOUND")
         model = TypingModel.load(args.model)
-        posteriors = [predict_example(model, build_context(ex, args.context_mode))
+        posteriors = [predict_example(model, build_context(ex, model.context_mode))
                       for ex in examples]
         golds = [model.vocab.to_ids(ex.categories or []) for ex in examples]
         buckets, per_cat = typing_metrics(posteriors, golds, model.vocab.entries,
@@ -406,11 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
                ("--context-mode", *TRAIN_SETTINGS))
     subcommand("link", stage_link, "choose an entity for each mention",
                ("--mentions", "--model", "--prior", "--categories", "--predictions"),
-               settings=("--threshold", "--backoff-min-cats", "--tie-eps", "--scoring-mode",
-                         "--context-mode"))
+               settings=("--threshold", "--backoff-min-cats", "--tie-eps", "--scoring-mode"))
     subcommand("eval", stage_eval, "score predictions",
                ("--mentions", "--predictions", "--report"), ("--model", "--prior"),
-               ("--threshold", "--typing-threshold", "--per-category", "--context-mode"))
+               ("--threshold", "--typing-threshold", "--per-category"))
     p = subcommand("pipeline", stage_pipeline, "run all stages",
                    ("--articles", "--eval-articles", "--categories"),
                    ("--prior-articles", "--mentions", "--eval-mentions", "--vocab",

@@ -249,20 +249,21 @@ def load_category_assignments(path: str,
                               log: Optional[DiagnosticLog] = None) -> dict[str, CategoryAssignment]:
     """Read an entity<TAB>category TSV into per-entity assignments.
 
-    A line with an empty category is skipped and counted; an entity whose
-    every line is empty gets no assignment.
+    A blank or whitespace-only line is skipped.  A line whose category is
+    empty or whitespace is skipped and counted; an entity whose every line
+    is such gets no assignment.
     """
     table: dict[str, CategoryAssignment] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
             entity, category = parts
-            if not category:
+            if not category.strip():
                 if log is not None:
                     log.bump(diag.EMPTY_CATEGORY)
                 continue

@@ -27,6 +27,7 @@ little-endian digest integer is reduced mod the feature-space size.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -36,11 +37,12 @@ import numpy as np
 
 from .atomic import atomic_write
 from .categories import CategoryVocab
+from .evaluation import ContextMode
 from .ingest import MentionExample
 
 DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 WINDOW_DISTANCE = 3
 
 
@@ -126,14 +128,14 @@ class TrainConfig:
     hash_seed: int = DEFAULT_HASH_SEED
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not (math.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
+            raise ValueError("l2_penalty must be non-negative and finite")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be positive")
         if not 0 <= self.hash_seed < 2 ** 64:
@@ -162,12 +164,17 @@ def _zeros(n_rows: int, n_cols: int) -> np.ndarray:
 
 @dataclass
 class TypingModel:
-    """The weights of the feature columns a model holds, its bias, and the hashing contract.
+    """The weights of the feature columns a model holds, its bias, and its input contract.
 
     `feature_ids` are the ascending ids of the k feature columns held and
     `block` their weights, feature-major: k rows of one weight per
     category.  Every other column of the categories x D weight matrix is
     zero.  A dense model holds all D columns, ids 0 .. D-1.
+
+    The input contract is the hashing (`hash_seed`, `feature_dim`) and
+    `context_mode`, the `ContextMode` its training examples were built
+    with, which the CLI applies again before predicting.  The default,
+    `sentence_only`, leaves an example as given.
     """
 
     feature_ids: np.ndarray
@@ -176,8 +183,10 @@ class TypingModel:
     vocab: CategoryVocab
     hash_seed: int = DEFAULT_HASH_SEED
     feature_dim: int = DEFAULT_FEATURE_DIM
+    context_mode: str = ContextMode.SENTENCE_ONLY.value
 
     def __post_init__(self) -> None:
+        self.context_mode = ContextMode(self.context_mode).value
         self.feature_ids = np.asarray(self.feature_ids, dtype=np.int64)
         self.block = np.asarray(self.block, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
@@ -227,8 +236,8 @@ class TypingModel:
     def save(self, path: str) -> None:
         """Write the model file: a JSON header line, then raw little-endian arrays.
 
-        The header is ``{"format_version", "D", "hash_seed", "vocab",
-        "columns"}``; the body is the bias (C x <f8), the ids of the k
+        The header is ``{"format_version", "D", "hash_seed", "context_mode",
+        "vocab", "columns"}``; the body is the bias (C x <f8), the ids of the k
         stored weight columns (k x <i8, ascending) and those columns as a
         C x k row-major block (<f8).  A column is stored when any entry has
         a nonzero bit pattern, so every other column is +0.0 throughout and
@@ -239,6 +248,7 @@ class TypingModel:
             "format_version": MODEL_FORMAT_VERSION,
             "D": self.feature_dim,
             "hash_seed": self.hash_seed,
+            "context_mode": self.context_mode,
             "vocab": self.vocab.entries,
             "columns": int(stored.sum()),
         }
@@ -264,7 +274,7 @@ class TypingModel:
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
-        for key in ("D", "hash_seed", "vocab", "columns"):
+        for key in ("D", "hash_seed", "context_mode", "vocab", "columns"):
             if key not in header:
                 raise ValueError(f"model header lacks {key!r}")
         entries = header["vocab"]
@@ -285,7 +295,8 @@ class TypingModel:
             raise ValueError("model holds a non-finite weight or bias")
         block = _zeros(n_cols, n_cats)
         block[:] = stored.T
-        return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim)
+        return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim,
+                   header["context_mode"])
 
 
 def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:

@@ -19,8 +19,9 @@ import typelink.cli
 import typelink.ingest
 from typelink.categories import CategoryVocab, expand_category
 from typelink.cli import build_parser, main, read_predictions
-from typelink.ingest import (MentionExample, load_category_assignments, read_examples,
-                             write_examples)
+from typelink.diagnostics import DiagnosticLog
+from typelink.ingest import (MentionExample, RawArticle, load_category_assignments,
+                             read_examples, write_examples)
 from typelink.linker import SCORING_MODES
 from typelink.model import TrainConfig, TypingModel
 from typelink.prior import PriorTable
@@ -130,6 +131,56 @@ class TestPipeline:
         assert code == 0
         for name in PIPELINE_FILES:
             assert (tmp_path / name).read_bytes() == (workdir_a / name).read_bytes(), name
+
+    def test_context_mode_is_set_at_train_and_read_from_the_model(self, pipeline_run, capsys,
+                                                                  tmp_path, monkeypatch):
+        _, paths, workdir_a = pipeline_run
+        piped = tmp_path / "piped"
+        code = main(pipeline_argv(paths, piped, **{"--context-mode": "sentence_only"}))
+        assert code == 0
+        header = json.loads((piped / "model.json").read_bytes().partition(b"\n")[0])
+        assert header["context_mode"] == "sentence_only"
+        default = json.loads((workdir_a / "model.json").read_bytes().partition(b"\n")[0])
+        assert default["context_mode"] == "sentence_plus_first_doc_sentence"
+        model, predictions, report = (str(tmp_path / name) for name in
+                                      ("m.json", "p.jsonl", "r.json"))
+        code, _, err = run_cli(
+            ["train", "--mentions", str(piped / "train_mentions.jsonl"),
+             "--vocab", str(piped / "vocab.txt"), "--model", model,
+             "--context-mode", "sentence_only", "--feature-dim", "4096", "--epochs", "3",
+             "--seed", "13", "--quiet"], capsys)
+        assert code == 0, err
+        # link and eval take no --context-mode; they must apply the model's.
+        modes = []
+        build_context = typelink.cli.build_context
+        monkeypatch.setattr(typelink.cli, "build_context",
+                            lambda ex, mode: modes.append(mode) or build_context(ex, mode))
+        for argv in (
+            ["link", "--mentions", str(piped / "eval_mentions.jsonl"), "--model", model,
+             "--prior", str(piped / "prior.tsv"), "--categories", paths["categories"],
+             "--predictions", predictions, "--quiet"],
+            ["eval", "--mentions", str(piped / "eval_mentions.jsonl"),
+             "--predictions", predictions, "--model", model,
+             "--prior", str(piped / "prior.tsv"), "--report", report, "--quiet"],
+        ):
+            code, _, err = run_cli(argv, capsys)
+            assert code == 0, (argv[0], err)
+        for name, path in (("model.json", model), ("predictions.jsonl", predictions),
+                           ("report.json", report)):
+            assert pathlib.Path(path).read_bytes() == (piped / name).read_bytes(), name
+        assert modes and set(modes) == {"sentence_only"}
+
+    @pytest.mark.parametrize("command", ["link", "eval"])
+    def test_link_and_eval_take_no_context_mode(self, capsys, command):
+        argv = {"link": ["link", "--mentions", "m", "--model", "x", "--prior", "p",
+                         "--categories", "c", "--predictions", "o"],
+                "eval": ["eval", "--mentions", "m", "--predictions", "o",
+                         "--report", "r"]}[command]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--context-mode", "sentence_only"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --context-mode" in capsys.readouterr().err
 
     def test_vocab_override_leaves_raw_mentions_unlabeled(self, pipeline_run, tmp_path):
         _, paths, workdir_a = pipeline_run
@@ -332,6 +383,15 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
 
+    def test_version_2_model_must_be_retrained(self, pipeline_run, capsys, tmp_path):
+        def as_v2(header, body):
+            header = {k: v for k, v in header.items() if k != "context_mode"}
+            return {**header, "format_version": 2}, body
+
+        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, as_v2)
+        assert code == 2
+        assert err == "error: INVALID_INPUT: unsupported model format version: 2\n"
+
     @pytest.mark.parametrize("corrupt", [
         lambda h, b: (h, b[:-8] + struct.pack("<d", math.nan)),
         lambda h, b: (h, b[:-1]),
@@ -339,8 +399,11 @@ class TestErrorCodes:
         lambda h, b: ({k: v for k, v in h.items() if k != "vocab"}, b),
         lambda h, b: ({**h, "columns": -1}, b),
         lambda h, b: ({**h, "D": 1}, b),
+        lambda h, b: ({k: v for k, v in h.items() if k != "context_mode"}, b),
+        lambda h, b: ({**h, "context_mode": "whole_document"}, b),
     ], ids=["nan_weight", "truncated", "trailing_byte", "missing_key",
-            "negative_columns", "column_id_beyond_D"])
+            "negative_columns", "column_id_beyond_D", "missing_context_mode",
+            "unknown_context_mode"])
     def test_corrupt_model_file(self, pipeline_run, capsys, tmp_path, corrupt):
         code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, corrupt)
         assert code == 2
@@ -371,6 +434,22 @@ class TestErrorCodes:
              "--l2-penalty", "1e300", "--quiet"], capsys)
         assert code == 2
         assert "error: TRAINING_DIVERGED:" in err
+
+    @pytest.mark.parametrize("flag,value", [("--learning-rate", "nan"),
+                                            ("--learning-rate", "inf"),
+                                            ("--l2-penalty", "nan")])
+    def test_non_finite_training_setting_rejected_before_featurizing(
+            self, pipeline_run, capsys, tmp_path, monkeypatch, flag, value):
+        _, _, workdir = pipeline_run
+        # Reading the mentions would now fail, so the setting must be refused first.
+        monkeypatch.setattr(typelink.cli, "read_examples", None)
+        code, _, err = run_cli(
+            ["train", "--mentions", str(workdir / "train_mentions.jsonl"),
+             "--vocab", str(workdir / "vocab.txt"), "--model", str(tmp_path / "m.json"),
+             flag, value, "--quiet"], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_os_errors_are_reported_as_io_error(self, pipeline_run, capsys, tmp_path):
         _, paths, workdir = pipeline_run
@@ -549,6 +628,31 @@ def test_standalone_stages_print_diagnostics(tmp_path, capsys):
                             "--feature-dim", "64", "--epochs", "1"], capsys)
     assert code == 0, err
     assert err.splitlines()[-1] == "diagnostics: unlabeled_example=1"
+
+
+def test_workers_capped_at_the_chunk_count(monkeypatch):
+    started = []
+
+    class RecordingExecutor:
+        """Runs the map in this process and records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(typelink.cli, "ProcessPoolExecutor", RecordingExecutor)
+    articles = [RawArticle("A", ["see [[A|a]] here ."]), RawArticle("B", ["[[B]] too ."])]
+    examples = typelink.cli._extract_all(articles, 64, DiagnosticLog())
+    assert started == [2]
+    assert examples == typelink.cli._extract_all(articles, 1, DiagnosticLog())
 
 
 def test_seed_accepted_only_where_read():

@@ -361,6 +361,26 @@ def test_load_category_assignments_skips_empty_category(tmp_path):
     assert log.counts[diag.EMPTY_CATEGORY] == 2
 
 
+def test_load_category_assignments_skips_whitespace_only_line(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("A\tThings in Ohio\n \n\t\n", encoding="utf-8")
+    log = DiagnosticLog()
+    table = load_category_assignments(str(path), log)
+    assert list(table) == ["A"]
+    assert table["A"].raw_categories == {"Things in Ohio"}
+    assert log.total() == 0
+
+
+def test_load_category_assignments_counts_whitespace_category_as_empty(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("A\tThings\nB\t   \nA\t  \n", encoding="utf-8")
+    log = DiagnosticLog()
+    table = load_category_assignments(str(path), log)
+    assert list(table) == ["A"]
+    assert table["A"].raw_categories == {"Things"}
+    assert log.counts[diag.EMPTY_CATEGORY] == 2
+
+
 def test_assignment_categories_are_union_of_expansions():
     raw = {"Cities in New York (state)", "Software", "People from Ohio", "of things"}
     expected = set()

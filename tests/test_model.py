@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import typelink.model as model_module
 from typelink.categories import CategoryVocab
+from typelink.evaluation import ContextMode
 from typelink.ingest import MentionExample
 from typelink.model import (FeatureVector, TrainConfig, TypingModel, feature_strings,
                             featurize, hash_feature, loss_and_grad,
@@ -525,8 +527,10 @@ class TestModelFile:
         path = tmp_path / "model.json"
         self.build_with_signed_zero().save(str(path))
         header, body = read_model_file(path)
-        assert list(header) == ["format_version", "D", "hash_seed", "vocab", "columns"]
-        assert header["format_version"] == 2 and header["D"] == 8
+        assert list(header) == ["format_version", "D", "hash_seed", "context_mode", "vocab",
+                                "columns"]
+        assert header["format_version"] == 3 and header["D"] == 8
+        assert header["context_mode"] == "sentence_only"
         # the -0.0 column is stored: its bit pattern is nonzero
         assert header["columns"] == 2
         c, k = 2, 2
@@ -554,6 +558,14 @@ class TestModelFile:
         with pytest.raises(ValueError, match="unsupported model format version: 1"):
             TypingModel.load(str(path))
 
+    def test_context_mode_defaults_to_identity_and_is_validated(self):
+        model = self.build()
+        assert model.context_mode == "sentence_only"
+        window = ContextMode.SENTENCE_PLUS_WINDOW50
+        assert dataclasses.replace(model, context_mode=window).context_mode == window.value
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, context_mode="whole_document")
+
     @pytest.mark.parametrize("corrupt", [
         lambda h, b: (h, patch_f8(b, 32, math.nan)),
         lambda h, b: (h, patch_f8(b, 56, -math.inf)),
@@ -570,10 +582,13 @@ class TestModelFile:
         lambda h, b: ({**h, "D": "8"}, b),
         lambda h, b: ({**h, "vocab": ["one", 2]}, b),
         lambda h, b: (["not", "an", "object"], b),
+        lambda h, b: ({**h, "context_mode": "whole_document"}, b),
+        lambda h, b: ({**h, "context_mode": None}, b),
     ], ids=["nan_weight", "inf_weight", "nan_bias", "inf_bias", "truncated",
             "trailing_byte", "ids_decreasing", "ids_repeated", "id_negative",
             "id_equals_D", "negative_columns", "float_columns", "string_D",
-            "non_string_category", "header_not_object"])
+            "non_string_category", "header_not_object", "unknown_context_mode",
+            "null_context_mode"])
     def test_corrupt_file_rejected(self, tmp_path, corrupt):
         path = tmp_path / "model.json"
         self.build_with_signed_zero().save(str(path))
@@ -581,7 +596,8 @@ class TestModelFile:
         with pytest.raises(ValueError):
             TypingModel.load(str(path))
 
-    @pytest.mark.parametrize("key", ["format_version", "D", "hash_seed", "vocab", "columns"])
+    @pytest.mark.parametrize("key", ["format_version", "D", "hash_seed", "vocab", "columns",
+                                     "context_mode"])
     def test_header_missing_key_rejected(self, tmp_path, key):
         path = tmp_path / "model.json"
         self.build().save(str(path))
@@ -595,7 +611,8 @@ class TestModelFile:
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
         # weights; the file itself is 128 KiB of zero biases and no columns.
         path = tmp_path / "model.json"
-        header = {"format_version": 2, "D": 2 ** 43, "hash_seed": 0,
+        header = {"format_version": 3, "D": 2 ** 43, "hash_seed": 0,
+                  "context_mode": "sentence_only",
                   "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
         write_model_file(path, header, bytes(8 * 2 ** 14))
         tracemalloc.start()
@@ -622,7 +639,10 @@ def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
     entries = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=4))
     dim = data.draw(st.integers(1, 40))
     hash_seed = data.draw(st.integers(0, 2 ** 64 - 1))
-    model = TypingModel.zeros(CategoryVocab(entries), feature_dim=dim, hash_seed=hash_seed)
+    context_mode = data.draw(st.sampled_from([m.value for m in ContextMode]))
+    model = dataclasses.replace(
+        TypingModel.zeros(CategoryVocab(entries), feature_dim=dim, hash_seed=hash_seed),
+        context_mode=context_mode)
     for col in data.draw(st.sets(st.integers(0, dim - 1), max_size=dim)):
         for row in range(len(entries)):
             model.weights[row, col] = data.draw(_weight_st)
@@ -637,7 +657,8 @@ def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
     assert np.array_equal(loaded.weights.view(np.uint64), model.weights.view(np.uint64))
     assert np.array_equal(loaded.bias.view(np.uint64), model.bias.view(np.uint64))
     assert loaded.vocab.entries == entries
-    assert (loaded.feature_dim, loaded.hash_seed) == (dim, hash_seed)
+    assert (loaded.feature_dim, loaded.hash_seed, loaded.context_mode) == (
+        dim, hash_seed, context_mode)
     again = path.with_name("again.json")
     loaded.save(str(again))
     assert again.read_bytes() == path.read_bytes()
@@ -648,6 +669,8 @@ class TestTrainConfig:
         {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"epochs": 0},
         {"batch_size": 0}, {"l2_penalty": -0.1}, {"feature_dim": 0},
         {"hash_seed": -1}, {"hash_seed": 2 ** 64},
+        {"learning_rate": math.nan}, {"learning_rate": math.inf},
+        {"l2_penalty": math.nan}, {"l2_penalty": math.inf},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
