@@ -27,13 +27,13 @@ from . import diagnostics as diag
 from .atomic import atomic_write
 from .categories import CategoryVocab, select_vocabulary
 from .diagnostics import DiagnosticLog
-from .evaluation import (ContextMode, EvalReport, build_context, linking_accuracy,
-                         typing_metrics, TYPING_THRESHOLD)
+from .evaluation import (ContextMode, EvalReport, build_context, check_typing_threshold,
+                         linking_accuracy, typing_metrics, TYPING_THRESHOLD)
 from .ingest import (MentionExample, RawArticle, attach_categories, extract_examples,
                      iter_articles, load_category_assignments, read_examples,
                      sample_training_set, write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
-                     build_category_index, link)
+                     build_category_index, check_backoff, link)
 from .model import TrainConfig, TypingModel, predict_example, train
 from .prior import DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate, gold_recall
 
@@ -97,6 +97,15 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     form build-vocab consumes); with one, labels are expanded raw
     categories intersected with it.
     """
+    wants_sample = [value is not None for value in
+                    (args.sample_train, args.sample_dev, args.train_out, args.dev_out)]
+    sampling = all(wants_sample)
+    if any(wants_sample) and not sampling:
+        raise CliError("INVALID_INPUT",
+                       "sampling needs --sample-train, --sample-dev, "
+                       "--train-out and --dev-out together")
+    if sampling and min(args.sample_train, args.sample_dev) < 0:
+        raise CliError("INVALID_INPUT", "sample sizes must be non-negative")
     _require(args.articles, "ARTICLES_NOT_FOUND")
     _require(args.categories, "CATEGORIES_NOT_FOUND")
     log = DiagnosticLog()
@@ -108,18 +117,15 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
         assignments = load_category_assignments(args.categories, log)
         examples = attach_categories(examples, assignments, vocab,
                                      keep_uncategorized=args.keep_uncategorized, log=log)
-    write_examples(args.mentions, examples)
-    wants_sample = [value is not None for value in
-                    (args.sample_train, args.sample_dev, args.train_out, args.dev_out)]
-    if any(wants_sample):
-        if not all(wants_sample):
-            raise CliError("INVALID_INPUT",
-                           "sampling needs --sample-train, --sample-dev, "
-                           "--train-out and --dev-out together")
+    # Sample before writing anything, so a request larger than the data
+    # leaves no file behind either.
+    outputs = [(args.mentions, examples)]
+    if sampling:
         train_set, dev_set = sample_training_set(examples, args.sample_train,
                                                  args.sample_dev, args.seed)
-        write_examples(args.train_out, train_set)
-        write_examples(args.dev_out, dev_set)
+        outputs += [(args.train_out, train_set), (args.dev_out, dev_set)]
+    for path, rows in outputs:
+        write_examples(path, rows)
     return log
 
 
@@ -162,10 +168,14 @@ def _labeled_pairs(examples: list[MentionExample], vocab: CategoryVocab,
     return pairs
 
 
-def stage_train(args: argparse.Namespace) -> DiagnosticLog:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     # The training flags' dests are the TrainConfig field names.
-    config = TrainConfig(**{f.name: getattr(args, f.name)
-                            for f in dataclasses.fields(TrainConfig)})
+    return TrainConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(TrainConfig)})
+
+
+def stage_train(args: argparse.Namespace) -> DiagnosticLog:
+    config = _train_config(args)
     _require(args.mentions, "MENTIONS_NOT_FOUND")
     _require(args.vocab, "VOCAB_NOT_FOUND")
     vocab = CategoryVocab.load(args.vocab)
@@ -196,6 +206,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     Mentions with an empty candidate set produce a null prediction and a
     diagnostic rather than failing the whole run.
     """
+    check_backoff(args.backoff_min_cats, args.tie_eps)
     _require(args.mentions, "MENTIONS_NOT_FOUND")
     _require(args.model, "MODEL_NOT_FOUND")
     _require(args.prior, "PRIOR_NOT_FOUND")
@@ -240,6 +251,7 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     buckets need the model (to rebuild posteriors).  Either is skipped,
     and reported as null, when the corresponding file is not given.
     """
+    check_typing_threshold(args.typing_threshold)
     _require(args.mentions, "MENTIONS_NOT_FOUND")
     _require(args.predictions, "PREDICTIONS_NOT_FOUND")
     examples = read_examples(args.mentions)
@@ -307,8 +319,12 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
 
     Each stage runs on the pipeline's arguments with every path it reads
     set, and its diagnostics are printed under its name; the log returned
-    is empty.  --categories is the same file for every stage.
+    is empty.  --categories is the same file for every stage.  The
+    settings of train, link and eval are checked before the first stage runs.
     """
+    _train_config(args)
+    check_backoff(args.backoff_min_cats, args.tie_eps)
+    check_typing_threshold(args.typing_threshold)
     os.makedirs(args.workdir, exist_ok=True)
 
     def path(override: Optional[str], name: str) -> str:

@@ -76,6 +76,12 @@ def _bucket_label(lo: int, hi: Optional[int]) -> str:
     return f"{lo}-{hi}" if hi is not None else f"{lo}+"
 
 
+def check_typing_threshold(threshold: float) -> None:
+    """Raise ValueError unless 0 <= threshold <= 1 (so NaN is refused too)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"typing threshold must be in [0, 1], got {threshold}")
+
+
 def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
                    vocab_entries: Sequence[str],
                    threshold: float = TYPING_THRESHOLD,
@@ -88,8 +94,9 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
     of gold category ids.  A category counts as predicted when its
     probability is >= threshold.  Returns (bucket list, per-category map
     or None); the bucket list ends with a "total" row over every counted
-    category.
+    category.  Raises ValueError for a threshold outside [0, 1] or NaN.
     """
+    check_typing_threshold(threshold)
     if len(posteriors) != len(golds):
         raise ValueError(
             f"got {len(posteriors)} posteriors but {len(golds)} gold sets")

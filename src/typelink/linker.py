@@ -8,6 +8,7 @@ effectively tied, the decision falls back to the mention-entity prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -120,6 +121,14 @@ def score_candidates(posterior, candidate_set: CandidateSet,
     return out
 
 
+def check_backoff(backoff_min_cats: int, tie_eps: float) -> None:
+    """Raise ValueError unless backoff_min_cats >= 0 and tie_eps is finite and >= 0."""
+    if backoff_min_cats < 0:
+        raise ValueError(f"backoff_min_cats must be non-negative, got {backoff_min_cats}")
+    if not (math.isfinite(tie_eps) and tie_eps >= 0):
+        raise ValueError(f"tie_eps must be non-negative and finite, got {tie_eps}")
+
+
 def link(posterior, candidate_set: CandidateSet, index: EntityCategoryIndex,
          prior: PriorTable,
          backoff_min_cats: int = DEFAULT_BACKOFF_MIN_CATS,
@@ -133,6 +142,7 @@ def link(posterior, candidate_set: CandidateSet, index: EntityCategoryIndex,
     scores sit within `tie_eps` of each other.  Ties anywhere are
     resolved by higher prior, then by entity string.
     """
+    check_backoff(backoff_min_cats, tie_eps)
     if len(candidate_set) == 0:
         raise ValueError("empty candidate set")
     scored = score_candidates(posterior, candidate_set, index, mode, log)

@@ -338,6 +338,25 @@ class TestErrorCodes:
         assert "error: INVALID_INPUT:" in err
         assert "--sample-dev" in err
 
+    @pytest.mark.parametrize("sampling", [
+        ["--sample-train", "-1", "--sample-dev", "1"],
+        ["--sample-train", "5", "--sample-dev", "5"],
+        ["--sample-train", "1", "--sample-dev", "0", "--dev-out", "d.jsonl"],
+    ], ids=["negative_size", "more_than_available", "partial_flags"])
+    def test_rejected_sampling_writes_nothing(self, capsys, tmp_path, monkeypatch, sampling):
+        articles = write_text(tmp_path / "a.txt", "T\nx [[A|aa]] .\n%%%%\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tSimple\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        if "--dev-out" not in sampling:
+            sampling = [*sampling, "--train-out", "t.jsonl", "--dev-out", "d.jsonl"]
+        code, _, err = run_cli(["ingest", "--articles", articles, "--categories", cats,
+                                "--mentions", "m.jsonl", *sampling], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert list(out.iterdir()) == []
+
     def test_mention_count_mismatch(self, capsys, tmp_path):
         ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
@@ -450,6 +469,46 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--tie-eps", "nan"), ("--tie-eps", "-1"),
+                                            ("--tie-eps", "inf"), ("--backoff-min-cats", "-5")])
+    def test_nonsensical_link_setting_rejected_before_reading(
+            self, pipeline_run, capsys, tmp_path, monkeypatch, flag, value):
+        _, paths, workdir = pipeline_run
+        monkeypatch.setattr(typelink.cli, "read_examples", None)
+        code, _, err = run_cli(
+            ["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
+             "--model", str(workdir / "model.json"), "--prior", str(workdir / "prior.tsv"),
+             "--categories", paths["categories"],
+             "--predictions", str(tmp_path / "p.jsonl"), flag, value], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "2", "-0.5"])
+    def test_typing_threshold_outside_unit_interval_rejected_before_reading(
+            self, pipeline_run, capsys, tmp_path, monkeypatch, value):
+        _, _, workdir = pipeline_run
+        monkeypatch.setattr(typelink.cli, "read_examples", None)
+        code, _, err = run_cli(
+            ["eval", "--mentions", str(workdir / "eval_mentions.jsonl"),
+             "--predictions", str(workdir / "predictions.jsonl"),
+             "--model", str(workdir / "model.json"), "--report", str(tmp_path / "r.json"),
+             "--typing-threshold", value, "--quiet"], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [("--tie-eps", "nan"), ("--backoff-min-cats", "-1"),
+                                            ("--typing-threshold", "2"),
+                                            ("--learning-rate", "inf")])
+    def test_pipeline_checks_later_stage_settings_first(self, pipeline_run, capsys, tmp_path,
+                                                        flag, value):
+        _, paths, _ = pipeline_run
+        code, _, err = run_cli(pipeline_argv(paths, tmp_path / "work", **{flag: value}), capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert not (tmp_path / "work").exists()
 
     def test_os_errors_are_reported_as_io_error(self, pipeline_run, capsys, tmp_path):
         _, paths, workdir = pipeline_run

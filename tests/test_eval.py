@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,6 +110,11 @@ class TestTypingMetrics:
     def test_posterior_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             typing_metrics([np.array([0.5, 0.5])], [[0]], ["a"])
+
+    @pytest.mark.parametrize("threshold", [math.nan, 2.0, -0.1, math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError):
+            typing_metrics([np.array([0.5])], [[0]], ["a"], threshold=threshold)
 
     def test_example_order_is_irrelevant(self):
         rng = np.random.default_rng(8)

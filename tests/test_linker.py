@@ -209,6 +209,22 @@ class TestLink:
                     for order in orders}
         assert len(outcomes) == 1
 
+    @pytest.mark.parametrize("setting", [dict(tie_eps=math.nan), dict(tie_eps=-1.0),
+                                         dict(tie_eps=math.inf), dict(backoff_min_cats=-5)])
+    def test_nonsensical_backoff_settings_rejected(self, setting):
+        index = make_index({"A": [0, 1], "B": [2, 3]})
+        cands = CandidateSet("m", [("A", 0.2), ("B", 0.8)])
+        with pytest.raises(ValueError):
+            link(np.array([0.9, 0.85, 0.3, 0.3]), cands, index,
+                 flat_prior("m", ["A", "B"]), **setting)
+
+    def test_zero_backoff_settings_accepted(self):
+        index = make_index({"A": [0, 1], "B": [2, 3]})
+        cands = CandidateSet("m", [("A", 0.2), ("B", 0.8)])
+        pred = link(np.array([0.9, 0.85, 0.3, 0.3]), cands, index,
+                    flat_prior("m", ["A", "B"]), backoff_min_cats=0, tie_eps=0.0)
+        assert (pred.chosen, pred.used_backoff) == ("A", False)
+
 
 class TestBuildCategoryIndex:
     def test_expansion_and_vocab_filtering(self):

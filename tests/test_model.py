@@ -83,6 +83,73 @@ class TestFeaturize:
         assert np.array_equal(one.values, two.values)
 
 
+def reference_counts(example, feature_dim, hash_seed):
+    """featurize's counts recomputed with the uncached hash."""
+    return Counter(hash_feature(s, hash_seed, feature_dim) for s in feature_strings(example))
+
+
+def as_counts(fv):
+    return Counter(dict(zip(fv.indices.tolist(), fv.values.tolist())))
+
+
+MEMO_EXAMPLES = [
+    MentionExample(mention="Big Bang", tokens=["Big", "Bang", "theory", "was", "proposed"],
+                   span=(0, 2)),
+    MentionExample(mention="m", tokens=["go", "go", "m"], span=(2, 3)),
+    MentionExample(mention="Ohio", tokens=["Cities", "in", "Ohio", "grew"], span=(2, 3)),
+    MentionExample(mention="Zoë", tokens=["Zoë", "sang", "ünder", "the", "bridge"],
+                   span=(0, 1)),
+]
+
+
+class TestFeatureMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_feature_ids", {})
+
+    def test_interleaved_hashings_each_match_the_reference(self):
+        hashings = [(4096, 9), (1 << 20, 0)]
+        for _ in range(2):
+            for ex in MEMO_EXAMPLES:
+                for dim, seed in hashings:
+                    assert as_counts(featurize(ex, dim, seed)) == reference_counts(ex, dim, seed)
+        assert set(model_module._feature_ids) == {(9, 4096), (0, 1 << 20)}
+
+    def test_each_distinct_string_is_hashed_once(self, monkeypatch):
+        hashed = Counter()
+
+        def counting_hash(text, hash_seed, feature_dim):
+            hashed[text, hash_seed, feature_dim] += 1
+            return hash_feature(text, hash_seed, feature_dim)
+
+        monkeypatch.setattr(model_module, "hash_feature", counting_hash)
+        for _ in range(3):
+            for ex in MEMO_EXAMPLES:
+                featurize(ex, 512, 3)
+        distinct = {s for ex in MEMO_EXAMPLES for s in feature_strings(ex)}
+        assert hashed == Counter({(s, 3, 512): 1 for s in distinct})
+
+    def test_capped_memo_stays_bounded_and_exact(self, monkeypatch):
+        monkeypatch.setattr(model_module, "FEATURE_MEMO_LIMIT", 8)
+        for _ in range(3):
+            for ex in MEMO_EXAMPLES:
+                assert as_counts(featurize(ex, 256, 1)) == reference_counts(ex, 256, 1)
+                assert 0 < len(model_module._feature_ids[1, 256]) <= 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(tokens=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8),
+       data=st.data(), hash_seed=st.integers(0, 2 ** 64 - 1),
+       feature_dim=st.integers(1, 1 << 20))
+def test_featurize_matches_the_uncached_hash(tokens, data, hash_seed, feature_dim):
+    start = data.draw(st.integers(0, len(tokens) - 1))
+    end = data.draw(st.integers(start + 1, len(tokens)))
+    ex = MentionExample(mention=" ".join(tokens[start:end]), tokens=tokens, span=(start, end))
+    for _ in range(2):  # the second call reads every id from the memo
+        assert as_counts(featurize(ex, feature_dim, hash_seed)) == reference_counts(
+            ex, feature_dim, hash_seed)
+
+
 class TestFeatureVector:
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
