@@ -93,6 +93,12 @@ class CategoryVocab:
         return cls(entries)
 
 
+def check_vocab_size(size: int) -> None:
+    """Raise ValueError unless the vocabulary size is positive."""
+    if size <= 0:
+        raise ValueError(f"vocabulary size must be positive, got {size}")
+
+
 def select_vocabulary(stream: Iterable[tuple[str, str, Iterable[str]]],
                       size: int) -> CategoryVocab:
     """Pick the top `size` categories by distinct-mention count.
@@ -103,8 +109,7 @@ def select_vocabulary(stream: Iterable[tuple[str, str, Iterable[str]]],
     seen with; repeats of one mention add nothing.  Ranking is by count
     descending, ties by category string ascending.
     """
-    if size <= 0:
-        raise ValueError(f"vocabulary size must be positive, got {size}")
+    check_vocab_size(size)
     mentions_by_category: dict[str, set[str]] = defaultdict(set)
     for mention, _entity, categories in stream:
         for cat in categories:

@@ -2,11 +2,12 @@
 
 Subcommands: ingest, build-vocab, build-prior, train, link, eval, and
 pipeline (all of them in order).  Every stage reads and writes plain
-files so any step can be rerun or swapped out.  Each subcommand runs one
-``stage_*`` function on its parsed arguments and prints the diagnostic
-counts it returns; ``pipeline`` runs the same functions on its own
-arguments with each stage's paths filled in.  Failures exit nonzero with
-a one-line message of the form ``error: CODE: detail``.
+files so any step can be rerun or swapped out.  Each subcommand checks
+its settings and input paths (``check_args``), runs one ``stage_*``
+function on its parsed arguments and prints the diagnostic counts it
+returns; ``pipeline`` runs the same functions on its own arguments with
+each stage's paths filled in.  Failures exit nonzero with a one-line
+message of the form ``error: CODE: detail``.
 
 All randomness flows through --seed, which only the stages that sample
 (ingest, train, pipeline) accept.  Outputs are byte-reproducible;
@@ -25,32 +26,23 @@ from typing import Optional, Sequence
 
 from . import diagnostics as diag
 from .atomic import atomic_write
-from .categories import CategoryVocab, select_vocabulary
+from .categories import CategoryVocab, check_vocab_size, select_vocabulary
 from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, check_typing_threshold,
                          linking_accuracy, typing_metrics, TYPING_THRESHOLD)
-from .ingest import (MentionExample, RawArticle, attach_categories, extract_examples,
-                     iter_articles, load_category_assignments, read_examples,
-                     sample_training_set, write_examples)
+from .ingest import (MentionExample, RawArticle, attach_categories, check_sample_sizes,
+                     extract_examples, iter_articles, iter_json_lines,
+                     load_category_assignments, read_examples, sample_training_set,
+                     write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
                      build_category_index, check_backoff, link)
 from .model import TrainConfig, TypingModel, predict_example, train
-from .prior import DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate, gold_recall
+from .prior import (DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate,
+                    check_candidate_threshold, gold_recall)
 
 
 class CliError(Exception):
-    """Stage failure with a machine-parsable code."""
-
-    def __init__(self, code: str, detail: str):
-        super().__init__(f"{code}: {detail}")
-        self.code = code
-        self.detail = detail
-
-
-def _require(path: str, code: str) -> str:
-    if not os.path.exists(path):
-        raise CliError(code, path)
-    return path
+    """A missing input, reported under its NOT_FOUND code: CliError(code, path)."""
 
 
 def _extract_chunk(articles: list[RawArticle]) -> tuple[list[MentionExample], DiagnosticLog]:
@@ -78,10 +70,10 @@ def _extract_all(articles: list[RawArticle], workers: int,
 # --- stages ------------------------------------------------------------------
 #
 # Each stage takes the parsed arguments of its subcommand (or the pipeline's,
-# with the stage's paths set) and returns the diagnostics of what it dropped.
+# with the stage's paths set), already checked by `check_args`, and returns
+# the diagnostics of what it dropped.
 
 def stage_build_prior(args: argparse.Namespace) -> DiagnosticLog:
-    _require(args.articles, "ARTICLES_NOT_FOUND")
     log = DiagnosticLog()
     articles = list(iter_articles(args.articles, split=args.split, log=log))
     examples = _extract_all(articles, args.workers, log)
@@ -97,22 +89,10 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     form build-vocab consumes); with one, labels are expanded raw
     categories intersected with it.
     """
-    wants_sample = [value is not None for value in
-                    (args.sample_train, args.sample_dev, args.train_out, args.dev_out)]
-    sampling = all(wants_sample)
-    if any(wants_sample) and not sampling:
-        raise CliError("INVALID_INPUT",
-                       "sampling needs --sample-train, --sample-dev, "
-                       "--train-out and --dev-out together")
-    if sampling and min(args.sample_train, args.sample_dev) < 0:
-        raise CliError("INVALID_INPUT", "sample sizes must be non-negative")
-    _require(args.articles, "ARTICLES_NOT_FOUND")
-    _require(args.categories, "CATEGORIES_NOT_FOUND")
     log = DiagnosticLog()
     articles = list(iter_articles(args.articles, split=args.split, log=log))
     examples = _extract_all(articles, args.workers, log)
     if args.vocab is not None:
-        _require(args.vocab, "VOCAB_NOT_FOUND")
         vocab = CategoryVocab.load(args.vocab)
         assignments = load_category_assignments(args.categories, log)
         examples = attach_categories(examples, assignments, vocab,
@@ -120,7 +100,7 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     # Sample before writing anything, so a request larger than the data
     # leaves no file behind either.
     outputs = [(args.mentions, examples)]
-    if sampling:
+    if args.sample_train is not None:  # and so every sampling flag
         train_set, dev_set = sample_training_set(examples, args.sample_train,
                                                  args.sample_dev, args.seed)
         outputs += [(args.train_out, train_set), (args.dev_out, dev_set)]
@@ -135,9 +115,6 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     Only candidate categories are counted, never the gold labels of the
     mention examples themselves.
     """
-    _require(args.mentions, "MENTIONS_NOT_FOUND")
-    _require(args.prior, "PRIOR_NOT_FOUND")
-    _require(args.categories, "CATEGORIES_NOT_FOUND")
     examples = read_examples(args.mentions)
     table = PriorTable.load(args.prior)
     log = DiagnosticLog()
@@ -171,19 +148,16 @@ def _labeled_pairs(examples: list[MentionExample], vocab: CategoryVocab,
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     # The training flags' dests are the TrainConfig field names.
     return TrainConfig(**{f.name: getattr(args, f.name)
-                          for f in dataclasses.fields(TrainConfig)})
+                          for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
 
 
 def stage_train(args: argparse.Namespace) -> DiagnosticLog:
     config = _train_config(args)
-    _require(args.mentions, "MENTIONS_NOT_FOUND")
-    _require(args.vocab, "VOCAB_NOT_FOUND")
     vocab = CategoryVocab.load(args.vocab)
     log = DiagnosticLog()
     pairs = _labeled_pairs(read_examples(args.mentions), vocab, args.context_mode, log)
     dev_pairs = None
     if args.dev_mentions is not None:
-        _require(args.dev_mentions, "MENTIONS_NOT_FOUND")
         dev_pairs = _labeled_pairs(read_examples(args.dev_mentions), vocab,
                                    args.context_mode, log)
 
@@ -206,11 +180,6 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     Mentions with an empty candidate set produce a null prediction and a
     diagnostic rather than failing the whole run.
     """
-    check_backoff(args.backoff_min_cats, args.tie_eps)
-    _require(args.mentions, "MENTIONS_NOT_FOUND")
-    _require(args.model, "MODEL_NOT_FOUND")
-    _require(args.prior, "PRIOR_NOT_FOUND")
-    _require(args.categories, "CATEGORIES_NOT_FOUND")
     model = TypingModel.load(args.model)
     table = PriorTable.load(args.prior)
     log = DiagnosticLog()
@@ -236,12 +205,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
 
 
 def read_predictions(path: str) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    return list(iter_json_lines(path))
 
 
 def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
@@ -251,28 +215,22 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     buckets need the model (to rebuild posteriors).  Either is skipped,
     and reported as null, when the corresponding file is not given.
     """
-    check_typing_threshold(args.typing_threshold)
-    _require(args.mentions, "MENTIONS_NOT_FOUND")
-    _require(args.predictions, "PREDICTIONS_NOT_FOUND")
     examples = read_examples(args.mentions)
     predictions = read_predictions(args.predictions)
     if len(examples) != len(predictions):
-        raise CliError("INVALID_INPUT",
-                       f"{len(examples)} mentions but {len(predictions)} predictions")
+        raise ValueError(f"{len(examples)} mentions but {len(predictions)} predictions")
     pairs = []
     for ex, pred in zip(examples, predictions):
         if pred.get("mention") != ex.mention:
-            raise CliError("INVALID_INPUT",
-                           f"prediction for {pred.get('mention')!r} does not match "
-                           f"mention {ex.mention!r}")
+            raise ValueError(f"prediction for {pred.get('mention')!r} does not match "
+                             f"mention {ex.mention!r}")
         if ex.entity is None:
-            raise CliError("INVALID_INPUT", "evaluation example without gold entity")
+            raise ValueError("evaluation example without gold entity")
         pairs.append((pred.get("chosen"), ex.entity))
     accuracy = linking_accuracy(pairs)
 
     recall = None
     if args.prior is not None:
-        _require(args.prior, "PRIOR_NOT_FOUND")
         table = PriorTable.load(args.prior)
         recall = gold_recall((table.candidates(ex.mention, args.threshold), ex.entity)
                              for ex in examples)
@@ -280,7 +238,6 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     buckets = None
     per_cat = None
     if args.model is not None:
-        _require(args.model, "MODEL_NOT_FOUND")
         model = TypingModel.load(args.model)
         posteriors = [predict_example(model, build_context(ex, model.context_mode))
                       for ex in examples]
@@ -319,12 +276,8 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
 
     Each stage runs on the pipeline's arguments with every path it reads
     set, and its diagnostics are printed under its name; the log returned
-    is empty.  --categories is the same file for every stage.  The
-    settings of train, link and eval are checked before the first stage runs.
+    is empty.  --categories is the same file for every stage.
     """
-    _train_config(args)
-    check_backoff(args.backoff_min_cats, args.tie_eps)
-    check_typing_threshold(args.typing_threshold)
     os.makedirs(args.workdir, exist_ok=True)
 
     def path(override: Optional[str], name: str) -> str:
@@ -386,6 +339,18 @@ SETTINGS = {
 TRAIN_SETTINGS = ("--learning-rate", "--epochs", "--batch-size", "--l2-penalty",
                   "--feature-dim", "--hash-seed", "--seed")
 
+# The code a missing input is reported under, by the kind of file its flag
+# names last (--eval-articles reads articles).
+NOT_FOUND = {
+    "articles": "ARTICLES_NOT_FOUND",
+    "categories": "CATEGORIES_NOT_FOUND",
+    "mentions": "MENTIONS_NOT_FOUND",
+    "vocab": "VOCAB_NOT_FOUND",
+    "prior": "PRIOR_NOT_FOUND",
+    "model": "MODEL_NOT_FOUND",
+    "predictions": "PREDICTIONS_NOT_FOUND",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -393,44 +358,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Link entity mentions by predicting fine-grained categories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, stage, help, paths, optional_paths=(), settings=()):
-        """A subparser that runs `stage`; `paths` are its required path flags."""
+    def subcommand(name, stage, help, reads, writes, optional=(), settings=()):
+        """A subparser that runs `stage`, reads the path flags `reads` and writes
+        `writes`; the flags in `optional` may be left out."""
         p = sub.add_parser(name, help=help)
-        for flag in paths:
-            p.add_argument(flag, required=True)
-        for flag in optional_paths:
-            p.add_argument(flag)
+        inputs = {}
+        for flag in (*reads, *writes):
+            action = p.add_argument(flag, required=flag not in optional)
+            if flag in reads:
+                inputs[action.dest] = NOT_FOUND[flag.rsplit("-", 1)[1]]
         for flag in settings:
             p.add_argument(flag, **SETTINGS[flag])
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(run=stage)
+        p.set_defaults(run=stage, inputs=inputs)
         return p
 
     p = subcommand("ingest", stage_ingest, "parse articles into mention examples",
-                   ("--articles", "--categories", "--mentions"),
+                   ("--articles", "--categories", "--vocab"),
+                   ("--mentions", "--train-out", "--dev-out"),
                    ("--vocab", "--train-out", "--dev-out"), ("--split", "--seed"))
     p.add_argument("--keep-uncategorized", action="store_true")
     p.add_argument("--sample-train", type=int)
     p.add_argument("--sample-dev", type=int)
     subcommand("build-prior", stage_build_prior, "count anchor statistics",
-               ("--articles", "--prior"), settings=("--split", "--case-fold"))
+               ("--articles",), ("--prior",), settings=("--split", "--case-fold"))
     subcommand("build-vocab", stage_build_vocab, "select the category vocabulary",
-               ("--mentions", "--prior", "--categories", "--vocab"),
+               ("--mentions", "--prior", "--categories"), ("--vocab",),
                settings=("--vocab-size", "--threshold"))
     subcommand("train", stage_train, "train the typing model",
-               ("--mentions", "--vocab", "--model"), ("--dev-mentions",),
+               ("--mentions", "--vocab", "--dev-mentions"), ("--model",), ("--dev-mentions",),
                ("--context-mode", *TRAIN_SETTINGS))
     subcommand("link", stage_link, "choose an entity for each mention",
-               ("--mentions", "--model", "--prior", "--categories", "--predictions"),
+               ("--mentions", "--model", "--prior", "--categories"), ("--predictions",),
                settings=("--threshold", "--backoff-min-cats", "--tie-eps", "--scoring-mode"))
     subcommand("eval", stage_eval, "score predictions",
-               ("--mentions", "--predictions", "--report"), ("--model", "--prior"),
-               ("--threshold", "--typing-threshold", "--per-category"))
+               ("--mentions", "--predictions", "--model", "--prior"), ("--report",),
+               ("--model", "--prior"), ("--threshold", "--typing-threshold", "--per-category"))
+    outputs = ("--mentions", "--eval-mentions", "--vocab", "--prior", "--model",
+               "--predictions", "--report")
     p = subcommand("pipeline", stage_pipeline, "run all stages",
-                   ("--articles", "--eval-articles", "--categories"),
-                   ("--prior-articles", "--mentions", "--eval-mentions", "--vocab",
-                    "--prior", "--model", "--predictions", "--report"), SETTINGS)
+                   ("--articles", "--eval-articles", "--categories", "--prior-articles"),
+                   outputs, ("--prior-articles", *outputs), SETTINGS)
     p.add_argument("--workdir", default=".")
     # Single-stage inputs the pipeline never sets (eval ingest's
     # keep_uncategorized is set by its step).
@@ -439,12 +408,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_args(args: argparse.Namespace) -> None:
+    """Refuse a bad setting or a missing input before any stage reads or writes.
+
+    `pipeline` takes every setting, so it checks all its stages' settings.
+    """
+    given = vars(args)
+    _train_config(args)  # each training setting, --seed (ingest's sampling seed) too
+    if "threshold" in given:
+        check_candidate_threshold(args.threshold)
+    if "vocab_size" in given:
+        check_vocab_size(args.vocab_size)
+    if "backoff_min_cats" in given:
+        check_backoff(args.backoff_min_cats, args.tie_eps)
+    if "typing_threshold" in given:
+        check_typing_threshold(args.typing_threshold)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    sampling = [given.get(dest) is not None
+                for dest in ("sample_train", "sample_dev", "train_out", "dev_out")]
+    if any(sampling) and not all(sampling):
+        raise ValueError("sampling needs --sample-train, --sample-dev, "
+                         "--train-out and --dev-out together")
+    if all(sampling):
+        check_sample_sizes(args.sample_train, args.sample_dev)
+    for dest, code in args.inputs.items():
+        if given[dest] is not None and not os.path.exists(given[dest]):
+            raise CliError(code, given[dest])
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_args(args)
         log = args.run(args)
     except CliError as err:
-        code, detail = err.code, err.detail
+        code, detail = err.args
     except FloatingPointError as err:
         code, detail = "TRAINING_DIVERGED", err
     except (ValueError, KeyError) as err:  # json.JSONDecodeError is a ValueError

@@ -309,12 +309,17 @@ def attach_categories(examples: Iterable[MentionExample],
     return out
 
 
+def check_sample_sizes(n_train: int, n_dev: int) -> None:
+    """Raise ValueError unless both sample sizes are non-negative."""
+    if n_train < 0 or n_dev < 0:
+        raise ValueError("sample sizes must be non-negative")
+
+
 def sample_training_set(examples: Sequence[MentionExample], n_train: int, n_dev: int,
                         seed: int) -> tuple[list[MentionExample], list[MentionExample]]:
     """Disjoint uniform train/dev samples without replacement."""
     total = len(examples)
-    if n_train < 0 or n_dev < 0:
-        raise ValueError("sample sizes must be non-negative")
+    check_sample_sizes(n_train, n_dev)
     if n_train + n_dev > total:
         raise ValueError(
             f"requested {n_train} train + {n_dev} dev examples "
@@ -365,10 +370,11 @@ def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
     return count
 
 
-def read_examples(path: str) -> list[MentionExample]:
-    out = []
+def iter_json_lines(path: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line of a file, in order."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(example_from_dict(json.loads(line)))
-    return out
+        yield from (json.loads(line) for line in fh if line.strip())
+
+
+def read_examples(path: str) -> list[MentionExample]:
+    return [example_from_dict(row) for row in iter_json_lines(path)]

@@ -143,8 +143,6 @@ def link(posterior, candidate_set: CandidateSet, index: EntityCategoryIndex,
     resolved by higher prior, then by entity string.
     """
     check_backoff(backoff_min_cats, tie_eps)
-    if len(candidate_set) == 0:
-        raise ValueError("empty candidate set")
     scored = score_candidates(posterior, candidate_set, index, mode, log)
     mention = candidate_set.mention
     ranked = sorted(scored, key=lambda item: (-item[1],

@@ -172,6 +172,8 @@ class TrainConfig:
             raise ValueError("feature_dim must be positive")
         if not 0 <= self.hash_seed < 2 ** 64:
             raise ValueError("hash_seed must fit in 64 bits")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -18,6 +18,12 @@ DEFAULT_CANDIDATE_THRESHOLD = 0.05
 CASE_FOLD_MARKER = "#case_fold"  # first line of a case-folded prior file
 
 
+def check_candidate_threshold(threshold: float) -> None:
+    """Raise ValueError unless 0 <= threshold <= 1 (so NaN is refused too)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 @dataclass
 class CandidateSet:
     """Candidates for one mention, ordered by prior desc then entity asc.
@@ -78,8 +84,7 @@ class PriorTable:
     def candidates(self, mention: str,
                    threshold: float = DEFAULT_CANDIDATE_THRESHOLD) -> CandidateSet:
         """Entities with prior >= threshold, ordered per CandidateSet."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        check_candidate_threshold(threshold)
         key = self._key(mention)
         total = self.totals.get(key, 0)
         if total == 0:

@@ -456,7 +456,8 @@ class TestErrorCodes:
 
     @pytest.mark.parametrize("flag,value", [("--learning-rate", "nan"),
                                             ("--learning-rate", "inf"),
-                                            ("--l2-penalty", "nan")])
+                                            ("--l2-penalty", "nan"),
+                                            ("--seed", "-1")])
     def test_non_finite_training_setting_rejected_before_featurizing(
             self, pipeline_run, capsys, tmp_path, monkeypatch, flag, value):
         _, _, workdir = pipeline_run
@@ -468,10 +469,12 @@ class TestErrorCodes:
              flag, value, "--quiet"], capsys)
         assert code == 2
         assert "error: INVALID_INPUT:" in err
+        assert flag[2:].replace("-", "_") in err  # the message names the setting
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag,value", [("--tie-eps", "nan"), ("--tie-eps", "-1"),
-                                            ("--tie-eps", "inf"), ("--backoff-min-cats", "-5")])
+                                            ("--tie-eps", "inf"), ("--backoff-min-cats", "-5"),
+                                            ("--threshold", "2")])
     def test_nonsensical_link_setting_rejected_before_reading(
             self, pipeline_run, capsys, tmp_path, monkeypatch, flag, value):
         _, paths, workdir = pipeline_run
@@ -485,23 +488,28 @@ class TestErrorCodes:
         assert "error: INVALID_INPUT:" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["nan", "2", "-0.5"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--typing-threshold", "nan"), ("--typing-threshold", "2"),
+        ("--typing-threshold", "-0.5"), ("--threshold", "2"),
+    ], ids=["nan", "2", "-0.5", "--threshold-2"])
     def test_typing_threshold_outside_unit_interval_rejected_before_reading(
-            self, pipeline_run, capsys, tmp_path, monkeypatch, value):
+            self, pipeline_run, capsys, tmp_path, monkeypatch, flag, value):
         _, _, workdir = pipeline_run
         monkeypatch.setattr(typelink.cli, "read_examples", None)
         code, _, err = run_cli(
             ["eval", "--mentions", str(workdir / "eval_mentions.jsonl"),
              "--predictions", str(workdir / "predictions.jsonl"),
-             "--model", str(workdir / "model.json"), "--report", str(tmp_path / "r.json"),
-             "--typing-threshold", value, "--quiet"], capsys)
+             "--model", str(workdir / "model.json"), "--prior", str(workdir / "prior.tsv"),
+             "--report", str(tmp_path / "r.json"), flag, value, "--quiet"], capsys)
         assert code == 2
         assert "error: INVALID_INPUT:" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [("--tie-eps", "nan"), ("--backoff-min-cats", "-1"),
                                             ("--typing-threshold", "2"),
-                                            ("--learning-rate", "inf")])
+                                            ("--learning-rate", "inf"), ("--threshold", "2"),
+                                            ("--vocab-size", "0"), ("--seed", "-1"),
+                                            ("--workers", "0"), ("--workers", "-3")])
     def test_pipeline_checks_later_stage_settings_first(self, pipeline_run, capsys, tmp_path,
                                                         flag, value):
         _, paths, _ = pipeline_run
@@ -509,6 +517,43 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
         assert not (tmp_path / "work").exists()
+
+    # The corpus has prior articles, so build-prior could run without --articles.
+    @pytest.mark.parametrize("flag", ["--eval-articles", "--articles"])
+    def test_pipeline_with_a_missing_input_creates_no_workdir(self, small_corpus, capsys,
+                                                             tmp_path, flag):
+        _, paths = small_corpus
+        missing = str(tmp_path / "nope.txt")
+        code, _, err = run_cli(pipeline_argv(paths, tmp_path / "work", **{flag: missing}), capsys)
+        assert code == 2
+        assert err == f"error: ARTICLES_NOT_FOUND: {missing}\n"
+        assert not (tmp_path / "work").exists()
+
+    def test_build_vocab_threshold_checked_without_any_mention(self, capsys, tmp_path):
+        mentions = write_text(tmp_path / "m.jsonl", "")
+        prior = write_text(tmp_path / "prior.tsv", "aa\tA\t1\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tx\n")
+        code, _, err = run_cli(["build-vocab", "--mentions", mentions, "--prior", prior,
+                                "--categories", cats, "--vocab", str(tmp_path / "v.txt"),
+                                "--threshold", "-1"], capsys)
+        assert code == 2
+        assert "error: INVALID_INPUT:" in err
+        assert not (tmp_path / "v.txt").exists()
+
+    def test_ingest_missing_vocab_found_before_parsing(self, capsys, tmp_path, monkeypatch):
+        articles = write_text(tmp_path / "a.txt", "T\nx [[A|aa]] .\n%%%%\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tSimple\n")
+
+        def iter_articles(*args, **kwargs):
+            raise AssertionError("articles parsed before the inputs were checked")
+
+        monkeypatch.setattr(typelink.cli, "iter_articles", iter_articles)
+        code, _, err = run_cli(["ingest", "--articles", articles, "--categories", cats,
+                                "--vocab", str(tmp_path / "nope.txt"),
+                                "--mentions", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 2
+        assert err == f"error: VOCAB_NOT_FOUND: {tmp_path / 'nope.txt'}\n"
+        assert not (tmp_path / "m.jsonl").exists()
 
     def test_os_errors_are_reported_as_io_error(self, pipeline_run, capsys, tmp_path):
         _, paths, workdir = pipeline_run
@@ -722,6 +767,69 @@ def test_seed_accepted_only_where_read():
     assert {name for name, opts in flags.items() if "--seed" in opts} == {
         "ingest", "train", "pipeline"}
     assert all({"--workers", "--quiet"} <= opts for opts in flags.values())
+
+
+class StageReached(Exception):
+    """Raised by a stand-in stage: the checks let the run through."""
+
+
+# The path flags each subcommand reads; its other path flags are outputs.
+INPUTS = {
+    "ingest": {"--articles", "--categories", "--vocab"},
+    "build-prior": {"--articles"},
+    "build-vocab": {"--mentions", "--prior", "--categories"},
+    "train": {"--mentions", "--vocab", "--dev-mentions"},
+    "link": {"--mentions", "--model", "--prior", "--categories"},
+    "eval": {"--mentions", "--predictions", "--model", "--prior"},
+    "pipeline": {"--articles", "--eval-articles", "--categories", "--prior-articles"},
+}
+
+
+def test_every_setting_and_input_is_checked_before_any_stage(tmp_path, monkeypatch, capsys):
+    """Each subcommand, given every path flag and setting, refuses a missing
+    input with its code and an out-of-range numeric setting as INVALID_INPUT
+    before its stage runs, and writes nothing."""
+    def stage(args):
+        raise StageReached(args.command)
+
+    for name in ("build_prior", "ingest", "build_vocab", "train", "link", "eval", "pipeline"):
+        monkeypatch.setattr(typelink.cli, f"stage_{name}", stage)
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(INPUTS)
+    existing = write_text(tmp_path / "exists", "")
+    missing = str(tmp_path / "missing")
+    outputs = tmp_path / "out"
+    for command, p in sub.choices.items():
+        # Flags that take a value: paths (no type, no choices) and settings.
+        actions = {a.option_strings[0]: a for a in p._actions
+                   if a.option_strings and a.nargs != 0}
+        codes = {flag: p.get_default("inputs")[a.dest] for flag, a in actions.items()
+                 if a.dest in p.get_default("inputs")}
+        assert set(codes) == INPUTS[command]
+        numeric = [flag for flag, a in actions.items() if a.type in (int, float)]
+        given = {flag: existing if flag in codes else str(outputs / flag[2:])
+                 for flag, a in actions.items() if a.type is None and not a.choices}
+        given.update({flag: str(actions[flag].default or 0) for flag in numeric})
+
+        def run(**changed):
+            argv = [command]
+            for flag, value in {**given, **changed}.items():
+                argv += [flag, value]
+            return run_cli(argv, capsys)
+
+        with pytest.raises(StageReached):
+            run()
+        for flag, code in codes.items():
+            # A code names the kind of file: --eval-articles gives ARTICLES_NOT_FOUND.
+            assert code == flag.rsplit("-", 1)[1].upper() + "_NOT_FOUND"
+            assert run(**{flag: missing}) == (2, "", f"error: {code}: {missing}\n"), flag
+        for flag in numeric:
+            for value in ["-1", "nan"] if actions[flag].type is float else ["-1"]:
+                code, _, err = run(**{flag: value})
+                assert (code, err.startswith("error: INVALID_INPUT: ")) == (2, True), \
+                    (command, flag, value, err)
+    assert not outputs.exists()
 
 
 def test_bare_train_parse_gives_the_default_config():

@@ -737,7 +737,7 @@ class TestTrainConfig:
         {"batch_size": 0}, {"l2_penalty": -0.1}, {"feature_dim": 0},
         {"hash_seed": -1}, {"hash_seed": 2 ** 64},
         {"learning_rate": math.nan}, {"learning_rate": math.inf},
-        {"l2_penalty": math.nan}, {"l2_penalty": math.inf},
+        {"l2_penalty": math.nan}, {"l2_penalty": math.inf}, {"seed": -1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
