@@ -32,7 +32,6 @@ def parse_args():
     parser.add_argument("--feature-dim", type=int, default=1 << 15)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quiet", action="store_true")
     return parser.parse_args()
 
@@ -75,7 +74,6 @@ def main():
         "--feature-dim", str(args.feature_dim),
         "--epochs", str(args.epochs),
         "--seed", str(args.seed),
-        "--workers", str(args.workers),
     ]
     if args.quiet:
         argv.append("--quiet")

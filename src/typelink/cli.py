@@ -10,8 +10,7 @@ each stage's paths filled in.  Failures exit nonzero with a one-line
 message of the form ``error: CODE: detail``.
 
 All randomness flows through --seed, which only the stages that sample
-(ingest, train, pipeline) accept.  Outputs are byte-reproducible;
---workers only splits article parsing across processes.
+(ingest, train, pipeline) accept.  Outputs are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from . import diagnostics as diag
@@ -30,7 +28,7 @@ from .categories import CategoryVocab, check_vocab_size, select_vocabulary
 from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, check_typing_threshold,
                          linking_accuracy, typing_metrics, TYPING_THRESHOLD)
-from .ingest import (MentionExample, RawArticle, attach_categories, check_sample_sizes,
+from .ingest import (MentionExample, attach_categories, check_sample_sizes,
                      extract_examples, iter_articles, iter_json_lines,
                      load_category_assignments, read_examples, sample_training_set,
                      write_examples)
@@ -45,28 +43,6 @@ class CliError(Exception):
     """A missing input, reported under its NOT_FOUND code: CliError(code, path)."""
 
 
-def _extract_chunk(articles: list[RawArticle]) -> tuple[list[MentionExample], DiagnosticLog]:
-    log = DiagnosticLog()
-    return [ex for art in articles for ex in extract_examples(art, log)], log
-
-
-def _extract_all(articles: list[RawArticle], workers: int,
-                 log: DiagnosticLog) -> list[MentionExample]:
-    """Extract every article's examples, in input order, over `workers` processes."""
-    if workers <= 1 or len(articles) < 2:
-        results = [_extract_chunk(articles)]
-    else:
-        step = -(-len(articles) // (workers * 4))
-        chunks = [articles[i:i + step] for i in range(0, len(articles), step)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            results = list(pool.map(_extract_chunk, chunks))
-    out: list[MentionExample] = []
-    for examples, chunk_log in results:
-        out.extend(examples)
-        log.merge(chunk_log)
-    return out
-
-
 # --- stages ------------------------------------------------------------------
 #
 # Each stage takes the parsed arguments of its subcommand (or the pipeline's,
@@ -75,9 +51,10 @@ def _extract_all(articles: list[RawArticle], workers: int,
 
 def stage_build_prior(args: argparse.Namespace) -> DiagnosticLog:
     log = DiagnosticLog()
-    articles = list(iter_articles(args.articles, split=args.split, log=log))
-    examples = _extract_all(articles, args.workers, log)
-    table = accumulate(((ex.mention, ex.entity) for ex in examples), case_fold=args.case_fold)
+    pairs = ((ex.mention, ex.entity)
+             for art in iter_articles(args.articles, split=args.split, log=log)
+             for ex in extract_examples(art, log))
+    table = accumulate(pairs, case_fold=args.case_fold)
     table.save(args.prior)
     return log
 
@@ -90,8 +67,8 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     categories intersected with it.
     """
     log = DiagnosticLog()
-    articles = list(iter_articles(args.articles, split=args.split, log=log))
-    examples = _extract_all(articles, args.workers, log)
+    examples = [ex for art in iter_articles(args.articles, split=args.split, log=log)
+                for ex in extract_examples(art, log)]
     if args.vocab is not None:
         vocab = CategoryVocab.load(args.vocab)
         assignments = load_category_assignments(args.categories, log)
@@ -369,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                 inputs[action.dest] = NOT_FOUND[flag.rsplit("-", 1)[1]]
         for flag in settings:
             p.add_argument(flag, **SETTINGS[flag])
+        # Parsing runs in one process; --workers stays, fixed at 1, for
+        # command lines that pin it.
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(run=stage, inputs=inputs)
@@ -423,8 +402,9 @@ def check_args(args: argparse.Namespace) -> None:
         check_backoff(args.backoff_min_cats, args.tie_eps)
     if "typing_threshold" in given:
         check_typing_threshold(args.typing_threshold)
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    if args.workers != 1:
+        raise ValueError(f"--workers must be 1, got {args.workers}: "
+                         "article parsing runs in one process")
     sampling = [given.get(dest) is not None
                 for dest in ("sample_train", "sample_dev", "train_out", "dev_out")]
     if any(sampling) and not all(sampling):

@@ -37,9 +37,6 @@ class DiagnosticLog:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def merge(self, other: "DiagnosticLog") -> None:
-        self.counts.update(other.counts)
-
     def summary(self) -> str:
         if not self.counts:
             return "no diagnostics"

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, groupby
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -347,17 +347,35 @@ def example_to_dict(ex: MentionExample) -> dict:
     }
 
 
+_OPTIONAL_LISTS = ("categories", "doc_first_sentence", "left_extra", "right_extra")
+
+
+def _is_string_list(value) -> bool:
+    try:
+        "".join(value)  # TypeError on any non-string element, checked in C
+    except TypeError:
+        return False
+    return type(value) is list
+
+
 def example_from_dict(obj: dict) -> MentionExample:
-    return MentionExample(
-        mention=obj["mention"],
-        tokens=list(obj["tokens"]),
-        span=(obj["span"][0], obj["span"][1]),
-        entity=obj.get("entity"),
-        categories=obj.get("categories"),
-        doc_first_sentence=obj.get("doc_first_sentence"),
-        left_extra=obj.get("left_extra"),
-        right_extra=obj.get("right_extra"),
-    )
+    """The example of one wire row; ValueError names a field of the wrong type."""
+    mention, tokens, span, entity = obj["mention"], obj["tokens"], obj["span"], obj.get("entity")
+    if type(mention) is not str:
+        raise ValueError("mention must be a string")
+    if not _is_string_list(tokens):
+        raise ValueError("tokens must be a list of strings")
+    if type(span) is not list or tuple(map(type, span)) != (int, int):
+        raise ValueError("span must be a list of two integers")
+    if entity is not None and type(entity) is not str:
+        raise ValueError("entity must be a string or null")
+    categories, first, left, right = lists = [obj.get(key) for key in _OPTIONAL_LISTS]
+    for key, value in zip(_OPTIONAL_LISTS, lists):
+        if value is not None and not _is_string_list(value):
+            raise ValueError(f"{key} must be a list of strings or null")
+    return MentionExample(mention=mention, tokens=list(tokens), span=(span[0], span[1]),
+                          entity=entity, categories=categories, doc_first_sentence=first,
+                          left_extra=left, right_extra=right)
 
 
 def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
@@ -370,11 +388,28 @@ def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
     return count
 
 
-def iter_json_lines(path: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of a file, in order."""
+def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = None) -> Iterator:
+    """The JSON object on each non-blank line of a file, in order, through `convert`.
+
+    A line that is not a JSON object, or that `convert` refuses with
+    ValueError or KeyError, raises ValueError naming ``path:line``.
+    """
     with open(path, encoding="utf-8") as fh:
-        yield from (json.loads(line) for line in fh if line.strip())
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                if type(row) is not dict:
+                    raise ValueError("expected a JSON object")
+                if convert is not None:
+                    row = convert(row)
+            except KeyError as err:
+                raise ValueError(f"{path}:{lineno}: missing field {err}") from None
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            yield row
 
 
 def read_examples(path: str) -> list[MentionExample]:
-    return [example_from_dict(row) for row in iter_json_lines(path)]
+    return list(iter_json_lines(path, example_from_dict))

@@ -23,7 +23,6 @@ def pipeline_argv(paths, workdir, **overrides):
         "--feature-dim": "4096",
         "--epochs": "3",
         "--seed": "13",
-        "--workers": "1",
     }
     opts.update(overrides)
     argv = ["pipeline", "--quiet"]

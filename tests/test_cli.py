@@ -19,8 +19,7 @@ import typelink.cli
 import typelink.ingest
 from typelink.categories import CategoryVocab, expand_category
 from typelink.cli import build_parser, main, read_predictions
-from typelink.diagnostics import DiagnosticLog
-from typelink.ingest import (MentionExample, RawArticle, load_category_assignments,
+from typelink.ingest import (MentionExample, load_category_assignments,
                              read_examples, write_examples)
 from typelink.linker import SCORING_MODES
 from typelink.model import TrainConfig, TypingModel
@@ -124,13 +123,6 @@ class TestPipeline:
             assert code == 0, (argv[0], err)
         for name in PIPELINE_FILES:
             assert (b / name).read_bytes() == (workdir_a / name).read_bytes(), name
-
-    def test_two_workers_give_the_same_bytes(self, pipeline_run, tmp_path):
-        _, paths, workdir_a = pipeline_run
-        code = main(pipeline_argv(paths, tmp_path, **{"--workers": "2"}))
-        assert code == 0
-        for name in PIPELINE_FILES:
-            assert (tmp_path / name).read_bytes() == (workdir_a / name).read_bytes(), name
 
     def test_context_mode_is_set_at_train_and_read_from_the_model(self, pipeline_run, capsys,
                                                                   tmp_path, monkeypatch):
@@ -383,6 +375,46 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
 
+    @pytest.mark.parametrize("row", [
+        '[1,2]', '"hi"', '{"mention":"aa","tokens":["aa"],"span":5,"entity":"A"}',
+        '{"mention":"aa","tokens":["aa"],"span":[0],"entity":"A"}',
+        '{"mention":"aa","tokens":["aa"],"span":[0.0,1.0],"entity":"A"}',
+        '{"mention":"aa","tokens":5,"span":[0,1],"entity":"A"}',
+        '{"mention":"aa","tokens":["aa"],"span":[0,1],"entity":"A","categories":"xy"}',
+    ], ids=["list", "string", "span_int", "span_short", "span_floats", "tokens_int",
+            "categories_string"])
+    @pytest.mark.parametrize("command", ["link", "train"])
+    def test_malformed_mention_row_names_its_file_and_line(self, pipeline_run, capsys,
+                                                          tmp_path, command, row):
+        _, paths, workdir = pipeline_run
+        good = '{"mention":"aa","tokens":["aa"],"span":[0,1],"entity":"A"}'
+        mentions = write_text(tmp_path / "m.jsonl", f"{good}\n{row}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "link":
+            argv = ["link", "--model", str(workdir / "model.json"),
+                    "--prior", str(workdir / "prior.tsv"), "--categories", paths["categories"],
+                    "--predictions", str(out / "p.jsonl")]
+        else:
+            argv = ["train", "--vocab", write_text(tmp_path / "v.txt", "x\ny\n"),
+                    "--model", str(out / "model.json"), "--quiet"]
+        code, _, err = run_cli([*argv, "--mentions", mentions], capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {mentions}:2: "), err
+        assert list(out.iterdir()) == []
+
+    def test_non_object_prediction_row_names_its_file_and_line(self, capsys, tmp_path):
+        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        mentions = tmp_path / "m.jsonl"
+        write_examples(str(mentions), [ex])
+        predictions = write_text(tmp_path / "p.jsonl", "[1]\n")
+        code, _, err = run_cli(
+            ["eval", "--mentions", str(mentions), "--predictions", predictions,
+             "--report", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {predictions}:1: "), err
+        assert not (tmp_path / "r.json").exists()
+
     def link_with_model(self, pipeline_run, capsys, tmp_path, corrupt):
         """Run link on a corrupted copy of the pipeline's model file."""
         _, paths, workdir = pipeline_run
@@ -509,7 +541,8 @@ class TestErrorCodes:
                                             ("--typing-threshold", "2"),
                                             ("--learning-rate", "inf"), ("--threshold", "2"),
                                             ("--vocab-size", "0"), ("--seed", "-1"),
-                                            ("--workers", "0"), ("--workers", "-3")])
+                                            ("--workers", "0"), ("--workers", "-3"),
+                                            ("--workers", "2")])
     def test_pipeline_checks_later_stage_settings_first(self, pipeline_run, capsys, tmp_path,
                                                         flag, value):
         _, paths, _ = pipeline_run
@@ -734,31 +767,6 @@ def test_standalone_stages_print_diagnostics(tmp_path, capsys):
     assert err.splitlines()[-1] == "diagnostics: unlabeled_example=1"
 
 
-def test_workers_capped_at_the_chunk_count(monkeypatch):
-    started = []
-
-    class RecordingExecutor:
-        """Runs the map in this process and records the pool size asked for."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(typelink.cli, "ProcessPoolExecutor", RecordingExecutor)
-    articles = [RawArticle("A", ["see [[A|a]] here ."]), RawArticle("B", ["[[B]] too ."])]
-    examples = typelink.cli._extract_all(articles, 64, DiagnosticLog())
-    assert started == [2]
-    assert examples == typelink.cli._extract_all(articles, 1, DiagnosticLog())
-
-
 def test_seed_accepted_only_where_read():
     parser = build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -860,6 +868,14 @@ def test_no_scipy_import():
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "typelink.cli" in imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    code = ("import sys, typelink.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -336,6 +336,38 @@ def test_round_trip_via_dict_helpers():
     assert example_from_dict(example_to_dict(ex)) == ex
 
 
+GOOD_ROW = {"mention": "aa", "tokens": ["aa", "b"], "span": [0, 1], "entity": "A"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mention", 5), ("tokens", 5), ("tokens", "aa"), ("tokens", ["aa", 5]),
+    ("span", 5), ("span", [0]), ("span", [0, 1, 2]), ("span", [0.0, 1.0]),
+    ("span", [False, True]), ("span", "01"), ("entity", 5), ("categories", "xy"),
+    ("categories", ["x", None]), ("doc_first_sentence", "b"), ("left_extra", [1]),
+    ("right_extra", {"a": 1}),
+])
+def test_example_from_dict_refuses_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        example_from_dict({**GOOD_ROW, field: value})
+
+
+def test_example_from_dict_takes_null_optional_fields():
+    row = {**GOOD_ROW, "entity": None, "categories": None, "doc_first_sentence": None,
+           "left_extra": [], "right_extra": None}
+    assert example_from_dict(row) == MentionExample(mention="aa", tokens=["aa", "b"],
+                                                    span=(0, 1), left_extra=[])
+
+
+@pytest.mark.parametrize("line", ['[1, 2]', '"hi"', '5', 'null',
+                                  '{"mention": "aa", "tokens": ["aa"], "span": [0]}',
+                                  '{"mention": "aa"}', '{"mention": "aa",'])
+def test_read_examples_names_the_file_and_line_of_a_malformed_row(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(GOOD_ROW) + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: "):
+        read_examples(str(path))
+
+
 def test_load_category_assignments(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("E1\tCats\nE1\tDogs\nE2\tCats\n", encoding="utf-8")
