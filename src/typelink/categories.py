@@ -19,6 +19,7 @@ from .atomic import atomic_write
 
 # Whole-token, case-insensitive preposition triggers for splitting.
 DEFAULT_PREPOSITIONS = ("in", "from", "for", "of", "by", "involving")
+_DEFAULT_PREPOSITION_SET = frozenset(DEFAULT_PREPOSITIONS)
 
 
 def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> list[str]:
@@ -34,7 +35,10 @@ def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS
     """
     if not raw:
         raise ValueError("empty category string")
-    prep_set = {p.lower() for p in prepositions}
+    if prepositions is DEFAULT_PREPOSITIONS:
+        prep_set = _DEFAULT_PREPOSITION_SET
+    else:
+        prep_set = {p.lower() for p in prepositions}
     tokens = raw.split()
     split_at = next((i for i, tok in enumerate(tokens) if tok.lower() in prep_set), None)
     if split_at is None or split_at == 0:

@@ -40,7 +40,7 @@ from .prior import (DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate,
 
 
 class CliError(Exception):
-    """A missing input, reported under its NOT_FOUND code: CliError(code, path)."""
+    """A refused path, reported under its code: CliError(code, detail)."""
 
 
 # --- stages ------------------------------------------------------------------
@@ -181,8 +181,22 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     return log
 
 
+def prediction_from_dict(row: dict) -> dict:
+    """A predictions row as `link` writes it; ValueError names a field of the wrong type."""
+    chosen, scores = row["chosen"], row["scores"]
+    if chosen is not None and type(chosen) is not str:
+        raise ValueError("chosen must be a string or null")
+    if type(row["used_backoff"]) is not bool:
+        raise ValueError("used_backoff must be true or false")
+    if type(scores) is not list or not all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+            and type(pair[1]) in (int, float) for pair in scores):
+        raise ValueError("scores must be a list of [entity, number] pairs")
+    return row
+
+
 def read_predictions(path: str) -> list[dict]:
-    return list(iter_json_lines(path))
+    return list(iter_json_lines(path, prediction_from_dict))
 
 
 def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
@@ -339,18 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
         """A subparser that runs `stage`, reads the path flags `reads` and writes
         `writes`; the flags in `optional` may be left out."""
         p = sub.add_parser(name, help=help)
-        inputs = {}
+        inputs, outputs = {}, []
         for flag in (*reads, *writes):
             action = p.add_argument(flag, required=flag not in optional)
             if flag in reads:
                 inputs[action.dest] = NOT_FOUND[flag.rsplit("-", 1)[1]]
+            else:
+                outputs.append(action.dest)
         for flag in settings:
             p.add_argument(flag, **SETTINGS[flag])
         # Parsing runs in one process; --workers stays, fixed at 1, for
         # command lines that pin it.
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(run=stage, inputs=inputs)
+        p.set_defaults(run=stage, inputs=inputs, outputs=outputs)
         return p
 
     p = subcommand("ingest", stage_ingest, "parse articles into mention examples",
@@ -388,9 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_args(args: argparse.Namespace) -> None:
-    """Refuse a bad setting or a missing input before any stage reads or writes.
+    """Refuse a bad setting, a missing input or an output in a missing
+    directory before any stage reads or writes.
 
-    `pipeline` takes every setting, so it checks all its stages' settings.
+    `pipeline` takes every setting, so it checks all its stages' settings;
+    its outputs may also go in the --workdir it creates.
     """
     given = vars(args)
     _train_config(args)  # each training setting, --seed (ingest's sampling seed) too
@@ -415,6 +433,13 @@ def check_args(args: argparse.Namespace) -> None:
     for dest, code in args.inputs.items():
         if given[dest] is not None and not os.path.exists(given[dest]):
             raise CliError(code, given[dest])
+    workdir = os.path.abspath(given["workdir"]) if "workdir" in given else None
+    for path in (given[dest] for dest in args.outputs):
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory) and directory != workdir:
+            raise CliError("IO_ERROR", f"no directory for output {path}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -153,15 +153,15 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
 def build_context(example: MentionExample, mode: ContextMode) -> MentionExample:
     """Extend an example's token window per the context mode.
 
-    The returned copy has its span re-indexed and the consumed auxiliary
-    field emptied, so applying the same mode again is a no-op.  The
-    mention surface string is never altered.
+    The returned example has fresh `tokens`, its span re-indexed and the
+    consumed auxiliary field emptied, so applying the same mode again is a
+    no-op; its other lists are the input's.  The mention surface string is
+    never altered.
     """
     mode = ContextMode(mode)
-    out = example.copy()
+    start, end = example.span
     if mode is ContextMode.SENTENCE_ONLY:
-        return out
-    start, end = out.span
+        return dataclasses.replace(example, tokens=list(example.tokens))
     if mode is ContextMode.SENTENCE_PLUS_WINDOW50:
         if example.left_extra is None:
             raise ValueError("context mode needs left_extra, which is missing")
@@ -169,15 +169,12 @@ def build_context(example: MentionExample, mode: ContextMode) -> MentionExample:
             raise ValueError("context mode needs right_extra, which is missing")
         left = example.left_extra[-CONTEXT_WINDOW:]
         right = example.right_extra[:CONTEXT_WINDOW]
-        out.tokens = list(left) + out.tokens + list(right)
-        out.span = (start + len(left), end + len(left))
-        out.left_extra = []
-        out.right_extra = []
-        return out
+        return dataclasses.replace(example, tokens=left + example.tokens + right,
+                                   span=(start + len(left), end + len(left)),
+                                   left_extra=[], right_extra=[])
     if example.doc_first_sentence is None:
         raise ValueError("context mode needs doc_first_sentence, which is missing")
-    prefix = list(example.doc_first_sentence)
-    out.tokens = prefix + out.tokens
-    out.span = (start + len(prefix), end + len(prefix))
-    out.doc_first_sentence = []
-    return out
+    prefix = example.doc_first_sentence
+    return dataclasses.replace(example, tokens=prefix + example.tokens,
+                               span=(start + len(prefix), end + len(prefix)),
+                               doc_first_sentence=[])

@@ -11,7 +11,9 @@ text.
 An article file is read in one streaming pass, one record at a time.
 Each sentence is scanned once for markup (`_parse_sentence`), its text
 split into tokens once, and each link placed on its tokens by binary
-search over the token offsets.
+search over the token offsets.  A mention file (`write_examples`,
+`read_examples`) stores the tokens that consecutive examples' context
+windows share once.
 """
 
 from __future__ import annotations
@@ -331,20 +333,105 @@ def sample_training_set(examples: Sequence[MentionExample], n_train: int, n_dev:
     return train, dev
 
 
-# --- JSONL serialization -----------------------------------------------------
+# --- mention files ------------------------------------------------------------
+#
+# A mention file is the header line MENTIONS_HEADER, then one JSON record
+# per run of consecutive examples:
+#
+#   {"run": [token, ...], "first": [token, ...] or null,
+#    "examples": [[offset, n_left, n_tokens, n_right, start, end,
+#                  entity, categories, first_flag], ...]}
+#
+# An example's left_extra + tokens + right_extra is the slice of `run` that
+# starts at `offset`, cut by the three lengths (n_left or n_right null: that
+# window is null).  `span` is (start, end) within tokens and the mention is
+# its text.  first_flag is null for a null doc_first_sentence, false for an
+# empty one and true for the record's `first`.  The writer starts a new
+# record when an example's window does not fit the run or its first
+# sentence differs from the record's, so the examples of one article, in
+# order, share one record and each of its tokens is stored once.
 
-def example_to_dict(ex: MentionExample) -> dict:
-    """Wire representation; key order is part of the file format."""
-    return {
-        "mention": ex.mention,
-        "tokens": ex.tokens,
-        "span": [ex.span[0], ex.span[1]],
-        "entity": ex.entity,
-        "categories": ex.categories,
-        "doc_first_sentence": ex.doc_first_sentence,
-        "left_extra": ex.left_extra,
-        "right_extra": ex.right_extra,
-    }
+MENTIONS_HEADER = {"format": "typelink-mentions", "version": 2}
+# Offsets at which a window is tried before it starts a new record; bounds
+# the writer's work per example.
+PLACEMENT_TRIES = 8
+
+
+def _json_line(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+_HEADER_LINE = _json_line(MENTIONS_HEADER)
+
+
+class _Record:
+    """The record being written: a token run, its first sentence and its examples."""
+
+    def __init__(self) -> None:
+        self.run: list[str] = []
+        self.first: Optional[list[str]] = None
+        self.rows: list[list] = []
+        self.last = 0  # offset of the last example placed
+
+    def add(self, ex: MentionExample) -> bool:
+        """Place `ex` in this record; False when it needs a new one."""
+        first = ex.doc_first_sentence
+        if first and self.first is not None and first != self.first:
+            return False
+        left, right = ex.left_extra, ex.right_extra
+        window = [*(left or ()), *ex.tokens, *(right or ())]
+        offset = self._place(window)
+        if offset is None:
+            return False
+        if first and self.first is None:
+            self.first = list(first)
+        self.rows.append([offset, None if left is None else len(left), len(ex.tokens),
+                          None if right is None else len(right), ex.span[0], ex.span[1],
+                          ex.entity, ex.categories, None if first is None else bool(first)])
+        return True
+
+    def _place(self, window: list[str]) -> Optional[int]:
+        """The first offset, at or after the last example's, where `window`
+        agrees with the run as far as they overlap, the run extended by the
+        rest of `window`; None when none of the first PLACEMENT_TRIES offsets
+        holding `window[0]` agrees."""
+        run = self.run
+        if not run:
+            run.extend(window)
+            return 0
+        offset = self.last
+        for _ in range(PLACEMENT_TRIES):
+            try:
+                offset = run.index(window[0], offset)
+            except ValueError:
+                return None
+            overlap = len(run) - offset
+            if run[offset:offset + len(window)] == window[:overlap]:
+                run.extend(window[overlap:])
+                self.last = offset
+                return offset
+            offset += 1
+        return None
+
+    def line(self) -> str:
+        return _json_line({"run": self.run, "first": self.first, "examples": self.rows})
+
+
+def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
+    """Write a mention file; returns the number of examples."""
+    count = 0
+    with atomic_write(path) as fh:
+        fh.write(_HEADER_LINE)
+        record = _Record()
+        for ex in examples:
+            if not record.add(ex):
+                fh.write(record.line())
+                record = _Record()
+                record.add(ex)
+            count += 1
+        if record.rows:
+            fh.write(record.line())
+    return count
 
 
 _OPTIONAL_LISTS = ("categories", "doc_first_sentence", "left_extra", "right_extra")
@@ -359,7 +446,7 @@ def _is_string_list(value) -> bool:
 
 
 def example_from_dict(obj: dict) -> MentionExample:
-    """The example of one wire row; ValueError names a field of the wrong type."""
+    """The example of a dict of its fields; ValueError names a field of the wrong type."""
     mention, tokens, span, entity = obj["mention"], obj["tokens"], obj["span"], obj.get("entity")
     if type(mention) is not str:
         raise ValueError("mention must be a string")
@@ -378,14 +465,38 @@ def example_from_dict(obj: dict) -> MentionExample:
                           left_extra=left, right_extra=right)
 
 
-def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
-    count = 0
-    with atomic_write(path) as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_dict(ex), ensure_ascii=False,
-                                separators=(",", ":")) + "\n")
-            count += 1
-    return count
+def examples_from_record(record: dict) -> list[MentionExample]:
+    """The examples of one mention-file record; ValueError names what is malformed."""
+    run, first, rows = record["run"], record["first"], record["examples"]
+    if not _is_string_list(run):
+        raise ValueError("run must be a list of strings")
+    if first is not None and not _is_string_list(first):
+        raise ValueError("first must be a list of strings or null")
+    if type(rows) is not list:
+        raise ValueError("examples must be a list")
+    examples = []
+    for row in rows:
+        if type(row) is not list or len(row) != 9:
+            raise ValueError("an example must be a list of 9 fields")
+        offset, n_left, n_tokens, n_right, start, end, entity, categories, flag = row
+        sizes = (offset, 0 if n_left is None else n_left, n_tokens,
+                 0 if n_right is None else n_right)
+        if any(type(n) is not int or n < 0 for n in sizes) or sum(sizes) > len(run):
+            raise ValueError("offset and lengths must be non-negative integers "
+                             f"within the run of {len(run)} tokens")
+        if (flag is not None and type(flag) is not bool) or (flag and first is None):
+            raise ValueError("first_flag must be null, false, or true in a record with first")
+        begin = offset + sizes[1]
+        stop = begin + n_tokens
+        tokens = run[begin:stop]
+        spanned = tokens[start:end] if type(start) is int and type(end) is int else []
+        examples.append(example_from_dict({
+            "mention": " ".join(spanned), "tokens": tokens, "span": [start, end],
+            "entity": entity, "categories": categories,
+            "doc_first_sentence": None if flag is None else list(first) if flag else [],
+            "left_extra": None if n_left is None else run[offset:begin],
+            "right_extra": None if n_right is None else run[stop:stop + n_right]}))
+    return examples
 
 
 def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = None) -> Iterator:
@@ -412,4 +523,20 @@ def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = Non
 
 
 def read_examples(path: str) -> list[MentionExample]:
-    return list(iter_json_lines(path, example_from_dict))
+    """The examples of a mention file in file order; a file with no lines holds none.
+
+    A missing or unknown header and a malformed record raise ValueError
+    naming ``path:line``.
+    """
+    headed = False
+
+    def convert(row: dict) -> list[MentionExample]:
+        nonlocal headed
+        if headed:
+            return examples_from_record(row)
+        if row != MENTIONS_HEADER:
+            raise ValueError(f"expected the header line {_HEADER_LINE.strip()}")
+        headed = True
+        return []
+
+    return [ex for examples in iter_json_lines(path, convert) for ex in examples]

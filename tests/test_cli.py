@@ -73,8 +73,8 @@ class TestPipeline:
     def test_prediction_rows_align_with_mentions(self, pipeline_run):
         _, _, workdir = pipeline_run
         predictions = read_predictions(str(workdir / "predictions.jsonl"))
-        mentions = (workdir / "eval_mentions.jsonl").read_text(encoding="utf-8")
-        assert len(predictions) == len(mentions.splitlines())
+        mentions = read_examples(str(workdir / "eval_mentions.jsonl"))
+        assert len(predictions) == len(mentions)
 
     def test_prediction_key_order(self, pipeline_run):
         _, _, workdir = pipeline_run
@@ -185,8 +185,8 @@ class TestPipeline:
         assert vocab.read_bytes() == (workdir_a / "vocab.txt").read_bytes()
         raw = (workdir / "eval_mentions_raw.jsonl").read_bytes()
         assert raw == (workdir_a / "eval_mentions_raw.jsonl").read_bytes()
-        rows = [json.loads(line) for line in raw.decode("utf-8").splitlines()]
-        assert rows and all(row["categories"] is None for row in rows)
+        rows = read_examples(str(workdir / "eval_mentions_raw.jsonl"))
+        assert rows and all(ex.categories is None for ex in rows)
 
     def test_huge_feature_dim_trains_and_links(self, pipeline_run, capsys, tmp_path):
         # A dense model would be categories x 2**43 x 8 bytes; the compact one
@@ -376,19 +376,19 @@ class TestErrorCodes:
         assert "error: INVALID_INPUT:" in err
 
     @pytest.mark.parametrize("row", [
-        '[1,2]', '"hi"', '{"mention":"aa","tokens":["aa"],"span":5,"entity":"A"}',
-        '{"mention":"aa","tokens":["aa"],"span":[0],"entity":"A"}',
-        '{"mention":"aa","tokens":["aa"],"span":[0.0,1.0],"entity":"A"}',
-        '{"mention":"aa","tokens":5,"span":[0,1],"entity":"A"}',
-        '{"mention":"aa","tokens":["aa"],"span":[0,1],"entity":"A","categories":"xy"}',
+        '[1,2]', '"hi"', '{"run":["aa"],"first":null,"examples":[[0,0,1,0,0,2,"A",null,null]]}',
+        '{"run":["aa"],"first":null,"examples":[[0,0,1,0,0,1,"A",null]]}',
+        '{"run":["aa"],"first":null,"examples":[[0,0,1,0,0.0,1.0,"A",null,null]]}',
+        '{"run":5,"first":null,"examples":[[0,0,1,0,0,1,"A",null,null]]}',
+        '{"run":["aa"],"first":null,"examples":[[0,0,1,0,0,1,"A","xy",null]]}',
     ], ids=["list", "string", "span_int", "span_short", "span_floats", "tokens_int",
             "categories_string"])
     @pytest.mark.parametrize("command", ["link", "train"])
     def test_malformed_mention_row_names_its_file_and_line(self, pipeline_run, capsys,
                                                           tmp_path, command, row):
         _, paths, workdir = pipeline_run
-        good = '{"mention":"aa","tokens":["aa"],"span":[0,1],"entity":"A"}'
-        mentions = write_text(tmp_path / "m.jsonl", f"{good}\n{row}\n")
+        header = '{"format":"typelink-mentions","version":2}'
+        mentions = write_text(tmp_path / "m.jsonl", f"{header}\n{row}\n")
         out = tmp_path / "out"
         out.mkdir()
         if command == "link":
@@ -403,6 +403,21 @@ class TestErrorCodes:
         assert err.startswith(f"error: INVALID_INPUT: {mentions}:2: "), err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("first_line", [
+        '{"mention":"aa","tokens":["aa"],"span":[0,1],"entity":"A"}',
+        '{"format":"typelink-mentions","version":3}',
+    ], ids=["old_format", "unknown_version"])
+    def test_mention_file_without_its_header_is_refused(self, capsys, tmp_path, first_line):
+        mentions = write_text(tmp_path / "m.jsonl", f"{first_line}\n")
+        code, _, err = run_cli(
+            ["build-vocab", "--mentions", mentions, "--prior", write_text(tmp_path / "p.tsv", ""),
+             "--categories", write_text(tmp_path / "c.tsv", ""),
+             "--vocab", str(tmp_path / "v.txt")], capsys)
+        assert code == 2
+        assert err == (f"error: INVALID_INPUT: {mentions}:1: expected the header line "
+                       '{"format":"typelink-mentions","version":2}\n')
+        assert not (tmp_path / "v.txt").exists()
+
     def test_non_object_prediction_row_names_its_file_and_line(self, capsys, tmp_path):
         ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
@@ -414,6 +429,67 @@ class TestErrorCodes:
         assert code == 2
         assert err.startswith(f"error: INVALID_INPUT: {predictions}:1: "), err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("row", [
+        '{"mention":"aa","chosen":["A"],"used_backoff":"x","scores":5}',
+        '{"mention":"aa","chosen":5,"used_backoff":false,"scores":[]}',
+        '{"mention":"aa","chosen":"A","used_backoff":1,"scores":[]}',
+        '{"mention":"aa","chosen":"A","used_backoff":false,"scores":5}',
+        '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[["A"]]}',
+        '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[["A","1"]]}',
+        '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[[1,0.5]]}',
+        '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[["A",true]]}',
+        '{"mention":"aa","chosen":"A","used_backoff":false}',
+    ], ids=["all", "chosen_int", "backoff_int", "scores_int", "pair_short",
+            "score_string", "entity_int", "score_bool", "scores_missing"])
+    def test_mistyped_prediction_row_names_its_file_and_line(self, capsys, tmp_path, row):
+        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        mentions = tmp_path / "m.jsonl"
+        write_examples(str(mentions), [ex, ex])
+        good = '{"mention":"aa","chosen":null,"used_backoff":true,"scores":[["A",1],["B",0.5]]}'
+        predictions = write_text(tmp_path / "p.jsonl", f"{good}\n{row}\n")
+        code, _, err = run_cli(
+            ["eval", "--mentions", str(mentions), "--predictions", predictions,
+             "--report", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {predictions}:2: "), err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["build-prior", "link", "ingest"])
+    def test_output_in_a_missing_directory_is_refused_before_any_input_is_read(
+            self, capsys, tmp_path, monkeypatch, command):
+        junk = write_text(tmp_path / "junk", "{not json\n")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        for name in ("iter_articles", "read_examples"):
+            monkeypatch.setattr(typelink.cli, name, must_not_run)
+        out = tmp_path / "nodir" / "out"
+        argv = {
+            "build-prior": ["build-prior", "--articles", junk, "--prior", str(out)],
+            "link": ["link", "--mentions", junk, "--model", junk, "--prior", junk,
+                     "--categories", junk, "--predictions", str(out)],
+            "ingest": ["ingest", "--articles", junk, "--categories", junk,
+                       "--mentions", str(tmp_path / "m.jsonl"), "--sample-train", "1",
+                       "--sample-dev", "0", "--train-out", str(tmp_path / "t.jsonl"),
+                       "--dev-out", str(out)],
+        }[command]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"error: IO_ERROR: no directory for output {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["junk"]
+
+    def test_pipeline_outputs_may_go_in_the_workdir_it_creates(self, small_corpus, tmp_path):
+        _, paths = small_corpus
+        workdir = tmp_path / "new" / "work"
+        args = build_parser().parse_args(
+            pipeline_argv(paths, workdir, **{"--report": str(workdir / "r.json")}))
+        typelink.cli.check_args(args)
+        args = build_parser().parse_args(
+            pipeline_argv(paths, workdir, **{"--report": str(tmp_path / "new" / "r.json")}))
+        with pytest.raises(typelink.cli.CliError):
+            typelink.cli.check_args(args)
 
     def link_with_model(self, pipeline_run, capsys, tmp_path, corrupt):
         """Run link on a corrupted copy of the pipeline's model file."""
@@ -662,12 +738,12 @@ class TestHandCorpus:
         ):
             code, _, err = run_cli(argv, capsys)
             assert code == 0, err
-        joined = json.loads(out_joined.read_text(encoding="utf-8").splitlines()[0])
-        split = json.loads(out_split.read_text(encoding="utf-8").splitlines()[0])
-        assert joined["tokens"] == ["A", "b", "c", ".", "Next", "sentence",
-                                    "here", "."]
-        assert split["tokens"] == ["A", "b", "c", "."]
-        assert split["right_extra"] == ["Next", "sentence", "here", "."]
+        [joined] = read_examples(str(out_joined))
+        [split] = read_examples(str(out_split))
+        assert joined.tokens == ["A", "b", "c", ".", "Next", "sentence",
+                                 "here", "."]
+        assert split.tokens == ["A", "b", "c", "."]
+        assert split.right_extra == ["Next", "sentence", "here", "."]
 
 
     def test_tab_target_and_empty_category_are_counted_not_fatal(self, tmp_path, capsys):
@@ -808,6 +884,7 @@ def test_every_setting_and_input_is_checked_before_any_stage(tmp_path, monkeypat
     existing = write_text(tmp_path / "exists", "")
     missing = str(tmp_path / "missing")
     outputs = tmp_path / "out"
+    outputs.mkdir()
     for command, p in sub.choices.items():
         # Flags that take a value: paths (no type, no choices) and settings.
         actions = {a.option_strings[0]: a for a in p._actions
@@ -832,12 +909,17 @@ def test_every_setting_and_input_is_checked_before_any_stage(tmp_path, monkeypat
             # A code names the kind of file: --eval-articles gives ARTICLES_NOT_FOUND.
             assert code == flag.rsplit("-", 1)[1].upper() + "_NOT_FOUND"
             assert run(**{flag: missing}) == (2, "", f"error: {code}: {missing}\n"), flag
+        for flag, a in actions.items():
+            if a.dest in p.get_default("outputs"):
+                out = str(tmp_path / "missing" / "out")
+                assert run(**{flag: out}) == (
+                    2, "", f"error: IO_ERROR: no directory for output {out}\n"), flag
         for flag in numeric:
             for value in ["-1", "nan"] if actions[flag].type is float else ["-1"]:
                 code, _, err = run(**{flag: value})
                 assert (code, err.startswith("error: INVALID_INPUT: ")) == (2, True), \
                     (command, flag, value, err)
-    assert not outputs.exists()
+    assert list(outputs.iterdir()) == []
 
 
 def test_bare_train_parse_gives_the_default_config():

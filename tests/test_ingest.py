@@ -1,8 +1,9 @@
+import dataclasses
 import json
 import os
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import typelink.ingest
@@ -10,7 +11,7 @@ from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
 from typelink.ingest import (CONTEXT_WINDOW, CategoryAssignment, MentionExample, RawArticle,
-                             attach_categories, example_from_dict, example_to_dict,
+                             MENTIONS_HEADER, attach_categories, example_from_dict,
                              extract_examples, iter_articles,
                              load_category_assignments, read_examples,
                              sample_training_set, split_sentences, write_examples)
@@ -302,10 +303,10 @@ def test_jsonl_key_order(tmp_path):
                         right_extra=[])
     path = tmp_path / "one.jsonl"
     write_examples(str(path), [ex])
-    raw = json.loads(path.read_text(encoding="utf-8"),
-                     object_pairs_hook=lambda pairs: [k for k, _ in pairs])
-    assert raw == ["mention", "tokens", "span", "entity", "categories",
-                   "doc_first_sentence", "left_extra", "right_extra"]
+    header, record = [json.loads(line, object_pairs_hook=lambda pairs: [k for k, _ in pairs])
+                      for line in path.read_text(encoding="utf-8").splitlines()]
+    assert header == ["format", "version"]
+    assert record == ["run", "first", "examples"]
 
 
 def test_failed_write_leaves_existing_file_and_no_temp_file(tmp_path):
@@ -333,7 +334,7 @@ def test_written_file_has_the_mode_plain_open_gives(tmp_path):
 
 def test_round_trip_via_dict_helpers():
     ex = MentionExample(mention="a b", tokens=["a", "b", "c"], span=(0, 2))
-    assert example_from_dict(example_to_dict(ex)) == ex
+    assert example_from_dict({**dataclasses.asdict(ex), "span": [0, 2]}) == ex
 
 
 GOOD_ROW = {"mention": "aa", "tokens": ["aa", "b"], "span": [0, 1], "entity": "A"}
@@ -363,9 +364,148 @@ def test_example_from_dict_takes_null_optional_fields():
                                   '{"mention": "aa"}', '{"mention": "aa",'])
 def test_read_examples_names_the_file_and_line_of_a_malformed_row(tmp_path, line):
     path = tmp_path / "m.jsonl"
-    path.write_text(json.dumps(GOOD_ROW) + "\n\n" + line + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{path}:3: "):
+    path.write_text(f"{HEADER}\n{GOOD_RECORD}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:4: "):
         read_examples(str(path))
+
+
+HEADER = json.dumps(MENTIONS_HEADER, separators=(",", ":"))
+GOOD_EXAMPLE = [0, 1, 2, None, 0, 1, "A", ["c"], True]
+GOOD_RECORD = json.dumps({"run": ["x", "aa", "b"], "first": ["x"], "examples": [GOOD_EXAMPLE]})
+
+
+def test_a_record_holds_each_window_as_a_slice_of_its_run(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{HEADER}\n{GOOD_RECORD}\n", encoding="utf-8")
+    assert read_examples(str(path)) == [MentionExample(
+        mention="aa", tokens=["aa", "b"], span=(0, 1), entity="A", categories=["c"],
+        doc_first_sentence=["x"], left_extra=["x"], right_extra=None)]
+
+
+def test_examples_of_one_article_share_one_record(tmp_path):
+    art = RawArticle("Doc", ["First [[A|a]] here .", "Then [[B|b]] and [[C|c]] .",
+                             "tail [[D|d]] ."])
+    examples = extract_examples(art)
+    path = tmp_path / "m.jsonl"
+    write_examples(str(path), examples)
+    header, record = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(record)
+    assert record["run"] == ["First", "a", "here", ".", "Then", "b", "and", "c", ".",
+                             "tail", "d", "."]
+    assert record["first"] == ["First", "a", "here", "."]
+    assert [row[:4] for row in record["examples"]] == [[0, 0, 4, 8], [0, 4, 5, 3],
+                                                       [0, 4, 5, 3], [0, 9, 3, 0]]
+    assert read_examples(str(path)) == examples
+
+
+def test_a_file_with_no_lines_holds_no_examples(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert read_examples(str(empty)) == []
+    written = tmp_path / "none.jsonl"
+    assert write_examples(str(written), []) == 0
+    assert written.read_text(encoding="utf-8") == HEADER + "\n"
+    assert read_examples(str(written)) == []
+
+
+@pytest.mark.parametrize("first_line", [
+    json.dumps(GOOD_ROW), '{"format":"typelink-mentions","version":3}',
+    '{"format":"typelink-mentions"}', '{"version":2}', GOOD_RECORD,
+], ids=["old_format", "version_3", "no_version", "no_format", "record_first"])
+def test_a_file_without_the_header_is_refused_at_its_first_line(tmp_path, first_line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{first_line}\n{GOOD_RECORD}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:1: expected the header line "):
+        read_examples(str(path))
+
+
+def _with_example_field(index, value):
+    example = list(GOOD_EXAMPLE)
+    example[index] = value
+    return {"examples": [example]}
+
+
+@pytest.mark.parametrize("change,message", [
+    (_with_example_field(0, 2), "offset and lengths"),
+    (_with_example_field(0, -1), "offset and lengths"),
+    (_with_example_field(0, 0.0), "offset and lengths"),
+    (_with_example_field(1, 3), "offset and lengths"),
+    (_with_example_field(1, "1"), "offset and lengths"),
+    (_with_example_field(2, None), "offset and lengths"),
+    (_with_example_field(2, 0), "invalid span"),
+    (_with_example_field(3, 1), "offset and lengths"),
+    (_with_example_field(3, False), "offset and lengths"),
+    (_with_example_field(4, "0"), "span"),
+    (_with_example_field(5, 1.0), "span"),
+    (_with_example_field(5, 3), "invalid span"),
+    (_with_example_field(6, 5), "entity"),
+    (_with_example_field(7, "c"), "categories"),
+    (_with_example_field(7, ["c", 1]), "categories"),
+    (_with_example_field(8, 1), "first_flag"),
+    (_with_example_field(8, "yes"), "first_flag"),
+    ({"first": None}, "first_flag"),
+    ({"first": "x"}, "first"),
+    ({"first": [1]}, "first"),
+    ({"run": "x aa b"}, "run"),
+    ({"run": ["x", 1, "b"]}, "run"),
+    ({"examples": {}}, "examples"),
+    ({"examples": [5]}, "9 fields"),
+    ({"examples": [GOOD_EXAMPLE[:8]]}, "9 fields"),
+    ({"examples": [GOOD_EXAMPLE + [None]]}, "9 fields"),
+])
+def test_a_malformed_record_is_refused_with_its_file_and_line(tmp_path, change, message):
+    path = tmp_path / "m.jsonl"
+    record = {**json.loads(GOOD_RECORD), **change}
+    path.write_text(f"{HEADER}\n{GOOD_RECORD}\n{json.dumps(record)}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: .*{message}"):
+        read_examples(str(path))
+
+
+# Tokens from a tiny alphabet repeat, so a window has several candidate offsets.
+article_token_st = st.sampled_from(["a", "b", "é"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=3)
+
+
+@st.composite
+def article_examples_st(draw):
+    """Examples cut from a few articles the way `extract_examples` cuts them,
+    with some windows or first sentences null or empty, in article order,
+    interleaved or permuted."""
+    examples = []
+    for tokens in draw(st.lists(st.lists(article_token_st, min_size=1, max_size=30),
+                                min_size=1, max_size=3)):
+        first = tokens[:draw(st.integers(1, len(tokens)))]
+        cuts = []
+        for _ in range(draw(st.integers(0, 5))):
+            begin = draw(st.integers(0, len(tokens) - 1))
+            end = draw(st.integers(begin + 1, len(tokens)))
+            start = draw(st.integers(0, end - begin - 1))
+            cuts.append((begin, end, start, draw(st.integers(start + 1, end - begin))))
+        if draw(st.booleans()):
+            cuts.sort()
+        for begin, end, start, stop in cuts:
+            sentence = tokens[begin:end]
+            width = draw(st.integers(0, 8))
+            entity = draw(st.none() | article_token_st)
+            examples.append(MentionExample(
+                mention=" ".join(sentence[start:stop]), tokens=sentence, span=(start, stop),
+                entity=entity,
+                categories=None if entity is None else draw(
+                    st.none() | st.lists(article_token_st, max_size=3)),
+                doc_first_sentence=draw(st.sampled_from([None, [], list(first)])),
+                left_extra=draw(st.sampled_from([None, tokens[max(0, begin - width):begin]])),
+                right_extra=draw(st.sampled_from([None, tokens[end:end + width]]))))
+    if draw(st.booleans()):
+        return draw(st.permutations(examples))
+    return examples
+
+
+@settings(max_examples=300)
+@given(examples=article_examples_st())
+def test_article_examples_round_trip_in_any_order(examples, tmp_path_factory):
+    path = tmp_path_factory.mktemp("rt") / "mentions.jsonl"
+    assert write_examples(str(path), examples) == len(examples)
+    assert read_examples(str(path)) == examples
 
 
 def test_load_category_assignments(tmp_path):
