@@ -81,16 +81,6 @@ class MentionExample:
         if self.entity is None and self.categories is not None:
             raise ValueError("categories present without an entity")
 
-    def copy(self) -> "MentionExample":
-        return dataclasses.replace(
-            self,
-            tokens=list(self.tokens),
-            categories=None if self.categories is None else list(self.categories),
-            doc_first_sentence=None if self.doc_first_sentence is None else list(self.doc_first_sentence),
-            left_extra=None if self.left_extra is None else list(self.left_extra),
-            right_extra=None if self.right_extra is None else list(self.right_extra),
-        )
-
 
 @dataclass
 class CategoryAssignment:
@@ -305,9 +295,7 @@ def attach_categories(examples: Iterable[MentionExample],
                 log.bump(diag.NO_VOCAB_CATEGORIES)
                 if not keep_uncategorized:
                     continue
-        labeled = ex.copy()
-        labeled.categories = cats
-        out.append(labeled)
+        out.append(dataclasses.replace(ex, categories=cats))
     return out
 
 
@@ -435,6 +423,7 @@ def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
 
 
 _OPTIONAL_LISTS = ("categories", "doc_first_sentence", "left_extra", "right_extra")
+_SPAN_TYPE = "span must be a list of two integers"
 
 
 def _is_string_list(value) -> bool:
@@ -445,6 +434,11 @@ def _is_string_list(value) -> bool:
     return type(value) is list
 
 
+def _check_entity(entity) -> None:
+    if entity is not None and type(entity) is not str:
+        raise ValueError("entity must be a string or null")
+
+
 def example_from_dict(obj: dict) -> MentionExample:
     """The example of a dict of its fields; ValueError names a field of the wrong type."""
     mention, tokens, span, entity = obj["mention"], obj["tokens"], obj["span"], obj.get("entity")
@@ -453,9 +447,8 @@ def example_from_dict(obj: dict) -> MentionExample:
     if not _is_string_list(tokens):
         raise ValueError("tokens must be a list of strings")
     if type(span) is not list or tuple(map(type, span)) != (int, int):
-        raise ValueError("span must be a list of two integers")
-    if entity is not None and type(entity) is not str:
-        raise ValueError("entity must be a string or null")
+        raise ValueError(_SPAN_TYPE)
+    _check_entity(entity)
     categories, first, left, right = lists = [obj.get(key) for key in _OPTIONAL_LISTS]
     for key, value in zip(_OPTIONAL_LISTS, lists):
         if value is not None and not _is_string_list(value):
@@ -466,7 +459,12 @@ def example_from_dict(obj: dict) -> MentionExample:
 
 
 def examples_from_record(record: dict) -> list[MentionExample]:
-    """The examples of one mention-file record; ValueError names what is malformed."""
+    """The examples of one mention-file record; ValueError names what is malformed.
+
+    The run and first sentence are checked once per record; an example's
+    tokens and windows are slices of them, so each example checks only its
+    own fields: offset and lengths, span, entity, categories and first_flag.
+    """
     run, first, rows = record["run"], record["first"], record["examples"]
     if not _is_string_list(run):
         raise ValueError("run must be a list of strings")
@@ -486,16 +484,19 @@ def examples_from_record(record: dict) -> list[MentionExample]:
                              f"within the run of {len(run)} tokens")
         if (flag is not None and type(flag) is not bool) or (flag and first is None):
             raise ValueError("first_flag must be null, false, or true in a record with first")
+        if type(start) is not int or type(end) is not int:
+            raise ValueError(_SPAN_TYPE)
+        _check_entity(entity)
+        if categories is not None and not _is_string_list(categories):
+            raise ValueError("categories must be a list of strings or null")
         begin = offset + sizes[1]
         stop = begin + n_tokens
         tokens = run[begin:stop]
-        spanned = tokens[start:end] if type(start) is int and type(end) is int else []
-        examples.append(example_from_dict({
-            "mention": " ".join(spanned), "tokens": tokens, "span": [start, end],
-            "entity": entity, "categories": categories,
-            "doc_first_sentence": None if flag is None else list(first) if flag else [],
-            "left_extra": None if n_left is None else run[offset:begin],
-            "right_extra": None if n_right is None else run[stop:stop + n_right]}))
+        examples.append(MentionExample(
+            " ".join(tokens[start:end]), tokens, (start, end), entity, categories,
+            None if flag is None else list(first) if flag else [],
+            None if n_left is None else run[offset:begin],
+            None if n_right is None else run[stop:stop + n_right]))
     return examples
 
 

@@ -22,17 +22,20 @@ the one `predict` gives for the same input.
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
 little-endian digest integer is reduced mod the feature-space size.
-Strings repeat across the mentions of a file, so `featurize` keeps, per
-hashing, a memo from string to id and hashes each distinct string once
-per process.
+`feature_strings` and `hash_feature` are the definition.  Tokens and
+mentions repeat across the mentions of a file, so `featurize` keeps, per
+hashing, memos from raw token to its `s|` and `m|` ids, from (offset,
+raw token) to its `w|` id and from mention to its `c3|`/`c4|` ids: a
+feature string is built and hashed only for a key seen for the first
+time, and the ids are exactly those of the definition.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from typing import Callable, Optional, Sequence
 
@@ -47,17 +50,31 @@ DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
 MODEL_FORMAT_VERSION = 3
 WINDOW_DISTANCE = 3
-# Entries a feature-id memo holds before it is emptied: about 8 MB of short
-# strings and ids.  One featurize pass over a file of 1,000 mentions fills
-# about 10,000.
+# Ids a feature-id memo holds before it is emptied.  One featurize pass over
+# a file of 1,000 mentions puts 700 to 11,000 ids in each.
 FEATURE_MEMO_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _feature_hash(hash_seed: int, feature_dim: int) -> Callable[[str], int]:
+    """`hash_feature` under one hashing, as a function of the string.
+
+    The keyed blake2b state is built once per hashing, and each string is
+    hashed on a copy of it.
+    """
+    keyed = blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+
+    def hash_one(text: str) -> int:
+        h = keyed.copy()
+        h.update(text.encode("utf-8"))
+        return int.from_bytes(h.digest(), "little") % feature_dim
+
+    return hash_one
 
 
 def hash_feature(text: str, hash_seed: int, feature_dim: int) -> int:
     """Map a namespace-prefixed feature string to an id in [0, feature_dim)."""
-    digest = blake2b(text.encode("utf-8"), digest_size=8,
-                     key=hash_seed.to_bytes(8, "little")).digest()
-    return int.from_bytes(digest, "little") % feature_dim
+    return _feature_hash(hash_seed, feature_dim)(text)
 
 
 def feature_strings(example: MentionExample) -> list[str]:
@@ -80,65 +97,115 @@ def feature_strings(example: MentionExample) -> list[str]:
             out.append(f"w|{rel}|{low}")
     for tok in example.tokens[start:end]:
         out.append("m|" + tok.lower())
-    padded = "^" + example.mention.lower() + "$"
-    for n in (3, 4):
-        for i in range(len(padded) - n + 1):
-            out.append(f"c{n}|" + padded[i:i + n])
-    return out
+    return out + _ngram_strings(example.mention)
+
+
+def _ngram_strings(mention: str) -> list[str]:
+    """The ``c3|`` and ``c4|`` strings of a mention, in `feature_strings` order."""
+    padded = "^" + mention.lower() + "$"
+    return [f"c{n}|" + padded[i:i + n] for n in (3, 4) for i in range(len(padded) - n + 1)]
 
 
 @dataclass
 class FeatureVector:
-    """Sparse feature activations: strictly increasing ids, summed counts."""
+    """Sparse feature activations: strictly increasing non-negative ids, summed counts."""
 
     indices: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.indices = ids = np.asarray(self.indices, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
+        if ids.shape != self.values.shape:
             raise ValueError("indices and values differ in length")
-        if len(self.indices) and np.any(np.diff(self.indices) <= 0):
+        if (ids[1:] <= ids[:-1]).any():
             raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
+        if len(ids) and ids[0] < 0:
+            raise ValueError("feature ids must be non-negative")
+        if not np.isfinite(self.values).all():
             raise ValueError("non-finite feature value")
 
 
-class _FeatureIds(dict):
-    """Feature string -> `hash_feature` id under one hashing, filled on first lookup.
+class _TokenMemo(dict):
+    """Memo key -> the id of the feature string `feature_string(key)` under `hash_one`.
 
-    It empties itself when a new string would take it past
-    FEATURE_MEMO_LIMIT entries, so its memory stays bounded.
+    Filled on first lookup; it empties itself when a new key finds it
+    holding FEATURE_MEMO_LIMIT ids, so its memory stays bounded.
     """
 
-    def __init__(self, hash_seed: int, feature_dim: int):
+    def __init__(self, feature_string: Callable, hash_one: Callable[[str], int]):
         super().__init__()
-        self.hash_seed = hash_seed
-        self.feature_dim = feature_dim
+        self.feature_string = feature_string
+        self.hash_one = hash_one
 
-    def __missing__(self, text: str) -> int:
+    def __missing__(self, key) -> int:
         if len(self) >= FEATURE_MEMO_LIMIT:
             self.clear()
-        self[text] = feature_id = hash_feature(text, self.hash_seed, self.feature_dim)
+        self[key] = feature_id = self.hash_one(self.feature_string(key))
         return feature_id
 
 
-# One memo per (hash_seed, feature_dim) this process has featurized with.  A
-# memo only caches the pure `hash_feature`, so sharing it changes no result.
+class _NgramMemo(dict):
+    """Mention -> the ids of its `c3|` and `c4|` strings under `hash_one`.
+
+    Filled on first lookup; it empties itself when a new mention finds it
+    holding FEATURE_MEMO_LIMIT ids or more, so its memory stays bounded.
+    """
+
+    def __init__(self, hash_one: Callable[[str], int]):
+        super().__init__()
+        self.hash_one = hash_one
+        self.held = 0  # ids in all entries
+
+    def __missing__(self, mention: str) -> tuple[int, ...]:
+        if self.held >= FEATURE_MEMO_LIMIT:
+            self.clear()
+            self.held = 0
+        self[mention] = ids = tuple(map(self.hash_one, _ngram_strings(mention)))
+        self.held += len(ids)
+        return ids
+
+
+class _FeatureIds:
+    """The feature-id memos of one hashing, one per way `feature_strings` builds a string."""
+
+    def __init__(self, hash_seed: int, feature_dim: int):
+        hash_one = _feature_hash(hash_seed, feature_dim)
+        self.context = _TokenMemo(lambda tok: "s|" + tok.lower(), hash_one)
+        self.window = _TokenMemo(lambda key: f"w|{key[0]}|{key[1].lower()}", hash_one)
+        self.mention = _TokenMemo(lambda tok: "m|" + tok.lower(), hash_one)
+        self.ngrams = _NgramMemo(hash_one)
+
+
+# One set of memos per (hash_seed, feature_dim) this process has featurized
+# with.  A memo only caches the pure `hash_feature`, so sharing it changes
+# no result.
 _feature_ids: dict[tuple[int, int], _FeatureIds] = {}
 
 
 def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
               hash_seed: int = DEFAULT_HASH_SEED) -> FeatureVector:
-    """Hash an example's feature strings; colliding ids accumulate counts."""
-    ids_of = _feature_ids.get((hash_seed, feature_dim))
-    if ids_of is None:
-        ids_of = _feature_ids[hash_seed, feature_dim] = _FeatureIds(hash_seed, feature_dim)
-    counts = Counter(map(ids_of.__getitem__, feature_strings(example)))
-    ids = sorted(counts)
-    return FeatureVector(np.array(ids, dtype=np.int64),
-                         np.array([float(counts[i]) for i in ids]))
+    """The hashed `feature_strings` of an example; colliding ids accumulate counts."""
+    memos = _feature_ids.get((hash_seed, feature_dim))
+    if memos is None:
+        memos = _feature_ids[hash_seed, feature_dim] = _FeatureIds(hash_seed, feature_dim)
+    tokens = example.tokens
+    start, end = example.span
+    context = memos.context.__getitem__
+    left = tokens[max(0, start - WINDOW_DISTANCE):start]
+    right = tokens[end:end + WINDOW_DISTANCE]
+    ids = [*map(context, tokens[:start]), *map(context, tokens[end:]),
+           *map(memos.window.__getitem__, zip(range(-len(left), 0), left)),
+           *map(memos.window.__getitem__, zip(range(1, len(right) + 1), right)),
+           *map(memos.mention.__getitem__, tokens[start:end]),
+           *memos.ngrams[example.mention]]
+    # Sorted, each run of equal ids is one feature whose value is the run's length.
+    ids = np.array(ids, dtype=np.int64)
+    ids.sort()
+    first = np.empty(len(ids), dtype=bool)
+    first[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    return FeatureVector(ids[first], np.bincount(first.cumsum())[1:].astype(np.float64))
 
 
 @dataclass
@@ -185,7 +252,7 @@ class Gradients:
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function 1 / (1 + exp(-z)); exp only ever sees -|z|, so nothing overflows."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _zeros(n_rows: int, n_cols: int) -> np.ndarray:
@@ -263,8 +330,10 @@ class TypingModel:
         dropping it leaves every logit unchanged.
         """
         rows = np.searchsorted(self.feature_ids, features.indices)
-        held = rows < len(self.feature_ids)
-        held[held] = self.feature_ids[rows[held]] == features.indices[held]
+        if not len(self.feature_ids):
+            return rows[:0], features.values[:0]
+        # A row past the last id is clipped onto it, which differs from the input id.
+        held = self.feature_ids.take(rows, mode="clip") == features.indices
         return rows[held], features.values[held]
 
     def save(self, path: str) -> None:

@@ -352,7 +352,7 @@ class TestErrorCodes:
     def test_mention_count_mismatch(self, capsys, tmp_path):
         ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
-        write_examples(str(mentions), [ex, ex.copy()])
+        write_examples(str(mentions), [ex, dataclasses.replace(ex)])
         predictions = write_text(
             tmp_path / "p.jsonl",
             '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[]}\n')

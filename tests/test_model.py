@@ -4,6 +4,8 @@ import math
 import struct
 import tracemalloc
 from collections import Counter
+from hashlib import blake2b
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,14 @@ class TestHashFeature:
     def test_range(self):
         for text in ("a", "b", "c", "longer feature text"):
             assert 0 <= hash_feature(text, 5, 97) < 97
+
+    def test_copied_keyed_state_equals_a_one_shot_hash(self):
+        for text in ("m|x", "", "c3|^é$", "s|theory"):
+            for seed in (0, 1, 2 ** 64 - 1):
+                digest = blake2b(text.encode("utf-8"), digest_size=8,
+                                 key=seed.to_bytes(8, "little")).digest()
+                # A feature space of 2**64 ids leaves the digest whole.
+                assert hash_feature(text, seed, 2 ** 64) == int.from_bytes(digest, "little")
 
 
 class TestFeaturize:
@@ -99,7 +109,29 @@ MEMO_EXAMPLES = [
     MentionExample(mention="Ohio", tokens=["Cities", "in", "Ohio", "grew"], span=(2, 3)),
     MentionExample(mention="Zoë", tokens=["Zoë", "sang", "ünder", "the", "bridge"],
                    span=(0, 1)),
+    # Raw tokens that lowercase alike, a context token that is another
+    # example's mention, and n-grams shared with the mention "Ohio".
+    MentionExample(mention="Ohio River", tokens=["The", "Ohio", "River", "and", "the", "Ohio"],
+                   span=(1, 3)),
 ]
+
+
+def memo_keys(example):
+    """The keys `featurize` looks up in its memos for an example, each with
+    the feature strings it stands for."""
+    start, end = example.span
+    keys = {}
+    for j, tok in enumerate(example.tokens):
+        if start <= j < end:
+            keys["m", tok] = ["m|" + tok.lower()]
+            continue
+        keys["s", tok] = ["s|" + tok.lower()]
+        rel = j - start if j < start else j - end + 1
+        if abs(rel) <= 3:
+            keys["w", rel, tok] = [f"w|{rel}|{tok.lower()}"]
+    keys["c", example.mention] = [s for s in feature_strings(example)
+                                  if s.startswith(("c3|", "c4|"))]
+    return keys
 
 
 class TestFeatureMemo:
@@ -115,39 +147,67 @@ class TestFeatureMemo:
                     assert as_counts(featurize(ex, dim, seed)) == reference_counts(ex, dim, seed)
         assert set(model_module._feature_ids) == {(9, 4096), (0, 1 << 20)}
 
-    def test_each_distinct_string_is_hashed_once(self, monkeypatch):
+    def test_each_distinct_memo_key_is_hashed_once(self, monkeypatch):
         hashed = Counter()
+        feature_hash = model_module._feature_hash
 
-        def counting_hash(text, hash_seed, feature_dim):
-            hashed[text, hash_seed, feature_dim] += 1
-            return hash_feature(text, hash_seed, feature_dim)
+        def counting_feature_hash(hash_seed, feature_dim):
+            def counting_hash(text):
+                hashed[text, hash_seed, feature_dim] += 1
+                return feature_hash(hash_seed, feature_dim)(text)
+            return counting_hash
 
-        monkeypatch.setattr(model_module, "hash_feature", counting_hash)
+        monkeypatch.setattr(model_module, "_feature_hash", counting_feature_hash)
         for _ in range(3):
             for ex in MEMO_EXAMPLES:
                 featurize(ex, 512, 3)
-        distinct = {s for ex in MEMO_EXAMPLES for s in feature_strings(ex)}
-        assert hashed == Counter({(s, 3, 512): 1 for s in distinct})
+        keys = {key: strings for ex in MEMO_EXAMPLES for key, strings in memo_keys(ex).items()}
+        expected = Counter((s, 3, 512) for strings in keys.values() for s in strings)
+        assert hashed == expected
+        # The keys stand for every feature string, and some strings for two keys.
+        assert {s for s, _, _ in hashed} == {s for ex in MEMO_EXAMPLES
+                                            for s in feature_strings(ex)}
+        assert hashed["s|the", 3, 512] == 2 and hashed["c3|ohi", 3, 512] == 2
 
     def test_capped_memo_stays_bounded_and_exact(self, monkeypatch):
         monkeypatch.setattr(model_module, "FEATURE_MEMO_LIMIT", 8)
         for _ in range(3):
             for ex in MEMO_EXAMPLES:
                 assert as_counts(featurize(ex, 256, 1)) == reference_counts(ex, 256, 1)
-                assert 0 < len(model_module._feature_ids[1, 256]) <= 8
+                memos = model_module._feature_ids[1, 256]
+                for memo in (memos.context, memos.window, memos.mention):
+                    assert 0 < len(memo) <= 8
+                # The n-gram memo is emptied before a new mention once it holds
+                # 8 ids, so only its newest entry can take it past 8.
+                ngrams = memos.ngrams
+                assert ex.mention in ngrams
+                newest = list(ngrams.values())[-1]
+                assert ngrams.held == sum(map(len, ngrams.values())) < 8 + len(newest)
 
 
-@settings(max_examples=100, deadline=None)
-@given(tokens=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8),
-       data=st.data(), hash_seed=st.integers(0, 2 ** 64 - 1),
-       feature_dim=st.integers(1, 1 << 20))
-def test_featurize_matches_the_uncached_hash(tokens, data, hash_seed, feature_dim):
-    start = data.draw(st.integers(0, len(tokens) - 1))
-    end = data.draw(st.integers(start + 1, len(tokens)))
+# Tokens whose lowercase differs from them, some in length ("İ" lowers to
+# two code points), next to arbitrary text.
+featurize_token_st = st.sampled_from(["İ", "The", "the", "ǅ", "ß", "ΣΑΣ", "Zoë", "|", "a b"]) | \
+    st.text(min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(featurize_token_st, min_size=1, max_size=8),
+       data=st.data(), hashings=st.lists(st.tuples(st.integers(1, 1 << 20),
+                                                   st.integers(0, 2 ** 64 - 1)),
+                                         min_size=2, max_size=2),
+       limit=st.sampled_from([8, model_module.FEATURE_MEMO_LIMIT]))
+def test_featurize_matches_the_uncached_hash(tokens, data, hashings, limit):
+    last = len(tokens) - 1
+    start = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
+    end = data.draw(st.sampled_from([start + 1, len(tokens)]) | st.integers(start + 1, len(tokens)))
     ex = MentionExample(mention=" ".join(tokens[start:end]), tokens=tokens, span=(start, end))
-    for _ in range(2):  # the second call reads every id from the memo
-        assert as_counts(featurize(ex, feature_dim, hash_seed)) == reference_counts(
-            ex, feature_dim, hash_seed)
+    with mock.patch.object(model_module, "FEATURE_MEMO_LIMIT", limit):
+        for _ in range(2):  # the second round reads ids from the memos
+            for feature_dim, hash_seed in hashings:
+                fv = featurize(ex, feature_dim, hash_seed)
+                assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
+                assert as_counts(fv) == reference_counts(ex, feature_dim, hash_seed)
 
 
 class TestFeatureVector:
@@ -162,6 +222,14 @@ class TestFeatureVector:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError):
             FeatureVector(np.array([1]), np.array([np.inf]))
+
+    def test_rejects_negative_ids(self):
+        # A negative id would land on column D + id in `loss_and_grad` while
+        # `predict` drops it, so the vector is refused.
+        with pytest.raises(ValueError, match="non-negative"):
+            FeatureVector(np.array([-1]), np.array([1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            FeatureVector(np.array([-3, 0, 2]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestPredict:
