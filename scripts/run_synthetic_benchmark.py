@@ -18,7 +18,7 @@ from typelink.cli import main as cli_main
 from typelink.ingest import read_examples
 from typelink.linker import most_frequent_entity
 from typelink.prior import DEFAULT_CANDIDATE_THRESHOLD, PriorTable
-from typelink.synthetic import BenchmarkSpec, write_benchmark
+from typelink.synthetic import BenchmarkSpec, corpus_paths, write_benchmark
 
 
 def parse_args():
@@ -36,15 +36,9 @@ def parse_args():
     return parser.parse_args()
 
 
-def corpus_paths(args):
+def prepare_corpus(args):
     if args.corpus:
-        root = args.corpus
-        return {
-            "train_articles": os.path.join(root, "train_articles.txt"),
-            "eval_articles": os.path.join(root, "eval_articles.txt"),
-            "prior_articles": os.path.join(root, "prior_articles.txt"),
-            "categories": os.path.join(root, "categories.tsv"),
-        }
+        return corpus_paths(args.corpus)
     spec = BenchmarkSpec(n_train_sentences=args.train_sentences,
                          n_test=args.test_examples)
     return write_benchmark(os.path.join(args.workdir, "corpus"), spec)
@@ -63,7 +57,7 @@ def baseline_accuracy(workdir):
 
 def main():
     args = parse_args()
-    paths = corpus_paths(args)
+    paths = prepare_corpus(args)
     argv = [
         "pipeline",
         "--articles", paths["train_articles"],

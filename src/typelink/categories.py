@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .atomic import atomic_write
 
 
 # Whole-token, case-insensitive preposition triggers for splitting.
 DEFAULT_PREPOSITIONS = ("in", "from", "for", "of", "by", "involving")
-_DEFAULT_PREPOSITION_SET = frozenset(DEFAULT_PREPOSITIONS)
+_PREPOSITIONS = frozenset(DEFAULT_PREPOSITIONS)
 
 
-def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS) -> list[str]:
-    """Split a category at its first preposition token.
+def expand_category(raw: str) -> list[str]:
+    """Split a category at its first DEFAULT_PREPOSITIONS token.
 
     Returns a duplicate-free list: the original string, then each token
     left of the preposition as its own category, then the remainder
@@ -35,12 +35,8 @@ def expand_category(raw: str, prepositions: Sequence[str] = DEFAULT_PREPOSITIONS
     """
     if not raw:
         raise ValueError("empty category string")
-    if prepositions is DEFAULT_PREPOSITIONS:
-        prep_set = _DEFAULT_PREPOSITION_SET
-    else:
-        prep_set = {p.lower() for p in prepositions}
     tokens = raw.split()
-    split_at = next((i for i, tok in enumerate(tokens) if tok.lower() in prep_set), None)
+    split_at = next((i for i, tok in enumerate(tokens) if tok.lower() in _PREPOSITIONS), None)
     if split_at is None or split_at == 0:
         return [raw]
     out = [raw]
@@ -62,11 +58,10 @@ class CategoryVocab:
     """
 
     entries: list[str]
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {cat: i for i, cat in enumerate(self.entries)}
+        self.index = {cat: i for i, cat in enumerate(self.entries)}
         if len(self.index) != len(self.entries):
             raise ValueError("vocabulary entries are not unique")
 
@@ -90,10 +85,15 @@ class CategoryVocab:
 
     @classmethod
     def load(cls, path: str) -> "CategoryVocab":
+        """Read one category per line; a repeated one raises ValueError naming ``path:line``."""
         with open(path, encoding="utf-8") as fh:
             entries = [line.rstrip("\n") for line in fh]
         while entries and entries[-1] == "":
             entries.pop()
+        seen: dict[str, int] = {}
+        for lineno, cat in enumerate(entries, start=1):
+            if seen.setdefault(cat, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: category {cat!r} repeats line {seen[cat]}")
         return cls(entries)
 
 

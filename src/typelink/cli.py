@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, check_typing_threshold,
                          linking_accuracy, typing_metrics, TYPING_THRESHOLD)
 from .ingest import (MentionExample, attach_categories, check_sample_sizes,
-                     extract_examples, iter_articles, iter_json_lines,
+                     extract_examples, iter_articles, iter_json_lines, json_line,
                      load_category_assignments, read_examples, sample_training_set,
                      write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
@@ -177,7 +176,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
                 row = {"mention": ex.mention, "chosen": pred.chosen,
                        "used_backoff": pred.used_backoff,
                        "scores": [[e, s] for e, s in pred.scores]}
-            fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(json_line(row))
     return log
 
 
@@ -239,8 +238,7 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
     report = EvalReport(accuracy, recall, buckets, per_cat)
     with atomic_write(args.report) as fh:
-        json.dump(report.to_dict(), fh, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json_line(report.to_dict()))
     if not args.quiet:
         _print_report(report)
     return DiagnosticLog()

@@ -31,8 +31,8 @@ class DiagnosticLog:
 
     counts: Counter = field(default_factory=Counter)
 
-    def bump(self, reason: str, n: int = 1) -> None:
-        self.counts[reason] += n
+    def bump(self, reason: str) -> None:
+        self.counts[reason] += 1
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -85,7 +85,6 @@ def check_typing_threshold(threshold: float) -> None:
 def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
                    vocab_entries: Sequence[str],
                    threshold: float = TYPING_THRESHOLD,
-                   buckets: Sequence[tuple[int, Optional[int]]] = RANK_BUCKETS,
                    with_per_category: bool = False):
     """Per-bucket macro precision/recall/F1 at a probability threshold.
 
@@ -136,7 +135,7 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
         return BucketMetrics(label, p, r, f, len(ids))
 
     rows = []
-    for lo, hi in buckets:
+    for lo, hi in RANK_BUCKETS:
         ids = [i for i in counted if lo <= i + 1 and (hi is None or i + 1 <= hi)]
         rows.append(macro(ids, _bucket_label(lo, hi)))
     rows.append(macro(counted, "total"))

@@ -84,7 +84,8 @@ class MentionExample:
 
 @dataclass
 class CategoryAssignment:
-    entity: str
+    """One entity's raw categories; the table holding it is keyed by the entity."""
+
     raw_categories: set[str]
 
     @cached_property
@@ -260,7 +261,7 @@ def load_category_assignments(path: str,
                     log.bump(diag.EMPTY_CATEGORY)
                 continue
             if entity not in table:
-                table[entity] = CategoryAssignment(entity, set())
+                table[entity] = CategoryAssignment(set())
             table[entity].raw_categories.add(category)
     return table
 
@@ -345,11 +346,12 @@ MENTIONS_HEADER = {"format": "typelink-mentions", "version": 2}
 PLACEMENT_TRIES = 8
 
 
-def _json_line(obj) -> str:
+def json_line(obj) -> str:
+    """`obj` as one compact JSON line, non-ASCII kept as is."""
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-_HEADER_LINE = _json_line(MENTIONS_HEADER)
+_HEADER_LINE = json_line(MENTIONS_HEADER)
 
 
 class _Record:
@@ -402,7 +404,7 @@ class _Record:
         return None
 
     def line(self) -> str:
-        return _json_line({"run": self.run, "first": self.first, "examples": self.rows})
+        return json_line({"run": self.run, "first": self.first, "examples": self.rows})
 
 
 def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
@@ -422,40 +424,12 @@ def write_examples(path: str, examples: Iterable[MentionExample]) -> int:
     return count
 
 
-_OPTIONAL_LISTS = ("categories", "doc_first_sentence", "left_extra", "right_extra")
-_SPAN_TYPE = "span must be a list of two integers"
-
-
 def _is_string_list(value) -> bool:
     try:
         "".join(value)  # TypeError on any non-string element, checked in C
     except TypeError:
         return False
     return type(value) is list
-
-
-def _check_entity(entity) -> None:
-    if entity is not None and type(entity) is not str:
-        raise ValueError("entity must be a string or null")
-
-
-def example_from_dict(obj: dict) -> MentionExample:
-    """The example of a dict of its fields; ValueError names a field of the wrong type."""
-    mention, tokens, span, entity = obj["mention"], obj["tokens"], obj["span"], obj.get("entity")
-    if type(mention) is not str:
-        raise ValueError("mention must be a string")
-    if not _is_string_list(tokens):
-        raise ValueError("tokens must be a list of strings")
-    if type(span) is not list or tuple(map(type, span)) != (int, int):
-        raise ValueError(_SPAN_TYPE)
-    _check_entity(entity)
-    categories, first, left, right = lists = [obj.get(key) for key in _OPTIONAL_LISTS]
-    for key, value in zip(_OPTIONAL_LISTS, lists):
-        if value is not None and not _is_string_list(value):
-            raise ValueError(f"{key} must be a list of strings or null")
-    return MentionExample(mention=mention, tokens=list(tokens), span=(span[0], span[1]),
-                          entity=entity, categories=categories, doc_first_sentence=first,
-                          left_extra=left, right_extra=right)
 
 
 def examples_from_record(record: dict) -> list[MentionExample]:
@@ -485,8 +459,9 @@ def examples_from_record(record: dict) -> list[MentionExample]:
         if (flag is not None and type(flag) is not bool) or (flag and first is None):
             raise ValueError("first_flag must be null, false, or true in a record with first")
         if type(start) is not int or type(end) is not int:
-            raise ValueError(_SPAN_TYPE)
-        _check_entity(entity)
+            raise ValueError("span must be a list of two integers")
+        if entity is not None and type(entity) is not str:
+            raise ValueError("entity must be a string or null")
         if categories is not None and not _is_string_list(categories):
             raise ValueError("categories must be a list of strings or null")
         begin = offset + sizes[1]
@@ -503,8 +478,9 @@ def examples_from_record(record: dict) -> list[MentionExample]:
 def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = None) -> Iterator:
     """The JSON object on each non-blank line of a file, in order, through `convert`.
 
-    A line that is not a JSON object, or that `convert` refuses with
-    ValueError or KeyError, raises ValueError naming ``path:line``.
+    A line that is not a JSON object (nested too deeply to parse, too), or
+    that `convert` refuses with ValueError or KeyError, raises ValueError
+    naming ``path:line``.
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -520,6 +496,8 @@ def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = Non
                 raise ValueError(f"{path}:{lineno}: missing field {err}") from None
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
+            except RecursionError:
+                raise ValueError(f"{path}:{lineno}: JSON nested too deeply") from None
             yield row
 
 

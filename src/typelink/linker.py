@@ -38,7 +38,7 @@ class EntityCategoryIndex:
 
     assignments: dict[str, CategoryAssignment] = field(default_factory=dict)
     vocab: Optional[CategoryVocab] = None
-    ids_by_entity: dict[str, np.ndarray] = field(default_factory=dict)
+    ids_by_entity: dict[str, np.ndarray] = field(init=False, default_factory=dict)
 
     def put(self, entity: str, ids: Iterable[int]) -> None:
         self.ids_by_entity[entity] = np.asarray(sorted(set(ids)), dtype=np.int64)

@@ -44,15 +44,19 @@ import numpy as np
 from .atomic import atomic_write
 from .categories import CategoryVocab
 from .evaluation import ContextMode
-from .ingest import MentionExample
+from .ingest import MentionExample, json_line
 
 DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
+# Feature ids are int64, so D is at most 2**63 (ids 0 .. 2**63 - 1).
+MAX_FEATURE_DIM = 2 ** 63
 MODEL_FORMAT_VERSION = 3
 WINDOW_DISTANCE = 3
 # Ids a feature-id memo holds before it is emptied.  One featurize pass over
 # a file of 1,000 mentions puts 700 to 11,000 ids in each.
 FEATURE_MEMO_LIMIT = 1 << 16
+# Dev examples the dev loss scores in one forward pass.
+DEV_LOSS_CHUNK = 256
 
 
 @lru_cache(maxsize=16)
@@ -235,8 +239,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not (math.isfinite(self.l2_penalty) and self.l2_penalty >= 0):
             raise ValueError("l2_penalty must be non-negative and finite")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be positive")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise ValueError(f"feature_dim must be in [1, 2**63], got {self.feature_dim}")
         if not 0 <= self.hash_seed < 2 ** 64:
             raise ValueError("hash_seed must fit in 64 bits")
         if self.seed < 0:
@@ -356,8 +360,7 @@ class TypingModel:
             "columns": int(stored.sum()),
         }
         with atomic_write(path, binary=True) as fh:
-            fh.write(json.dumps(header, ensure_ascii=False,
-                                separators=(",", ":")).encode("utf-8") + b"\n")
+            fh.write(json_line(header).encode("utf-8"))
             fh.write(self.bias.astype("<f8", copy=False).tobytes())
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
             fh.write(self.block[stored].T.astype("<f8", copy=False).tobytes())
@@ -370,8 +373,12 @@ class TypingModel:
         file's size and not categories x D.
         """
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline())
+            line = fh.readline()
             body = fh.read()
+        try:
+            header = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"{path}:1: model header is nested too deeply") from None
         if not isinstance(header, dict):
             raise ValueError("model header is not a JSON object")
         version = header.get("format_version")
@@ -383,9 +390,9 @@ class TypingModel:
         entries = header["vocab"]
         if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
             raise ValueError("model vocab must be a list of strings")
-        dim = _header_int(header, "D", 1)
-        hash_seed = _header_int(header, "hash_seed", 0, 2 ** 64)
-        n_cols = _header_int(header, "columns", 0)
+        dim = _header_int(path, header, "D", 1, MAX_FEATURE_DIM + 1)
+        hash_seed = _header_int(path, header, "hash_seed", 0, 2 ** 64)
+        n_cols = _header_int(path, header, "columns", 0)
         n_cats = len(entries)
         if len(body) != 8 * (n_cats + n_cols + n_cats * n_cols):
             raise ValueError(f"model body is {len(body)} bytes, expected "
@@ -402,11 +409,11 @@ class TypingModel:
                    header["context_mode"])
 
 
-def _header_int(header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
+def _header_int(path: str, header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
     """An integer header field in [lo, hi); hi None means unbounded."""
     value = header[key]
     if type(value) is not int or value < lo or (hi is not None and value >= hi):
-        raise ValueError(f"model header {key!r} is not an integer in range: {value!r}")
+        raise ValueError(f"{path}:1: model header {key!r} is not an integer in range: {value!r}")
     return value
 
 
@@ -585,8 +592,8 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     return model
 
 
-def _full_loss(model: TypingModel, examples: Sequence[Encoded], chunk: int = 256) -> float:
+def _full_loss(model: TypingModel, examples: Sequence[Encoded]) -> float:
     total = 0.0
-    for lo in range(0, len(examples), chunk):
-        total += _bce_sum(*_forward(model, examples[lo:lo + chunk]))
+    for lo in range(0, len(examples), DEV_LOSS_CHUNK):
+        total += _bce_sum(*_forward(model, examples[lo:lo + DEV_LOSS_CHUNK]))
     return total

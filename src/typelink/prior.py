@@ -54,8 +54,8 @@ class PriorTable:
     """
 
     case_fold: bool = False
-    counts: dict[str, Counter] = field(default_factory=lambda: defaultdict(Counter))
-    totals: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    counts: dict[str, Counter] = field(init=False, default_factory=lambda: defaultdict(Counter))
+    totals: dict[str, int] = field(init=False, default_factory=lambda: defaultdict(int))
 
     def _key(self, mention: str) -> str:
         return mention.lower() if self.case_fold else mention
@@ -113,7 +113,11 @@ class PriorTable:
 
     @classmethod
     def load(cls, path: str) -> "PriorTable":
-        """Read a count TSV; line order is irrelevant, duplicates add up."""
+        """Read a count TSV; line order is irrelevant, duplicates add up.
+
+        A malformed line or a count that is not a positive integer raises
+        ValueError naming ``path:line``.
+        """
         table = cls()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -127,7 +131,11 @@ class PriorTable:
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{lineno}: expected mention<TAB>entity<TAB>count")
                 mention, entity, count = parts
-                table.add(mention, entity, int(count))
+                try:
+                    table.add(mention, entity, int(count))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: count must be a positive integer, "
+                                     f"got {count!r}") from None
         return table
 
 

@@ -96,16 +96,21 @@ def _sentence(spec: BenchmarkSpec, rng: np.random.Generator, entity: str,
     return f"The [[{entity}|{mention}]] concerns {chosen} ."
 
 
-def write_benchmark(out_dir: str, spec: BenchmarkSpec) -> dict[str, str]:
-    """Write the four corpus files; returns their paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
-    paths = {
+def corpus_paths(out_dir: str) -> dict[str, str]:
+    """The paths of the four corpus files in `out_dir`, by kind."""
+    return {
         "train_articles": os.path.join(out_dir, "train_articles.txt"),
         "eval_articles": os.path.join(out_dir, "eval_articles.txt"),
         "prior_articles": os.path.join(out_dir, "prior_articles.txt"),
         "categories": os.path.join(out_dir, "categories.tsv"),
     }
+
+
+def write_benchmark(out_dir: str, spec: BenchmarkSpec) -> dict[str, str]:
+    """Write the four corpus files; returns their paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    rng = np.random.default_rng(spec.seed)
+    paths = corpus_paths(out_dir)
 
     with open(paths["train_articles"], "w", encoding="utf-8") as fh:
         for j in range(spec.n_train_sentences):

@@ -142,3 +142,15 @@ def test_vocab_to_ids_sorted_and_filtered():
 def test_vocab_rejects_duplicates():
     with pytest.raises(ValueError):
         CategoryVocab(["a", "a"])
+
+
+def test_vocab_loader_names_the_repeated_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\na\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: category 'a' repeats line 1$"):
+        CategoryVocab.load(str(path))
+
+
+def test_vocab_index_is_built_from_the_entries_only():
+    with pytest.raises(TypeError):
+        CategoryVocab(["a", "b"], index={"a": 1, "b": 0})

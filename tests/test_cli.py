@@ -678,6 +678,111 @@ class TestErrorCodes:
             assert code == 2
             assert err.splitlines()[-1].startswith("error: IO_ERROR: ")
 
+    @pytest.mark.parametrize("command", ["build-vocab", "link", "eval"])
+    def test_json_nested_too_deeply_is_refused_with_its_file_and_line(
+            self, pipeline_run, capsys, tmp_path, command):
+        _, paths, workdir = pipeline_run
+        nested = "[" * 200_000 + "\n"
+        out = tmp_path / "out"
+        out.mkdir()
+        mentions, prior = str(workdir / "eval_mentions.jsonl"), str(workdir / "prior.tsv")
+        if command == "build-vocab":
+            bad = write_text(tmp_path / "m.jsonl",
+                             '{"format":"typelink-mentions","version":2}\n' + nested)
+            argv, where = ["--mentions", bad, "--prior", prior, "--vocab", str(out / "v.txt"),
+                           "--categories", paths["categories"]], f"{bad}:2"
+        elif command == "link":
+            bad = write_text(tmp_path / "model.json", nested)
+            argv, where = ["--mentions", mentions, "--model", bad, "--prior", prior,
+                           "--categories", paths["categories"],
+                           "--predictions", str(out / "p.jsonl")], f"{bad}:1"
+        else:
+            bad = write_text(tmp_path / "p.jsonl", nested)
+            argv, where = ["--mentions", mentions, "--predictions", bad,
+                           "--report", str(out / "r.json")], f"{bad}:1"
+        code, _, err = run_cli([command, *argv], capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {where}: "), err
+        assert list(out.iterdir()) == []
+
+    def test_feature_dim_is_at_most_2_to_the_63(self, pipeline_run, capsys, tmp_path,
+                                                monkeypatch):
+        _, paths, workdir = pipeline_run
+        model = tmp_path / "m.json"
+        train = ["train", "--mentions", str(workdir / "train_mentions.jsonl"),
+                 "--vocab", str(workdir / "vocab.txt"), "--model", str(model), "--quiet"]
+        link = ["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
+                "--model", str(model), "--prior", str(workdir / "prior.tsv"),
+                "--categories", paths["categories"], "--predictions", str(tmp_path / "p.jsonl")]
+        assert run_cli([*train, "--feature-dim", str(2 ** 63)], capsys)[0] == 0
+        assert run_cli(link, capsys)[0] == 0
+        model.unlink()
+        monkeypatch.setattr(typelink.cli, "read_examples", None)
+        code, _, err = run_cli([*train, "--feature-dim", str(2 ** 63 + 1)], capsys)
+        assert code == 2
+        assert err.startswith("error: INVALID_INPUT: feature_dim must be in [1, 2**63]"), err
+        assert not model.exists()
+
+    def test_model_feature_dim_above_2_to_the_63_is_refused(self, pipeline_run, capsys,
+                                                            tmp_path):
+        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path,
+                                            lambda h, b: ({**h, "D": 2 ** 64}, b))
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}:1: "
+                              "model header 'D' is not an integer in range"), err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("kind,content,message", [
+        ("prior", "aa\tA\t2\naa\tB\t0\n", ":2: count must be a positive integer, got '0'"),
+        ("prior", "aa\tA\tx\n", ":1: count must be a positive integer, got 'x'"),
+        ("vocab", "x\ny\nx\n", ":3: category 'x' repeats line 1"),
+    ], ids=["prior_zero", "prior_not_int", "vocab_repeat"])
+    def test_prior_and_vocab_errors_name_their_file_and_line(self, capsys, tmp_path, kind,
+                                                              content, message):
+        bad = write_text(tmp_path / kind, content)
+        empty = write_text(tmp_path / "empty", "")
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "prior":
+            argv = ["build-vocab", "--mentions", empty, "--prior", bad, "--categories", empty,
+                    "--vocab", str(out / "v.txt")]
+        else:
+            argv = ["train", "--mentions", empty, "--vocab", bad, "--model", str(out / "m")]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"error: INVALID_INPUT: {bad}{message}\n"
+        assert list(out.iterdir()) == []
+
+
+# Lines a reader must refuse with ValueError, if it does not take them:
+# any text, brackets nested past any parser's depth, and JSON values shaped
+# like the records and prediction rows the readers convert.
+_json_leaf_st = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+                 | st.sampled_from(["", "aa", "A"]))
+_json_value_st = st.recursive(_json_leaf_st, lambda inner: st.lists(inner, max_size=9) | (
+    st.dictionaries(st.sampled_from(["run", "first", "examples", "mention", "chosen",
+                                     "used_backoff", "scores"]), inner, max_size=7)),
+    max_leaves=24)
+_any_line_st = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.builds(lambda opener, depth, rest: opener * depth + rest,
+              st.sampled_from(["[", '{"a":', '{"run":[', '{"scores":[[']),
+              st.integers(1, 200_000), st.text(max_size=3)),
+    _json_value_st.map(json.dumps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=_any_line_st)
+def test_the_readers_return_or_refuse_any_line(line, tmp_path_factory):
+    root = tmp_path_factory.mktemp("line")
+    header = '{"format":"typelink-mentions","version":2}'
+    for read, content in ((read_examples, f"{header}\n{line}\n"), (read_predictions, line)):
+        path = write_text(root / "lines.jsonl", content)
+        try:
+            read(path)
+        except ValueError:
+            pass
+
 
 class TestHandCorpus:
     def build(self, tmp_path, capsys):

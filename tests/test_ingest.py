@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 
@@ -11,8 +10,7 @@ from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
 from typelink.ingest import (CONTEXT_WINDOW, CategoryAssignment, MentionExample, RawArticle,
-                             MENTIONS_HEADER, attach_categories, example_from_dict,
-                             extract_examples, iter_articles,
+                             MENTIONS_HEADER, attach_categories, extract_examples, iter_articles,
                              load_category_assignments, read_examples,
                              sample_training_set, split_sentences, write_examples)
 from typelink.linker import build_category_index
@@ -206,21 +204,21 @@ class TestAttachCategories:
 
     def test_identity_category(self):
         vocab = CategoryVocab(["Software"])
-        assignments = {"E": CategoryAssignment("E", {"Software"})}
+        assignments = {"E": CategoryAssignment({"Software"})}
         out = attach_categories([self.example()], assignments, vocab)
         assert out[0].categories == ["Software"]
 
     def test_expansion_applies(self):
         vocab = CategoryVocab(["Cities", "in New York (state)",
                               "Cities in New York (state)"])
-        assignments = {"E": CategoryAssignment("E", {"Cities in New York (state)"})}
+        assignments = {"E": CategoryAssignment({"Cities in New York (state)"})}
         out = attach_categories([self.example()], assignments, vocab)
         assert out[0].categories == ["Cities", "Cities in New York (state)",
                                      "in New York (state)"]
 
     def test_out_of_vocab_example_dropped(self):
         vocab = CategoryVocab(["Unrelated"])
-        assignments = {"E": CategoryAssignment("E", {"Software"})}
+        assignments = {"E": CategoryAssignment({"Software"})}
         log = DiagnosticLog()
         out = attach_categories([self.example()], assignments, vocab, log=log)
         assert out == []
@@ -332,31 +330,7 @@ def test_written_file_has_the_mode_plain_open_gives(tmp_path):
     assert os.stat(written).st_mode == os.stat(plain).st_mode
 
 
-def test_round_trip_via_dict_helpers():
-    ex = MentionExample(mention="a b", tokens=["a", "b", "c"], span=(0, 2))
-    assert example_from_dict({**dataclasses.asdict(ex), "span": [0, 2]}) == ex
-
-
 GOOD_ROW = {"mention": "aa", "tokens": ["aa", "b"], "span": [0, 1], "entity": "A"}
-
-
-@pytest.mark.parametrize("field,value", [
-    ("mention", 5), ("tokens", 5), ("tokens", "aa"), ("tokens", ["aa", 5]),
-    ("span", 5), ("span", [0]), ("span", [0, 1, 2]), ("span", [0.0, 1.0]),
-    ("span", [False, True]), ("span", "01"), ("entity", 5), ("categories", "xy"),
-    ("categories", ["x", None]), ("doc_first_sentence", "b"), ("left_extra", [1]),
-    ("right_extra", {"a": 1}),
-])
-def test_example_from_dict_refuses_a_field_of_the_wrong_type(field, value):
-    with pytest.raises(ValueError, match=field):
-        example_from_dict({**GOOD_ROW, field: value})
-
-
-def test_example_from_dict_takes_null_optional_fields():
-    row = {**GOOD_ROW, "entity": None, "categories": None, "doc_first_sentence": None,
-           "left_extra": [], "right_extra": None}
-    assert example_from_dict(row) == MentionExample(mention="aa", tokens=["aa", "b"],
-                                                    span=(0, 1), left_extra=[])
 
 
 @pytest.mark.parametrize("line", ['[1, 2]', '"hi"', '5', 'null',
@@ -370,6 +344,14 @@ def test_read_examples_names_the_file_and_line_of_a_malformed_row(tmp_path, line
 
 
 HEADER = json.dumps(MENTIONS_HEADER, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("opener", ["[", '{"run":'])
+def test_a_line_nested_too_deeply_is_refused_with_its_file_and_line(tmp_path, opener):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f"{HEADER}\n{opener * 200_000}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:2: JSON nested too deeply$"):
+        read_examples(str(path))
 GOOD_EXAMPLE = [0, 1, 2, None, 0, 1, "A", ["c"], True]
 GOOD_RECORD = json.dumps({"run": ["x", "aa", "b"], "first": ["x"], "examples": [GOOD_EXAMPLE]})
 
@@ -558,7 +540,7 @@ def test_assignment_categories_are_union_of_expansions():
     expected = set()
     for category in raw:
         expected.update(expand_category(category))
-    assert CategoryAssignment("E", raw).categories == frozenset(expected)
+    assert CategoryAssignment(raw).categories == frozenset(expected)
 
 
 def test_each_entity_expanded_at_most_once_per_call(monkeypatch):
@@ -573,7 +555,7 @@ def test_each_entity_expanded_at_most_once_per_call(monkeypatch):
     vocab = CategoryVocab(["Cities", "Software", "People"])
 
     def fresh():
-        return {e: CategoryAssignment(e, set(cats)) for e, cats in raw.items()}
+        return {e: CategoryAssignment(set(cats)) for e, cats in raw.items()}
 
     examples = [MentionExample(mention="m", tokens=["m"], span=(0, 1), entity=e)
                 for e in ("E", "F", "E", "E", "F")]

@@ -22,6 +22,11 @@ def make_index(mapping):
     return index
 
 
+def test_index_ids_are_set_by_put_or_the_assignments_only():
+    with pytest.raises(TypeError):
+        EntityCategoryIndex(ids_by_entity={"E": np.array([1, 0, 1])})
+
+
 def flat_prior(mention, entities, counts=None):
     table = PriorTable()
     for i, entity in enumerate(entities):
@@ -231,8 +236,7 @@ class TestBuildCategoryIndex:
         vocab = CategoryVocab(["Musicians", "American musicians",
                               "Musicians from Chicago", "from Chicago"])
         assignments = {
-            "Someone": CategoryAssignment("Someone",
-                                          {"Musicians from Chicago"}),
+            "Someone": CategoryAssignment({"Musicians from Chicago"}),
         }
         index = build_category_index(assignments, vocab)
         ids = index.get("Someone").tolist()

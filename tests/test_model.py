@@ -742,6 +742,22 @@ class TestModelFile:
         with pytest.raises(ValueError):
             TypingModel.load(str(path))
 
+    def test_header_feature_dim_is_at_most_2_to_the_63(self, tmp_path):
+        path = tmp_path / "model.json"
+        self.build().save(str(path))
+        header, body = read_model_file(path)
+        write_model_file(path, {**header, "D": 2 ** 63}, body)
+        assert TypingModel.load(str(path)).feature_dim == 2 ** 63
+        write_model_file(path, {**header, "D": 2 ** 64}, body)
+        with pytest.raises(ValueError, match=f"^{path}:1: model header 'D' is not an integer"):
+            TypingModel.load(str(path))
+
+    def test_header_nested_too_deeply_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"[" * 200_000 + b"\n")
+        with pytest.raises(ValueError, match=f"^{path}:1: model header is nested too deeply"):
+            TypingModel.load(str(path))
+
     def test_header_larger_than_memory_loads_compact(self, tmp_path):
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
         # weights; the file itself is 128 KiB of zero biases and no columns.
@@ -806,6 +822,7 @@ class TestTrainConfig:
         {"hash_seed": -1}, {"hash_seed": 2 ** 64},
         {"learning_rate": math.nan}, {"learning_rate": math.inf},
         {"l2_penalty": math.nan}, {"l2_penalty": math.inf}, {"seed": -1},
+        {"feature_dim": 2 ** 63 + 1},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -124,6 +124,21 @@ def test_loader_rejects_bad_line(tmp_path):
         PriorTable.load(str(path))
 
 
+@pytest.mark.parametrize("count", ["0", "-2", "x", ""])
+def test_loader_names_the_line_of_a_bad_count(tmp_path, count):
+    path = tmp_path / "prior.tsv"
+    path.write_text(f"m\tE\t2\nm\tF\t{count}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:2: count must be a positive integer, "
+                                         f"got '{count}'$"):
+        PriorTable.load(str(path))
+
+
+@pytest.mark.parametrize("field", ["counts", "totals"])
+def test_counts_and_totals_are_filled_by_add_only(field):
+    with pytest.raises(TypeError):
+        PriorTable(**{field: {}})
+
+
 def test_case_folding_flag():
     table = accumulate([("Paris", "Paris"), ("paris", "Paris_(band)")], case_fold=True)
     assert table.prob("PARIS", "Paris") == 0.5
