@@ -85,13 +85,19 @@ class CategoryVocab:
 
     @classmethod
     def load(cls, path: str) -> "CategoryVocab":
-        """Read one category per line; a repeated one raises ValueError naming ``path:line``."""
+        """Read one category per line; trailing blank lines are dropped.
+
+        A blank line before the last category, or a repeated category,
+        raises ValueError naming ``path:line``.
+        """
         with open(path, encoding="utf-8") as fh:
             entries = [line.rstrip("\n") for line in fh]
         while entries and entries[-1] == "":
             entries.pop()
         seen: dict[str, int] = {}
         for lineno, cat in enumerate(entries, start=1):
+            if not cat:
+                raise ValueError(f"{path}:{lineno}: empty category")
             if seen.setdefault(cat, lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: category {cat!r} repeats line {seen[cat]}")
         return cls(entries)

@@ -70,7 +70,8 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
                 for ex in extract_examples(art, log)]
     if args.vocab is not None:
         vocab = CategoryVocab.load(args.vocab)
-        assignments = load_category_assignments(args.categories, log)
+        assignments = load_category_assignments(
+            args.categories, {ex.entity for ex in examples}, log)
         examples = attach_categories(examples, assignments, vocab,
                                      keep_uncategorized=args.keep_uncategorized, log=log)
     # Sample before writing anything, so a request larger than the data
@@ -93,15 +94,17 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     """
     examples = read_examples(args.mentions)
     table = PriorTable.load(args.prior)
+    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
     log = DiagnosticLog()
-    assignments = load_category_assignments(args.categories, log)
+    assignments = load_category_assignments(
+        args.categories, (entity for cset in csets for entity in cset.entities()), log)
 
     def stream():
-        for ex in examples:
-            for entity, _prob in table.candidates(ex.mention, args.threshold).candidates:
+        for cset in csets:
+            for entity in cset.entities():
                 assignment = assignments.get(entity)
                 if assignment is not None:
-                    yield ex.mention, entity, assignment.categories
+                    yield cset.mention, entity, assignment.categories
 
     select_vocabulary(stream(), args.vocab_size).save(args.vocab)
     return log
@@ -158,12 +161,14 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     """
     model = TypingModel.load(args.model)
     table = PriorTable.load(args.prior)
+    examples = read_examples(args.mentions)
+    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
     log = DiagnosticLog()
-    index = build_category_index(load_category_assignments(args.categories, log),
-                                 model.vocab)
+    assignments = load_category_assignments(
+        args.categories, (entity for cset in csets for entity in cset.entities()), log)
+    index = build_category_index(assignments, model.vocab)
     with atomic_write(args.predictions) as fh:
-        for ex in read_examples(args.mentions):
-            cset = table.candidates(ex.mention, args.threshold)
+        for ex, cset in zip(examples, csets):
             if len(cset) == 0:
                 log.bump(diag.NO_CANDIDATES)
                 row = {"mention": ex.mention, "chosen": None,

@@ -238,31 +238,38 @@ def extract_examples(article: RawArticle,
 
 # --- category attachment and sampling ---------------------------------------
 
-def load_category_assignments(path: str,
+def load_category_assignments(path: str, entities: Iterable[str],
                               log: Optional[DiagnosticLog] = None) -> dict[str, CategoryAssignment]:
-    """Read an entity<TAB>category TSV into per-entity assignments.
+    """Read an entity<TAB>category TSV into the assignments of `entities`.
 
-    A blank or whitespace-only line is skipped.  A line whose category is
-    empty or whitespace is skipped and counted; an entity whose every line
-    is such gets no assignment.
+    Every line is checked, whichever entity it names: a blank or
+    whitespace-only line is skipped, a line without exactly one tab or
+    with an empty entity raises ValueError naming ``path:line``, and a
+    line whose category is empty or whitespace is skipped and counted.
+    Only the entities asked for get an assignment, and only if one of
+    their lines has a category.  A file that is not UTF-8 raises
+    ValueError naming it.
     """
+    wanted = set(entities)
     table: dict[str, CategoryAssignment] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
-            entity, category = parts
-            if not category.strip():
-                if log is not None:
-                    log.bump(diag.EMPTY_CATEGORY)
-                continue
-            if entity not in table:
-                table[entity] = CategoryAssignment(set())
-            table[entity].raw_categories.add(category)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                entity, tab, category = line.rstrip("\n").partition("\t")
+                if not entity or not tab or "\t" in category:
+                    if line.strip():
+                        raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
+                    continue
+                if not category.strip():
+                    if entity.strip() and log is not None:  # else the whole line is blank
+                        log.bump(diag.EMPTY_CATEGORY)
+                    continue
+                if entity in wanted:
+                    if entity not in table:
+                        table[entity] = CategoryAssignment(set())
+                    table[entity].raw_categories.add(category)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
     return table
 
 

@@ -369,8 +369,10 @@ class TypingModel:
     def load(cls, path: str) -> "TypingModel":
         """Read a file written by `save`; raises ValueError on any malformed part.
 
-        The model holds just the stored columns, so its memory follows the
-        file's size and not categories x D.
+        A header error names ``path:1``, and a body of the wrong length or
+        with a non-finite number names the file.  The model holds just the
+        stored columns, so its memory follows the file's size and not
+        categories x D.
         """
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -379,30 +381,37 @@ class TypingModel:
             header = json.loads(line)
         except RecursionError:
             raise ValueError(f"{path}:1: model header is nested too deeply") from None
+        except ValueError as err:
+            raise ValueError(f"{path}:1: model header is not JSON: {err}") from None
         if not isinstance(header, dict):
-            raise ValueError("model header is not a JSON object")
+            raise ValueError(f"{path}:1: model header is not a JSON object")
         version = header.get("format_version")
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {version!r}")
+            raise ValueError(f"{path}:1: unsupported model format version: {version!r}")
         for key in ("D", "hash_seed", "context_mode", "vocab", "columns"):
             if key not in header:
-                raise ValueError(f"model header lacks {key!r}")
+                raise ValueError(f"{path}:1: model header lacks {key!r}")
         entries = header["vocab"]
-        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
-            raise ValueError("model vocab must be a list of strings")
+        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)
+                and len(set(entries)) == len(entries)):
+            raise ValueError(f"{path}:1: model vocab must be a list of distinct strings")
+        modes = [m.value for m in ContextMode]
+        if header["context_mode"] not in modes:
+            raise ValueError(f"{path}:1: model header 'context_mode' is not one of "
+                             f"{', '.join(modes)}: {header['context_mode']!r}")
         dim = _header_int(path, header, "D", 1, MAX_FEATURE_DIM + 1)
         hash_seed = _header_int(path, header, "hash_seed", 0, 2 ** 64)
         n_cols = _header_int(path, header, "columns", 0)
         n_cats = len(entries)
         if len(body) != 8 * (n_cats + n_cols + n_cats * n_cols):
-            raise ValueError(f"model body is {len(body)} bytes, expected "
+            raise ValueError(f"{path}: model body is {len(body)} bytes, expected "
                              f"{8 * (n_cats + n_cols + n_cats * n_cols)}")
         bias = np.frombuffer(body, "<f8", n_cats)
         ids = np.frombuffer(body, "<i8", n_cols, offset=8 * n_cats)
         stored = np.frombuffer(body, "<f8", n_cats * n_cols,
                                offset=8 * (n_cats + n_cols)).reshape(n_cats, n_cols)
         if not (np.isfinite(bias).all() and np.isfinite(stored).all()):
-            raise ValueError("model holds a non-finite weight or bias")
+            raise ValueError(f"{path}: model holds a non-finite weight or bias")
         block = _zeros(n_cols, n_cats)
         block[:] = stored.T
         return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim,

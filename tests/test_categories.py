@@ -151,6 +151,15 @@ def test_vocab_loader_names_the_repeated_line(tmp_path):
         CategoryVocab.load(str(path))
 
 
+def test_vocab_loader_refuses_a_blank_line_before_the_last_category(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("a\nb\n\n\n", encoding="utf-8")
+    assert CategoryVocab.load(str(path)).entries == ["a", "b"]
+    path.write_text("a\n\nb\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:2: empty category$"):
+        CategoryVocab.load(str(path))
+
+
 def test_vocab_index_is_built_from_the_entries_only():
     with pytest.raises(TypeError):
         CategoryVocab(["a", "b"], index={"a": 1, "b": 0})

@@ -230,7 +230,9 @@ class TestPipeline:
         assert code == 0, err
         assert (tmp_path / "p.jsonl").read_bytes() == (workdir / "predictions.jsonl").read_bytes()
         table = PriorTable.load(str(workdir / "prior.tsv"))
-        assignments = load_category_assignments(paths["categories"])
+        lines = pathlib.Path(paths["categories"]).read_text(encoding="utf-8").splitlines()
+        assignments = load_category_assignments(
+            paths["categories"], {line.partition("\t")[0] for line in lines})
         candidates = {entity for ex in read_examples(str(workdir / "eval_mentions.jsonl"))
                       for entity in table.candidates(ex.mention).entities()}
         assert len(candidates & set(assignments)) < len(assignments)
@@ -517,7 +519,8 @@ class TestErrorCodes:
 
         code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, as_v2)
         assert code == 2
-        assert err == "error: INVALID_INPUT: unsupported model format version: 2\n"
+        assert err == (f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}:1: "
+                       "unsupported model format version: 2\n")
 
     @pytest.mark.parametrize("corrupt", [
         lambda h, b: (h, b[:-8] + struct.pack("<d", math.nan)),
@@ -736,7 +739,8 @@ class TestErrorCodes:
         ("prior", "aa\tA\t2\naa\tB\t0\n", ":2: count must be a positive integer, got '0'"),
         ("prior", "aa\tA\tx\n", ":1: count must be a positive integer, got 'x'"),
         ("vocab", "x\ny\nx\n", ":3: category 'x' repeats line 1"),
-    ], ids=["prior_zero", "prior_not_int", "vocab_repeat"])
+        ("vocab", "x\n\ny\n", ":2: empty category"),
+    ], ids=["prior_zero", "prior_not_int", "vocab_repeat", "vocab_blank"])
     def test_prior_and_vocab_errors_name_their_file_and_line(self, capsys, tmp_path, kind,
                                                               content, message):
         bad = write_text(tmp_path / kind, content)
@@ -752,6 +756,94 @@ class TestErrorCodes:
         assert code == 2
         assert err == f"error: INVALID_INPUT: {bad}{message}\n"
         assert list(out.iterdir()) == []
+
+
+def category_stage_argv(stage, paths, workdir, categories, out):
+    """argv of a stage that reads --categories, on the pipeline's files, writing into `out`."""
+    argv = {
+        "build-vocab": ["--mentions", workdir / "eval_mentions_raw.jsonl",
+                        "--prior", workdir / "prior.tsv", "--vocab", out / "vocab.txt"],
+        "ingest": ["--articles", paths["eval_articles"], "--vocab", workdir / "vocab.txt",
+                   "--keep-uncategorized", "--mentions", out / "eval_mentions.jsonl"],
+        "link": ["--mentions", workdir / "eval_mentions.jsonl", "--model", workdir / "model.json",
+                 "--prior", workdir / "prior.tsv", "--predictions", out / "predictions.jsonl"],
+    }[stage]
+    return [stage, "--categories", str(categories), *map(str, argv)]
+
+
+class TestCategoryReaders:
+    """build-vocab, ingest --vocab and link read the categories of the entities they ask about."""
+
+    STAGES = ["build-vocab", "ingest", "link"]
+    UNASKED = "Entity No Mention Names"
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_each_stage_asks_for_the_entities_it_reads(self, pipeline_run, monkeypatch,
+                                                       tmp_path, stage):
+        _, paths, workdir = pipeline_run
+        asked = []
+
+        def recording(path, entities, log=None):
+            asked.append(set(entities))
+            return load_category_assignments(path, asked[-1], log)
+
+        monkeypatch.setattr(typelink.cli, "load_category_assignments", recording)
+        argv = category_stage_argv(stage, paths, workdir, paths["categories"], tmp_path)
+        assert main([*argv, "--quiet"]) == 0
+        mentions = "eval_mentions.jsonl" if stage == "link" else "eval_mentions_raw.jsonl"
+        examples = read_examples(str(workdir / mentions))
+        if stage == "ingest":
+            expected = {ex.entity for ex in examples}
+        else:
+            table = PriorTable.load(str(workdir / "prior.tsv"))
+            expected = {entity for ex in examples
+                        for entity in table.candidates(ex.mention).entities()}
+        assert asked == [expected]
+        assert self.UNASKED not in expected
+        name = pathlib.Path(argv[-1]).name  # each stage's argv ends with its output
+        assert (tmp_path / name).read_bytes() == (workdir / name).read_bytes()
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_malformed_line_of_an_entity_not_asked_for_is_refused(
+            self, pipeline_run, capsys, tmp_path, stage):
+        _, paths, workdir = pipeline_run
+        text = pathlib.Path(paths["categories"]).read_text(encoding="utf-8")
+        bad = write_text(tmp_path / "categories.tsv", f"{text}{self.UNASKED}\tCats\tDogs\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run_cli(category_stage_argv(stage, paths, workdir, bad, out), capsys)
+        assert code == 2
+        lineno = text.count("\n") + 1
+        assert err == f"error: INVALID_INPUT: {bad}:{lineno}: expected entity<TAB>category\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_an_empty_category_of_an_entity_not_asked_for_is_counted(
+            self, pipeline_run, tmp_path, stage):
+        _, paths, workdir = pipeline_run
+        text = pathlib.Path(paths["categories"]).read_text(encoding="utf-8")
+        extended = write_text(tmp_path / "categories.tsv", f"{text}{self.UNASKED}\t\n")
+        counts, outputs = [], []
+        for categories, out in ((paths["categories"], tmp_path / "a"),
+                                (extended, tmp_path / "b")):
+            out.mkdir()
+            args = build_parser().parse_args(
+                category_stage_argv(stage, paths, workdir, categories, out))
+            counts.append(args.run(args).counts)
+            [written] = out.iterdir()
+            outputs.append(written.read_bytes())
+        assert counts[1] == {**counts[0], "empty_category": counts[0]["empty_category"] + 1}
+        assert outputs[0] == outputs[1]
+
+    def test_a_file_that_is_not_utf8_is_refused_with_its_name(self, pipeline_run, capsys,
+                                                             tmp_path):
+        _, paths, workdir = pipeline_run
+        bad = tmp_path / "categories.tsv"
+        bad.write_bytes(pathlib.Path(paths["categories"]).read_bytes() + b"Caf\xe9\tCats\n")
+        code, _, err = run_cli(category_stage_argv("link", paths, workdir, bad, tmp_path),
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {bad}: not UTF-8 text")
 
 
 # Lines a reader must refuse with ValueError, if it does not take them:

@@ -493,7 +493,7 @@ def test_article_examples_round_trip_in_any_order(examples, tmp_path_factory):
 def test_load_category_assignments(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("E1\tCats\nE1\tDogs\nE2\tCats\n", encoding="utf-8")
-    table = load_category_assignments(str(path))
+    table = load_category_assignments(str(path), {"E1", "E2"})
     assert table["E1"].raw_categories == {"Cats", "Dogs"}
     assert table["E2"].raw_categories == {"Cats"}
 
@@ -502,14 +502,14 @@ def test_load_category_assignments_rejects_bad_line(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("no tab here\n", encoding="utf-8")
     with pytest.raises(ValueError):
-        load_category_assignments(str(path))
+        load_category_assignments(str(path), {"no tab here"})
 
 
 def test_load_category_assignments_skips_empty_category(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("E1\tCats\nE1\t\nE2\t\n", encoding="utf-8")
     log = DiagnosticLog()
-    table = load_category_assignments(str(path), log)
+    table = load_category_assignments(str(path), {"E1", "E2"}, log)
     assert list(table) == ["E1"]
     assert table["E1"].raw_categories == {"Cats"}
     assert log.counts[diag.EMPTY_CATEGORY] == 2
@@ -519,7 +519,7 @@ def test_load_category_assignments_skips_whitespace_only_line(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("A\tThings in Ohio\n \n\t\n", encoding="utf-8")
     log = DiagnosticLog()
-    table = load_category_assignments(str(path), log)
+    table = load_category_assignments(str(path), {"A", "", " "}, log)
     assert list(table) == ["A"]
     assert table["A"].raw_categories == {"Things in Ohio"}
     assert log.total() == 0
@@ -529,10 +529,56 @@ def test_load_category_assignments_counts_whitespace_category_as_empty(tmp_path)
     path = tmp_path / "cats.tsv"
     path.write_text("A\tThings\nB\t   \nA\t  \n", encoding="utf-8")
     log = DiagnosticLog()
-    table = load_category_assignments(str(path), log)
+    table = load_category_assignments(str(path), {"A", "B"}, log)
     assert list(table) == ["A"]
     assert table["A"].raw_categories == {"Things"}
     assert log.counts[diag.EMPTY_CATEGORY] == 2
+
+
+_category_line_st = st.tuples(st.sampled_from(["A", "B", "C", " D"]),
+                              st.sampled_from(["Cats", "Dogs in Ohio", "", "  "]))
+
+
+@given(lines=st.lists(_category_line_st, max_size=12),
+       requested=st.sets(st.sampled_from(["A", "B", "C", " D", "E"])))
+def test_load_category_assignments_keeps_exactly_the_requested_entities(
+        lines, requested, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cats") / "cats.tsv"
+    path.write_text("".join(f"{e}\t{c}\n" for e, c in lines), encoding="utf-8")
+    log = DiagnosticLog()
+    table = load_category_assignments(str(path), requested, log)
+    expected: dict[str, set[str]] = {}
+    for entity, category in lines:
+        if entity in requested and category.strip():
+            expected.setdefault(entity, set()).add(category)
+    assert {e: a.raw_categories for e, a in table.items()} == expected
+    assert log.counts[diag.EMPTY_CATEGORY] == sum(not c.strip() for _, c in lines)
+
+
+def test_load_category_assignments_checks_the_lines_of_entities_not_asked_for(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("A\tCats\nB\t\n", encoding="utf-8")
+    log = DiagnosticLog()
+    assert list(load_category_assignments(str(path), {"A"}, log)) == ["A"]
+    assert log.counts[diag.EMPTY_CATEGORY] == 1
+    path.write_text("A\tCats\nB\t\nB\tDogs\tin Ohio\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: expected entity<TAB>category$"):
+        load_category_assignments(str(path), {"A"})
+
+
+def test_load_category_assignments_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_bytes(b"A\tCats\nB\tCaf\xe9s\n")
+    with pytest.raises(ValueError, match=f"^{path}: not UTF-8 text"):
+        load_category_assignments(str(path), {"A"})
+
+
+def test_load_category_assignments_reads_any_newline(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_bytes(b"A\tCats\r\nA\tDogs\rB\tBirds\n")
+    table = load_category_assignments(str(path), {"A", "B"})
+    assert {e: a.raw_categories for e, a in table.items()} == {
+        "A": {"Cats", "Dogs"}, "B": {"Birds"}}
 
 
 def test_assignment_categories_are_union_of_expansions():

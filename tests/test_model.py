@@ -758,6 +758,40 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"^{path}:1: model header is nested too deeply"):
             TypingModel.load(str(path))
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda h, b: ({**h, "format_version": 2}, b),
+         ":1: unsupported model format version: 2"),
+        (lambda h, b: ({k: v for k, v in h.items() if k != "columns"}, b),
+         ":1: model header lacks 'columns'"),
+        (lambda h, b: ({**h, "vocab": ["one", 2]}, b),
+         ":1: model vocab must be a list of distinct strings"),
+        (lambda h, b: ({**h, "vocab": ["one", "one"]}, b),
+         ":1: model vocab must be a list of distinct strings"),
+        (lambda h, b: ({**h, "context_mode": "whole_document"}, b),
+         ":1: model header 'context_mode' is not one of sentence_only, "
+         "sentence_plus_window50, sentence_plus_first_doc_sentence: 'whole_document'"),
+        (lambda h, b: ({**h, "context_mode": ["sentence_only"]}, b),
+         ":1: model header 'context_mode' is not one of"),
+        (lambda h, b: (["not", "an", "object"], b), ":1: model header is not a JSON object"),
+        (lambda h, b: (h, b[:-1]), ": model body is 63 bytes, expected 64"),
+        (lambda h, b: (h, patch_f8(b, 32, math.nan)),
+         ": model holds a non-finite weight or bias"),
+    ], ids=["version", "missing_key", "vocab_type", "vocab_repeat", "unknown_context_mode",
+            "list_context_mode", "header_not_object", "body_length", "nan_weight"])
+    def test_errors_name_the_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "model.json"
+        self.build_with_signed_zero().save(str(path))
+        write_model_file(path, *corrupt(*read_model_file(path)))
+        with pytest.raises(ValueError) as err:
+            TypingModel.load(str(path))
+        assert str(err.value).startswith(f"{path}{message}")
+
+    def test_header_that_is_not_json_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"{\"format_version\":\n")
+        with pytest.raises(ValueError, match=f"^{path}:1: model header is not JSON: "):
+            TypingModel.load(str(path))
+
     def test_header_larger_than_memory_loads_compact(self, tmp_path):
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
         # weights; the file itself is 128 KiB of zero biases and no columns.
