@@ -17,7 +17,9 @@ rows, scaled by the feature values and added one after another, plus the
 bias.  Every category has its own lane in that sum, so the trained
 weights of one category are bit-for-bit unaffected by which other
 categories share the vocabulary, and a logit computed in training equals
-the one `predict` gives for the same input.
+the one `predict` gives for the same input.  Likewise the SGD loop and
+`loss_and_grad`, which the finite-difference check tests, share one loss
+and gradient function.
 
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
@@ -331,8 +333,11 @@ class TypingModel:
         """Block rows of the input's features that this model holds, and their values.
 
         A feature the model does not hold has weight zero everywhere, so
-        dropping it leaves every logit unchanged.
+        dropping it leaves every logit unchanged.  A feature id of D or
+        more is refused.
         """
+        if len(features.indices) and int(features.indices[-1]) >= self.feature_dim:
+            raise ValueError("feature id out of range for this model")
         rows = np.searchsorted(self.feature_ids, features.indices)
         if not len(self.feature_ids):
             return rows[:0], features.values[:0]
@@ -369,10 +374,10 @@ class TypingModel:
     def load(cls, path: str) -> "TypingModel":
         """Read a file written by `save`; raises ValueError on any malformed part.
 
-        A header error names ``path:1``, and a body of the wrong length or
-        with a non-finite number names the file.  The model holds just the
-        stored columns, so its memory follows the file's size and not
-        categories x D.
+        A header error names ``path:1``; a body of the wrong length, with a
+        non-finite number or with column ids not strictly increasing in
+        [0, D) names the file.  The model holds just the stored columns, so
+        its memory follows the file's size and not categories x D.
         """
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -414,8 +419,11 @@ class TypingModel:
             raise ValueError(f"{path}: model holds a non-finite weight or bias")
         block = _zeros(n_cols, n_cats)
         block[:] = stored.T
-        return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim,
-                   header["context_mode"])
+        try:
+            return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim,
+                       header["context_mode"])
+        except ValueError as err:  # the column ids, the one part not checked above
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _header_int(path: str, header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
@@ -454,8 +462,6 @@ def _logits(block: np.ndarray, bias: np.ndarray, rows: np.ndarray,
 
 def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
     """t = sigmoid(W v + b) for one sparse input."""
-    if len(features.indices) and int(features.indices[-1]) >= model.feature_dim:
-        raise ValueError("feature id out of range for this model")
     logits = _logits(model.block, model.bias, *model.held_rows(features))
     return TypePosterior(sigmoid(logits), logits)
 
@@ -475,32 +481,30 @@ def loss_and_grad(model: TypingModel,
                   l2_penalty: float = 0.0) -> tuple[float, Gradients]:
     """Summed BCE loss (plus optional L2 on W) and its exact gradient.
 
-    The gradient with respect to each logit is (t - y); it lands on the
-    active features of the example, plus the dense L2 term.  Works on the
-    dense categories x D matrix, so it is meant for small models and
-    tests; the SGD loop keeps its own sparse path.
+    Each target vector holds one 0 or 1 per category.  The gradient is
+    `_batch_gradient`'s, as a categories x D matrix that is zero in every
+    column the model does not hold, so this is meant for small models and
+    tests.
     """
     if not batch:
         raise ValueError("empty batch")
-    n = len(batch)
     n_cats = len(model.vocab)
-    weights = model.weights
-    dense = np.zeros((n, model.feature_dim))
-    targets = np.zeros((n, n_cats))
-    for row, (fv, y) in enumerate(batch):
-        dense[row, fv.indices] = fv.values
-        targets[row] = np.asarray(y, dtype=np.float64)
-    logits = dense @ weights.T + model.bias
-    loss = _bce_sum(logits, targets)
+    encoded = []
+    for fv, y in batch:
+        y = np.asarray(y)
+        if y.shape != (n_cats,) or not ((y == 0) | (y == 1)).all():
+            raise ValueError(f"targets must be {n_cats} entries of 0 or 1")
+        encoded.append((*model.held_rows(fv), np.flatnonzero(y)))
+    loss, touched, row_grad, bias_grad = _batch_gradient(model, encoded)
+    grad = _zeros(model.feature_dim, n_cats)
     if l2_penalty:
-        loss += l2_penalty * float(np.sum(weights * weights)) / 2.0
+        # Row by row, so a column the model does not hold adds nothing.
+        loss += l2_penalty * float(_sum_rows(model.block * model.block).sum()) / 2.0
+        grad[model.feature_ids] = l2_penalty * model.block
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; model or inputs have diverged")
-    err = sigmoid(logits) - targets
-    grad_w = err.T @ dense
-    if l2_penalty:
-        grad_w += l2_penalty * weights
-    return loss, Gradients(grad_w, err.sum(axis=0))
+    grad[model.feature_ids[touched]] += row_grad
+    return loss, Gradients(grad.T, bias_grad)
 
 
 # A training or dev example as the SGD loop sees it: the block rows of its
@@ -529,28 +533,38 @@ def _forward(model: TypingModel, batch: Sequence[Encoded]) -> tuple[np.ndarray, 
     return logits, targets
 
 
-def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float,
-              l2_penalty: float) -> float:
-    """One mini-batch update of the model; returns the batch's summed BCE before it.
+def _batch_gradient(model: TypingModel,
+                    batch: Sequence[Encoded]) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass, summed BCE and gradient of encoded examples.
 
-    Each example's gradient, its feature values times (t - y), is added
-    into the rows the batch touches in example order.  L2 decays the
-    held block only: every other weight is zero.  A non-finite loss leaves
-    the model unchanged.
+    Returns the loss, the ascending block rows the batch touches, their
+    gradient (one row each) and the bias gradient.  Each example's
+    gradient, its feature values times (t - y), is added into the touched
+    rows in example order.
     """
     logits, targets = _forward(model, batch)
-    loss = _bce_sum(logits, targets)
-    if not np.isfinite(loss):
-        return loss
     err = sigmoid(logits) - targets
     touched = np.unique(np.concatenate([rows for rows, _, _ in batch]))
     grad = np.zeros((len(touched), len(model.bias)))
     for (rows, values, _), example_err in zip(batch, err):
         grad[np.searchsorted(touched, rows)] += values[:, None] * example_err
+    return _bce_sum(logits, targets), touched, grad, _sum_rows(err)
+
+
+def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float,
+              l2_penalty: float) -> float:
+    """One mini-batch update of the model; returns the batch's summed BCE before it.
+
+    L2 decays the held block only: every other weight is zero.  A
+    non-finite loss leaves the model unchanged.
+    """
+    loss, touched, grad, bias_grad = _batch_gradient(model, batch)
+    if not np.isfinite(loss):
+        return loss
     if l2_penalty:
         model.block *= 1.0 - learning_rate * l2_penalty
     model.block[touched] -= learning_rate * grad
-    model.bias -= learning_rate * _sum_rows(err)
+    model.bias -= learning_rate * bias_grad
     return loss
 
 

@@ -224,8 +224,8 @@ class TestFeatureVector:
             FeatureVector(np.array([1]), np.array([np.inf]))
 
     def test_rejects_negative_ids(self):
-        # A negative id would land on column D + id in `loss_and_grad` while
-        # `predict` drops it, so the vector is refused.
+        # A negative id is a column of no model; the vector is refused rather
+        # than the feature dropped as one the model does not hold.
         with pytest.raises(ValueError, match="non-negative"):
             FeatureVector(np.array([-1]), np.array([1.0]))
         with pytest.raises(ValueError, match="non-negative"):
@@ -258,10 +258,14 @@ class TestPredict:
         assert p + q == pytest.approx(1.0, abs=1e-15)
 
     def test_out_of_range_feature_rejected(self):
-        vocab = CategoryVocab(["a"])
-        model = TypingModel.zeros(vocab, feature_dim=8)
-        with pytest.raises(ValueError):
-            predict(model, FeatureVector(np.array([8]), np.array([1.0])))
+        # by every reader of features: predict, loss_and_grad and training's held_rows
+        model = TypingModel(np.array([2, 5]), np.ones((2, 1)), np.zeros(1),
+                            CategoryVocab(["a"]), feature_dim=8)
+        fv = FeatureVector(np.array([3, 8]), np.array([1.0, 1.0]))
+        for read in (model.held_rows, lambda f: predict(model, f),
+                     lambda f: loss_and_grad(model, [(f, np.zeros(1))])):
+            with pytest.raises(ValueError, match="^feature id out of range for this model$"):
+                read(fv)
 
     def test_prediction_is_pure(self):
         vocab = CategoryVocab(["a", "b"])
@@ -371,6 +375,64 @@ class TestLossAndGrad:
         model = TypingModel.zeros(vocab, feature_dim=4)
         with pytest.raises(ValueError):
             loss_and_grad(model, [])
+
+    @pytest.mark.parametrize("y", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], [0.5, 0.0],
+                                   [2.0, 1.0], [-1, 0], [math.nan, 0.0]],
+                             ids=["short", "long", "2d", "soft", "two", "minus_one", "nan"])
+    def test_targets_must_be_one_0_or_1_per_category(self, y):
+        model = TypingModel.zeros(CategoryVocab(["a", "b"]), feature_dim=4)
+        fv = FeatureVector(np.array([1]), np.array([1.0]))
+        with pytest.raises(ValueError, match="^targets must be 2 entries of 0 or 1"):
+            loss_and_grad(model, [(fv, np.array(y))])
+
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_compact_model_gives_the_bits_of_its_dense_twin(self, l2):
+        rng = np.random.default_rng(16)
+        for _ in range(25):
+            dense, batch = random_model_and_batch(rng)
+            # The compact model holds the batch's features plus a few others;
+            # its dense twin is zero in every other column.
+            active = np.concatenate([fv.indices for fv, _ in batch])
+            held = np.union1d(active, rng.choice(dense.feature_dim, size=3, replace=False))
+            dense.block[np.setdiff1d(np.arange(dense.feature_dim), held)] = 0.0
+            compact = TypingModel(held, dense.block[held], dense.bias.copy(), dense.vocab,
+                                  feature_dim=dense.feature_dim)
+            loss, grads = loss_and_grad(compact, batch, l2)
+            twin_loss, twin_grads = loss_and_grad(dense, batch, l2)
+            assert struct.pack("<d", loss) == struct.pack("<d", twin_loss)
+            assert grads.weights.tobytes() == twin_grads.weights.tobytes()
+            assert grads.bias.tobytes() == twin_grads.bias.tobytes()
+
+    def test_unheld_columns_get_exactly_zero_gradient(self):
+        block = np.array([[1.0, -1.0], [0.5, 0.25]])
+        model = TypingModel(np.array([2, 5]), block, np.array([0.0, 1.0]),
+                            CategoryVocab(["a", "b"]), feature_dim=8)
+        fv = FeatureVector(np.array([0, 5, 7]), np.array([3.0, 2.0, 4.0]))
+        _, grads = loss_and_grad(model, [(fv, np.array([1.0, 0.0]))], 0.1)
+        assert grads.weights.shape == (2, 8)
+        assert not grads.weights[:, [0, 1, 3, 4, 6, 7]].any()
+        err = model_module.sigmoid(np.array([1.0, 1.5])) - np.array([1.0, 0.0])
+        assert grads.weights[:, 2].tolist() == (0.1 * block[0]).tolist()
+        assert grads.weights[:, 5].tolist() == (0.1 * block[1] + 2.0 * err).tolist()
+        assert grads.bias.tolist() == err.tolist()
+
+    def test_training_and_the_gradient_check_share_one_gradient(self, monkeypatch):
+        calls = []
+        shared = model_module._batch_gradient
+
+        def recording(model, batch):
+            calls.append(len(batch))
+            return shared(model, batch)
+
+        monkeypatch.setattr(model_module, "_batch_gradient", recording)
+        model, batch = random_model_and_batch(np.random.default_rng(5), n_examples=3)
+        loss_and_grad(model, batch)
+        _sgd_step(model, [(*model.held_rows(fv), np.flatnonzero(y)) for fv, y in batch],
+                  0.1, 0.0)
+        train(separable_pairs(), CategoryVocab(["cat_a", "cat_b"]),
+              TrainConfig(feature_dim=256, epochs=1))
+        # loss_and_grad, the direct step, then training's two batches of 64 and 16
+        assert calls == [3, 3, 64, 16]
 
     def test_monotone_loss_under_small_step_full_batch_descent(self):
         rng = np.random.default_rng(3)
@@ -776,8 +838,17 @@ class TestModelFile:
         (lambda h, b: (h, b[:-1]), ": model body is 63 bytes, expected 64"),
         (lambda h, b: (h, patch_f8(b, 32, math.nan)),
          ": model holds a non-finite weight or bias"),
+        (lambda h, b: (h, patch_ids(b, (6, 3))),
+         ": feature ids must be strictly increasing in [0, D)"),
+        (lambda h, b: (h, patch_ids(b, (3, 3))),
+         ": feature ids must be strictly increasing in [0, D)"),
+        (lambda h, b: (h, patch_ids(b, (-1, 3))),
+         ": feature ids must be strictly increasing in [0, D)"),
+        (lambda h, b: (h, patch_ids(b, (3, 8))),
+         ": feature ids must be strictly increasing in [0, D)"),
     ], ids=["version", "missing_key", "vocab_type", "vocab_repeat", "unknown_context_mode",
-            "list_context_mode", "header_not_object", "body_length", "nan_weight"])
+            "list_context_mode", "header_not_object", "body_length", "nan_weight",
+            "ids_decreasing", "ids_repeated", "id_negative", "id_equals_D"])
     def test_errors_name_the_file(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
         self.build_with_signed_zero().save(str(path))
