@@ -160,10 +160,7 @@ def build_context(example: MentionExample, mode: ContextMode) -> MentionExample:
     mode = ContextMode(mode)
     start, end = example.span
     if mode is ContextMode.SENTENCE_ONLY:
-        # The copy holds the same valid fields, so it skips `__post_init__`.
-        out = object.__new__(type(example))
-        out.__dict__.update(example.__dict__, tokens=list(example.tokens))
-        return out
+        return dataclasses.replace(example, tokens=list(example.tokens))
     if mode is ContextMode.SENTENCE_PLUS_WINDOW50:
         if example.left_extra is None:
             raise ValueError("context mode needs left_extra, which is missing")

@@ -479,12 +479,14 @@ def _bce_sum(logits: np.ndarray, targets: np.ndarray) -> float:
 def loss_and_grad(model: TypingModel,
                   batch: Sequence[tuple[FeatureVector, np.ndarray]],
                   l2_penalty: float = 0.0) -> tuple[float, Gradients]:
-    """Summed BCE loss (plus optional L2 on W) and its exact gradient.
+    """Summed BCE loss (plus optional L2 on W) and its gradient in the held parameters.
 
     Each target vector holds one 0 or 1 per category.  The gradient is
-    `_batch_gradient`'s, as a categories x D matrix that is zero in every
-    column the model does not hold, so this is meant for small models and
-    tests.
+    `_batch_gradient`'s, with respect to the bias and the columns of W the
+    model holds, the parameters SGD moves.  It comes as a categories x D
+    matrix whose other columns are 0 by construction, not the derivative
+    there, so this is the full gradient of W only for a dense model such
+    as `TypingModel.zeros`.  Meant for small models and tests.
     """
     if not batch:
         raise ValueError("empty batch")

@@ -161,17 +161,6 @@ class TestBuildContext:
         out.tokens.append("mutant")
         assert ex.tokens[-1] == "."
 
-    def test_sentence_only_copy_does_not_validate_again(self, monkeypatch):
-        ex = example_with_context()
-
-        def validate(self):
-            raise AssertionError("the copy of a valid example was validated again")
-
-        monkeypatch.setattr(MentionExample, "__post_init__", validate)
-        out = build_context(ex, ContextMode.SENTENCE_ONLY)
-        assert type(out) is MentionExample and out == ex and out.tokens is not ex.tokens
-        assert out.left_extra is ex.left_extra
-
     def test_window_mode_prepends_and_appends_trimmed_extras(self):
         ex = example_with_context()
         out = build_context(ex, ContextMode.SENTENCE_PLUS_WINDOW50)

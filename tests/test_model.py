@@ -404,6 +404,8 @@ class TestLossAndGrad:
             assert grads.bias.tobytes() == twin_grads.bias.tobytes()
 
     def test_unheld_columns_get_exactly_zero_gradient(self):
+        # By construction: feature 7 is active, but the model does not hold
+        # its column, so SGD cannot move it and `loss_and_grad` reports 0.
         block = np.array([[1.0, -1.0], [0.5, 0.25]])
         model = TypingModel(np.array([2, 5]), block, np.array([0.0, 1.0]),
                             CategoryVocab(["a", "b"]), feature_dim=8)
