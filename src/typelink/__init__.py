@@ -10,9 +10,8 @@ from .categories import (DEFAULT_PREPOSITIONS, CategoryVocab, expand_category,
 from .diagnostics import DiagnosticLog
 from .evaluation import (ContextMode, EvalReport, build_context, linking_accuracy,
                          typing_metrics)
-from .ingest import (CategoryAssignment, MentionExample, RawArticle, attach_categories,
-                     extract_examples, iter_articles, read_examples,
-                     sample_training_set, write_examples)
+from .ingest import (MentionExample, RawArticle, attach_categories, extract_examples,
+                     iter_articles, read_examples, sample_training_set, write_examples)
 from .linker import (EntityCategoryIndex, LinkPrediction, build_category_index, link,
                      most_frequent_entity, score_candidates)
 from .model import (FeatureVector, Gradients, TrainConfig, TypePosterior, TypingModel,
@@ -23,8 +22,8 @@ from .prior import CandidateSet, PriorTable, accumulate, gold_recall
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet", "CategoryAssignment", "CategoryVocab", "ContextMode",
-    "DEFAULT_PREPOSITIONS", "DiagnosticLog", "EntityCategoryIndex", "EvalReport",
+    "CandidateSet", "CategoryVocab", "ContextMode", "DEFAULT_PREPOSITIONS",
+    "DiagnosticLog", "EntityCategoryIndex", "EvalReport",
     "FeatureVector", "Gradients", "LinkPrediction", "MentionExample", "PriorTable",
     "RawArticle", "TrainConfig", "TypePosterior", "TypingModel", "accumulate",
     "attach_categories", "build_category_index", "build_context", "expand_category",

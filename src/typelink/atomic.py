@@ -1,4 +1,5 @@
-"""Whole-file writes: a stage's output either appears complete or not at all."""
+"""Whole-file writes, so a stage's output appears complete or not at all, and
+checked text reads, so a file that is not UTF-8 is refused under its name."""
 
 from __future__ import annotations
 
@@ -28,3 +29,15 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, as a text-mode file gives them.
+
+    Bytes that are not UTF-8 raise ValueError naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 
 
 # Whole-token, case-insensitive preposition triggers for splitting.
@@ -90,8 +90,7 @@ class CategoryVocab:
         A blank line before the last category, or a repeated category,
         raises ValueError naming ``path:line``.
         """
-        with open(path, encoding="utf-8") as fh:
-            entries = [line.rstrip("\n") for line in fh]
+        entries = [line.rstrip("\n") for line in read_lines(path)]
         while entries and entries[-1] == "":
             entries.pop()
         seen: dict[str, int] = {}
@@ -109,19 +108,19 @@ def check_vocab_size(size: int) -> None:
         raise ValueError(f"vocabulary size must be positive, got {size}")
 
 
-def select_vocabulary(stream: Iterable[tuple[str, str, Iterable[str]]],
+def select_vocabulary(stream: Iterable[tuple[str, Iterable[str]]],
                       size: int) -> CategoryVocab:
     """Pick the top `size` categories by distinct-mention count.
 
-    `stream` carries (mention, entity, expanded categories) triples taken
-    from the candidate entities of the target dataset's mentions.  A
-    category's score is the number of distinct mention strings it was
-    seen with; repeats of one mention add nothing.  Ranking is by count
-    descending, ties by category string ascending.
+    `stream` carries (mention, types) pairs, one per candidate entity of
+    the target dataset's mentions that has types.  A category's score is
+    the number of distinct mention strings it was seen with; repeats of
+    one mention add nothing.  Ranking is by count descending, ties by
+    category string ascending.
     """
     check_vocab_size(size)
     mentions_by_category: dict[str, set[str]] = defaultdict(set)
-    for mention, _entity, categories in stream:
+    for mention, categories in stream:
         for cat in categories:
             mentions_by_category[cat].add(mention)
     ranked = sorted(mentions_by_category.items(), key=lambda kv: (-len(kv[1]), kv[0]))

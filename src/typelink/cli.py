@@ -34,7 +34,7 @@ from .ingest import (MentionExample, attach_categories, check_sample_sizes,
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
                      build_category_index, check_backoff, link)
 from .model import TrainConfig, TypingModel, predict_example, train
-from .prior import (DEFAULT_CANDIDATE_THRESHOLD, PriorTable, accumulate,
+from .prior import (DEFAULT_CANDIDATE_THRESHOLD, CandidateSet, PriorTable, accumulate,
                     check_candidate_threshold, gold_recall)
 
 
@@ -70,9 +70,8 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
                 for ex in extract_examples(art, log)]
     if args.vocab is not None:
         vocab = CategoryVocab.load(args.vocab)
-        assignments = load_category_assignments(
-            args.categories, {ex.entity for ex in examples}, log)
-        examples = attach_categories(examples, assignments, vocab,
+        types = load_category_assignments(args.categories, {ex.entity for ex in examples}, log)
+        examples = attach_categories(examples, types, vocab,
                                      keep_uncategorized=args.keep_uncategorized, log=log)
     # Sample before writing anything, so a request larger than the data
     # leaves no file behind either.
@@ -86,27 +85,29 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     return log
 
 
+def _candidate_types(args: argparse.Namespace, examples: list[MentionExample]
+                     ) -> tuple[PriorTable, list[CandidateSet], dict[str, frozenset[str]],
+                                DiagnosticLog]:
+    """The prior, each example's candidate set, the candidates' types and
+    the diagnostics of reading them."""
+    table = PriorTable.load(args.prior)
+    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
+    log = DiagnosticLog()
+    types = load_category_assignments(
+        args.categories, (entity for cset in csets for entity in cset.entities()), log)
+    return table, csets, types, log
+
+
 def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     """Select the category vocabulary from candidate entities of the mentions.
 
     Only candidate categories are counted, never the gold labels of the
     mention examples themselves.
     """
-    examples = read_examples(args.mentions)
-    table = PriorTable.load(args.prior)
-    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
-    log = DiagnosticLog()
-    assignments = load_category_assignments(
-        args.categories, (entity for cset in csets for entity in cset.entities()), log)
-
-    def stream():
-        for cset in csets:
-            for entity in cset.entities():
-                assignment = assignments.get(entity)
-                if assignment is not None:
-                    yield cset.mention, entity, assignment.categories
-
-    select_vocabulary(stream(), args.vocab_size).save(args.vocab)
+    _, csets, types, log = _candidate_types(args, read_examples(args.mentions))
+    pairs = ((cset.mention, types[entity])
+             for cset in csets for entity in cset.entities() if entity in types)
+    select_vocabulary(pairs, args.vocab_size).save(args.vocab)
     return log
 
 
@@ -160,13 +161,9 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     diagnostic rather than failing the whole run.
     """
     model = TypingModel.load(args.model)
-    table = PriorTable.load(args.prior)
     examples = read_examples(args.mentions)
-    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
-    log = DiagnosticLog()
-    assignments = load_category_assignments(
-        args.categories, (entity for cset in csets for entity in cset.entities()), log)
-    index = build_category_index(assignments, model.vocab)
+    table, csets, types, log = _candidate_types(args, examples)
+    index = build_category_index(types, model.vocab)
     with atomic_write(args.predictions) as fh:
         for ex, cset in zip(examples, csets):
             if len(cset) == 0:
@@ -187,7 +184,9 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
 
 def prediction_from_dict(row: dict) -> dict:
     """A predictions row as `link` writes it; ValueError names a field of the wrong type."""
-    chosen, scores = row["chosen"], row["scores"]
+    mention, chosen, scores = row["mention"], row["chosen"], row["scores"]
+    if type(mention) is not str:
+        raise ValueError("mention must be a string")
     if chosen is not None and type(chosen) is not str:
         raise ValueError("chosen must be a string or null")
     if type(row["used_backoff"]) is not bool:
@@ -216,12 +215,12 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
         raise ValueError(f"{len(examples)} mentions but {len(predictions)} predictions")
     pairs = []
     for ex, pred in zip(examples, predictions):
-        if pred.get("mention") != ex.mention:
-            raise ValueError(f"prediction for {pred.get('mention')!r} does not match "
+        if pred["mention"] != ex.mention:
+            raise ValueError(f"prediction for {pred['mention']!r} does not match "
                              f"mention {ex.mention!r}")
         if ex.entity is None:
             raise ValueError("evaluation example without gold entity")
-        pairs.append((pred.get("chosen"), ex.entity))
+        pairs.append((pred["chosen"], ex.entity))
     accuracy = linking_accuracy(pairs)
 
     recall = None

@@ -23,14 +23,13 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, groupby
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import diagnostics as diag
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .categories import CategoryVocab, expand_category
 from .diagnostics import DiagnosticLog
 
@@ -82,22 +81,6 @@ class MentionExample:
             raise ValueError("categories present without an entity")
 
 
-@dataclass
-class CategoryAssignment:
-    """One entity's raw categories; the table holding it is keyed by the entity."""
-
-    raw_categories: set[str]
-
-    @cached_property
-    def categories(self) -> frozenset[str]:
-        """The entity's types: the union of its expanded raw categories.
-
-        Computed on first read and cached, so each entity is expanded at
-        most once however many mentions or candidates refer to it.
-        """
-        return frozenset(cat for raw in self.raw_categories for cat in expand_category(raw))
-
-
 def split_sentences(text: str) -> list[str]:
     """Split on '. ', '! ', '? ', keeping the punctuation mark."""
     return [part for part in _SENTENCE_SPLIT_RE.split(text) if part.strip()]
@@ -111,20 +94,19 @@ def iter_articles(path: str, split: bool = False,
     body lines are dropped; with `split`, each body line is cut into
     sentences by `split_sentences`.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = (line.rstrip("\n") for line in fh)
-        for is_separator, record in groupby(lines, key=lambda line: line == ARTICLE_SEPARATOR):
-            if is_separator:
-                continue
-            title = next(record).strip()
-            if not title:
-                if log is not None:
-                    log.bump(diag.EMPTY_TITLE)
-                continue
-            body = [line for line in record if line.strip()]
-            if split:
-                body = [sentence for line in body for sentence in split_sentences(line)]
-            yield RawArticle(title, body)
+    lines = (line.rstrip("\n") for line in read_lines(path))
+    for is_separator, record in groupby(lines, key=lambda line: line == ARTICLE_SEPARATOR):
+        if is_separator:
+            continue
+        title = next(record).strip()
+        if not title:
+            if log is not None:
+                log.bump(diag.EMPTY_TITLE)
+            continue
+        body = [line for line in record if line.strip()]
+        if split:
+            body = [sentence for line in body for sentence in split_sentences(line)]
+        yield RawArticle(title, body)
 
 
 # --- link grammar -----------------------------------------------------------
@@ -239,51 +221,47 @@ def extract_examples(article: RawArticle,
 # --- category attachment and sampling ---------------------------------------
 
 def load_category_assignments(path: str, entities: Iterable[str],
-                              log: Optional[DiagnosticLog] = None) -> dict[str, CategoryAssignment]:
-    """Read an entity<TAB>category TSV into the assignments of `entities`.
+                              log: Optional[DiagnosticLog] = None) -> dict[str, frozenset[str]]:
+    """Read an entity<TAB>category TSV into the types of `entities`.
 
-    Every line is checked, whichever entity it names: a blank or
-    whitespace-only line is skipped, a line without exactly one tab or
-    with an empty entity raises ValueError naming ``path:line``, and a
-    line whose category is empty or whitespace is skipped and counted.
-    Only the entities asked for get an assignment, and only if one of
-    their lines has a category.  A file that is not UTF-8 raises
-    ValueError naming it.
+    An entity's types are the union of the expansions of its raw
+    categories; each distinct raw category of an asked-for entity is
+    expanded once, here.  Only the entities asked for get types, and
+    only if one of their lines has a category.  Every line is checked,
+    whichever entity it names: a blank or whitespace-only line is
+    skipped, a line without exactly one tab or with an empty entity
+    raises ValueError naming ``path:line``, and a line whose category is
+    empty or whitespace is skipped and counted.
     """
     wanted = set(entities)
-    table: dict[str, CategoryAssignment] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                entity, tab, category = line.rstrip("\n").partition("\t")
-                if not entity or not tab or "\t" in category:
-                    if line.strip():
-                        raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
-                    continue
-                if not category.strip():
-                    if entity.strip() and log is not None:  # else the whole line is blank
-                        log.bump(diag.EMPTY_CATEGORY)
-                    continue
-                if entity in wanted:
-                    if entity not in table:
-                        table[entity] = CategoryAssignment(set())
-                    table[entity].raw_categories.add(category)
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
-    return table
+    raw: dict[str, set[str]] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        entity, tab, category = line.rstrip("\n").partition("\t")
+        if not entity or not tab or "\t" in category:
+            if line.strip():
+                raise ValueError(f"{path}:{lineno}: expected entity<TAB>category")
+            continue
+        if not category.strip():
+            if entity.strip() and log is not None:  # else the whole line is blank
+                log.bump(diag.EMPTY_CATEGORY)
+            continue
+        if entity in wanted:
+            raw.setdefault(entity, set()).add(category)
+    return {entity: frozenset(cat for category in categories for cat in expand_category(category))
+            for entity, categories in raw.items()}
 
 
 def attach_categories(examples: Iterable[MentionExample],
-                      assignments: dict[str, CategoryAssignment],
+                      types: dict[str, frozenset[str]],
                       vocab: CategoryVocab,
                       keep_uncategorized: bool = False,
                       log: Optional[DiagnosticLog] = None) -> list[MentionExample]:
-    """Label examples with their entity's expanded categories, vocab-filtered.
+    """Label examples with their entity's types, vocab-filtered.
 
-    Examples whose entity has no assignment record, or whose expanded
-    categories all fall outside the vocabulary, are dropped and counted
-    (kept with an empty label list when `keep_uncategorized` is set, for
-    evaluation corpora where the linking gold must survive).
+    Examples whose entity has no types, or whose types all fall outside
+    the vocabulary, are dropped and counted (kept with an empty label
+    list when `keep_uncategorized` is set, for evaluation corpora where
+    the linking gold must survive).
     """
     if log is None:
         log = DiagnosticLog()
@@ -291,14 +269,14 @@ def attach_categories(examples: Iterable[MentionExample],
     for ex in examples:
         if ex.entity is None:
             continue
-        assignment = assignments.get(ex.entity)
-        if assignment is None:
+        categories = types.get(ex.entity)
+        if categories is None:
             log.bump(diag.ENTITY_WITHOUT_CATEGORIES)
             if not keep_uncategorized:
                 continue
             cats: list[str] = []
         else:
-            cats = sorted(c for c in assignment.categories if c in vocab)
+            cats = sorted(c for c in categories if c in vocab)
             if not cats:
                 log.bump(diag.NO_VOCAB_CATEGORIES)
                 if not keep_uncategorized:
@@ -489,23 +467,22 @@ def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = Non
     that `convert` refuses with ValueError or KeyError, raises ValueError
     naming ``path:line``.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if type(row) is not dict:
-                    raise ValueError("expected a JSON object")
-                if convert is not None:
-                    row = convert(row)
-            except KeyError as err:
-                raise ValueError(f"{path}:{lineno}: missing field {err}") from None
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            except RecursionError:
-                raise ValueError(f"{path}:{lineno}: JSON nested too deeply") from None
-            yield row
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if type(row) is not dict:
+                raise ValueError("expected a JSON object")
+            if convert is not None:
+                row = convert(row)
+        except KeyError as err:
+            raise ValueError(f"{path}:{lineno}: missing field {err}") from None
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        except RecursionError:
+            raise ValueError(f"{path}:{lineno}: JSON nested too deeply") from None
+        yield row
 
 
 def read_examples(path: str) -> list[MentionExample]:

@@ -17,7 +17,6 @@ import numpy as np
 from . import diagnostics as diag
 from .categories import CategoryVocab
 from .diagnostics import DiagnosticLog
-from .ingest import CategoryAssignment
 from .model import TypePosterior
 from .prior import CandidateSet, PriorTable
 
@@ -29,37 +28,31 @@ _PROB_MIN, _PROB_MAX = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 @dataclass
 class EntityCategoryIndex:
-    """entity -> sorted vocabulary ids of its expanded categories.
+    """entity -> sorted vocabulary ids of its types, set by `put` only.
 
-    An index built from category assignments fills an entity's entry on
-    its first read, so only the entities asked about (the candidates of
-    the linked mentions) are ever expanded.
+    An entity never put has no entry: `get` gives None for it.
     """
 
-    assignments: dict[str, CategoryAssignment] = field(default_factory=dict)
-    vocab: Optional[CategoryVocab] = None
     ids_by_entity: dict[str, np.ndarray] = field(init=False, default_factory=dict)
 
     def put(self, entity: str, ids: Iterable[int]) -> None:
         self.ids_by_entity[entity] = np.asarray(sorted(set(ids)), dtype=np.int64)
 
     def get(self, entity: str) -> Optional[np.ndarray]:
-        if entity not in self.ids_by_entity:
-            assignment = self.assignments.get(entity)
-            if assignment is None:
-                return None
-            self.put(entity, self.vocab.to_ids(assignment.categories))
-        return self.ids_by_entity[entity]
+        return self.ids_by_entity.get(entity)
 
     def category_count(self, entity: str) -> int:
         ids = self.get(entity)
         return 0 if ids is None else len(ids)
 
 
-def build_category_index(assignments: dict[str, CategoryAssignment],
+def build_category_index(types: dict[str, frozenset[str]],
                          vocab: CategoryVocab) -> EntityCategoryIndex:
-    """Index the in-vocab ids of each entity's expanded categories, read on demand."""
-    return EntityCategoryIndex(assignments, vocab)
+    """Index the in-vocabulary ids of each entity's types."""
+    index = EntityCategoryIndex()
+    for entity, categories in types.items():
+        index.put(entity, vocab.to_ids(categories))
+    return index
 
 
 @dataclass

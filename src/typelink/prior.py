@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 
 DEFAULT_CANDIDATE_THRESHOLD = 0.05
 CASE_FOLD_MARKER = "#case_fold"  # first line of a case-folded prior file
@@ -119,23 +119,22 @@ class PriorTable:
         ValueError naming ``path:line``.
         """
         table = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if lineno == 1 and line == CASE_FOLD_MARKER:
-                    table.case_fold = True
-                    continue
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected mention<TAB>entity<TAB>count")
-                mention, entity, count = parts
-                try:
-                    table.add(mention, entity, int(count))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: count must be a positive integer, "
-                                     f"got {count!r}") from None
+        for lineno, line in enumerate(read_lines(path), start=1):
+            line = line.rstrip("\n")
+            if lineno == 1 and line == CASE_FOLD_MARKER:
+                table.case_fold = True
+                continue
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected mention<TAB>entity<TAB>count")
+            mention, entity, count = parts
+            try:
+                table.add(mention, entity, int(count))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: count must be a positive integer, "
+                                 f"got {count!r}") from None
         return table
 
 

@@ -73,29 +73,28 @@ def test_expansion_deterministic(raw):
 
 class TestSelectVocabulary:
     def test_unique_mention_counting(self):
-        stream = [("m1", "e1", ["A"]), ("m2", "e2", ["A"]), ("m3", "e3", ["A"]),
-                  ("m1", "e4", ["B"])]
+        stream = [("m1", ["A"]), ("m2", ["A"]), ("m3", ["A"]), ("m1", ["B"])]
         vocab = select_vocabulary(stream, 1)
         assert vocab.entries == ["A"]
 
     def test_repeats_of_one_mention_count_once(self):
-        stream = [("m1", "e1", ["A"])] * 100 + [("m2", "e2", ["B"])]
+        stream = [("m1", ["A"])] * 100 + [("m2", ["B"])]
         vocab = select_vocabulary(stream, 1)
         # both categories saw exactly one distinct mention; tie broken by string
         assert vocab.entries == ["A"]
 
     def test_oversized_request_returns_all(self):
-        stream = [("m1", "e1", ["A", "B"]), ("m2", "e2", ["B"])]
+        stream = [("m1", ["A", "B"]), ("m2", ["B"])]
         vocab = select_vocabulary(stream, 10)
         assert vocab.entries == ["B", "A"]
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
-            select_vocabulary([("m", "e", ["A"])], 0)
+            select_vocabulary([("m", ["A"])], 0)
 
     def test_rank_order_most_frequent_first(self):
-        stream = [(f"m{i}", "e", ["big"]) for i in range(5)]
-        stream += [(f"m{i}", "e", ["small"]) for i in range(2)]
+        stream = [(f"m{i}", ["big"]) for i in range(5)]
+        stream += [(f"m{i}", ["small"]) for i in range(2)]
         vocab = select_vocabulary(stream, 2)
         assert vocab.entries == ["big", "small"]
         assert vocab.id_of("big") == 0
@@ -106,7 +105,7 @@ def mention_category_streams(draw):
     n = draw(st.integers(1, 30))
     mentions = [f"m{draw(st.integers(0, 8))}" for _ in range(n)]
     cats = [[f"c{draw(st.integers(0, 5))}"] for _ in range(n)]
-    return [(m, "e", c) for m, c in zip(mentions, cats)]
+    return list(zip(mentions, cats))
 
 
 @given(mention_category_streams(), st.integers(1, 4), st.integers(1, 4))

@@ -230,14 +230,15 @@ class TestPipeline:
         assert code == 0, err
         assert (tmp_path / "p.jsonl").read_bytes() == (workdir / "predictions.jsonl").read_bytes()
         table = PriorTable.load(str(workdir / "prior.tsv"))
-        lines = pathlib.Path(paths["categories"]).read_text(encoding="utf-8").splitlines()
-        assignments = load_category_assignments(
-            paths["categories"], {line.partition("\t")[0] for line in lines})
+        raw_by_entity: dict[str, set[str]] = {}
+        for line in pathlib.Path(paths["categories"]).read_text(encoding="utf-8").splitlines():
+            entity, _, raw = line.partition("\t")
+            raw_by_entity.setdefault(entity, set()).add(raw)
         candidates = {entity for ex in read_examples(str(workdir / "eval_mentions.jsonl"))
                       for entity in table.candidates(ex.mention).entities()}
-        assert len(candidates & set(assignments)) < len(assignments)
-        assert sorted(calls) == sorted(raw for entity in candidates if entity in assignments
-                                       for raw in assignments[entity].raw_categories)
+        assert len(candidates & set(raw_by_entity)) < len(raw_by_entity)
+        assert sorted(calls) == sorted(raw for entity in candidates if entity in raw_by_entity
+                                       for raw in raw_by_entity[entity])
 
     def test_train_is_reproducible_at_cli_level(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
@@ -442,8 +443,12 @@ class TestErrorCodes:
         '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[[1,0.5]]}',
         '{"mention":"aa","chosen":"A","used_backoff":false,"scores":[["A",true]]}',
         '{"mention":"aa","chosen":"A","used_backoff":false}',
+        '{"mention":5,"chosen":"A","used_backoff":false,"scores":[]}',
+        '{"mention":null,"chosen":"A","used_backoff":false,"scores":[]}',
+        '{"chosen":"A","used_backoff":false,"scores":[]}',
     ], ids=["all", "chosen_int", "backoff_int", "scores_int", "pair_short",
-            "score_string", "entity_int", "score_bool", "scores_missing"])
+            "score_string", "entity_int", "score_bool", "scores_missing",
+            "mention_int", "mention_null", "mention_missing"])
     def test_mistyped_prediction_row_names_its_file_and_line(self, capsys, tmp_path, row):
         ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
@@ -755,6 +760,35 @@ class TestErrorCodes:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err == f"error: INVALID_INPUT: {bad}{message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("build-prior", "--articles"), ("build-vocab", "--mentions"),
+        ("build-vocab", "--prior"), ("train", "--vocab"), ("eval", "--predictions"),
+    ], ids=["articles", "mentions", "prior", "vocab", "predictions"])
+    def test_a_file_that_is_not_utf8_is_refused_with_its_name(self, pipeline_run, capsys,
+                                                             tmp_path, stage, flag):
+        _, paths, workdir = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        files = {
+            "build-prior": {"--articles": paths["prior_articles"], "--prior": out / "prior.tsv"},
+            "build-vocab": {"--mentions": workdir / "eval_mentions_raw.jsonl",
+                            "--prior": workdir / "prior.tsv",
+                            "--categories": paths["categories"], "--vocab": out / "vocab.txt"},
+            "train": {"--mentions": workdir / "train_mentions.jsonl",
+                      "--vocab": workdir / "vocab.txt", "--model": out / "model.json"},
+            "eval": {"--mentions": workdir / "eval_mentions.jsonl",
+                     "--predictions": workdir / "predictions.jsonl",
+                     "--report": out / "report.json"},
+        }[stage]
+        bad = tmp_path / "bad"
+        bad.write_bytes(pathlib.Path(files[flag]).read_bytes() + b"\xff\n")
+        files[flag] = bad
+        code, _, err = run_cli([stage, *(str(arg) for item in files.items() for arg in item)],
+                               capsys)
+        assert code == 2
+        assert err.startswith(f"error: INVALID_INPUT: {bad}: not UTF-8 text ("), err
         assert list(out.iterdir()) == []
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import typelink.categories
 import typelink.ingest
 from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
-from typelink.ingest import (CONTEXT_WINDOW, CategoryAssignment, MentionExample, RawArticle,
+from typelink.ingest import (CONTEXT_WINDOW, MentionExample, RawArticle,
                              MENTIONS_HEADER, attach_categories, extract_examples, iter_articles,
                              load_category_assignments, read_examples,
                              sample_training_set, split_sentences, write_examples)
@@ -204,23 +205,21 @@ class TestAttachCategories:
 
     def test_identity_category(self):
         vocab = CategoryVocab(["Software"])
-        assignments = {"E": CategoryAssignment({"Software"})}
-        out = attach_categories([self.example()], assignments, vocab)
+        out = attach_categories([self.example()], {"E": frozenset({"Software"})}, vocab)
         assert out[0].categories == ["Software"]
 
     def test_expansion_applies(self):
         vocab = CategoryVocab(["Cities", "in New York (state)",
                               "Cities in New York (state)"])
-        assignments = {"E": CategoryAssignment({"Cities in New York (state)"})}
-        out = attach_categories([self.example()], assignments, vocab)
+        types = {"E": frozenset(expand_category("Cities in New York (state)"))}
+        out = attach_categories([self.example()], types, vocab)
         assert out[0].categories == ["Cities", "Cities in New York (state)",
                                      "in New York (state)"]
 
     def test_out_of_vocab_example_dropped(self):
         vocab = CategoryVocab(["Unrelated"])
-        assignments = {"E": CategoryAssignment({"Software"})}
         log = DiagnosticLog()
-        out = attach_categories([self.example()], assignments, vocab, log=log)
+        out = attach_categories([self.example()], {"E": frozenset({"Software"})}, vocab, log=log)
         assert out == []
         assert log.counts[diag.NO_VOCAB_CATEGORIES] == 1
 
@@ -494,8 +493,7 @@ def test_load_category_assignments(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_text("E1\tCats\nE1\tDogs\nE2\tCats\n", encoding="utf-8")
     table = load_category_assignments(str(path), {"E1", "E2"})
-    assert table["E1"].raw_categories == {"Cats", "Dogs"}
-    assert table["E2"].raw_categories == {"Cats"}
+    assert table == {"E1": frozenset({"Cats", "Dogs"}), "E2": frozenset({"Cats"})}
 
 
 def test_load_category_assignments_rejects_bad_line(tmp_path):
@@ -510,8 +508,7 @@ def test_load_category_assignments_skips_empty_category(tmp_path):
     path.write_text("E1\tCats\nE1\t\nE2\t\n", encoding="utf-8")
     log = DiagnosticLog()
     table = load_category_assignments(str(path), {"E1", "E2"}, log)
-    assert list(table) == ["E1"]
-    assert table["E1"].raw_categories == {"Cats"}
+    assert table == {"E1": frozenset({"Cats"})}
     assert log.counts[diag.EMPTY_CATEGORY] == 2
 
 
@@ -520,8 +517,7 @@ def test_load_category_assignments_skips_whitespace_only_line(tmp_path):
     path.write_text("A\tThings in Ohio\n \n\t\n", encoding="utf-8")
     log = DiagnosticLog()
     table = load_category_assignments(str(path), {"A", "", " "}, log)
-    assert list(table) == ["A"]
-    assert table["A"].raw_categories == {"Things in Ohio"}
+    assert table == {"A": frozenset({"Things in Ohio", "Things", "in Ohio"})}
     assert log.total() == 0
 
 
@@ -530,8 +526,7 @@ def test_load_category_assignments_counts_whitespace_category_as_empty(tmp_path)
     path.write_text("A\tThings\nB\t   \nA\t  \n", encoding="utf-8")
     log = DiagnosticLog()
     table = load_category_assignments(str(path), {"A", "B"}, log)
-    assert list(table) == ["A"]
-    assert table["A"].raw_categories == {"Things"}
+    assert table == {"A": frozenset({"Things"})}
     assert log.counts[diag.EMPTY_CATEGORY] == 2
 
 
@@ -550,8 +545,8 @@ def test_load_category_assignments_keeps_exactly_the_requested_entities(
     expected: dict[str, set[str]] = {}
     for entity, category in lines:
         if entity in requested and category.strip():
-            expected.setdefault(entity, set()).add(category)
-    assert {e: a.raw_categories for e, a in table.items()} == expected
+            expected.setdefault(entity, set()).update(expand_category(category))
+    assert table == expected
     assert log.counts[diag.EMPTY_CATEGORY] == sum(not c.strip() for _, c in lines)
 
 
@@ -577,40 +572,45 @@ def test_load_category_assignments_reads_any_newline(tmp_path):
     path = tmp_path / "cats.tsv"
     path.write_bytes(b"A\tCats\r\nA\tDogs\rB\tBirds\n")
     table = load_category_assignments(str(path), {"A", "B"})
-    assert {e: a.raw_categories for e, a in table.items()} == {
-        "A": {"Cats", "Dogs"}, "B": {"Birds"}}
+    assert table == {"A": frozenset({"Cats", "Dogs"}), "B": frozenset({"Birds"})}
 
 
-def test_assignment_categories_are_union_of_expansions():
-    raw = {"Cities in New York (state)", "Software", "People from Ohio", "of things"}
-    expected = set()
-    for category in raw:
-        expected.update(expand_category(category))
-    assert CategoryAssignment(raw).categories == frozenset(expected)
-
-
-def test_each_entity_expanded_at_most_once_per_call(monkeypatch):
-    calls = []
+def counting_expansions(monkeypatch) -> list[str]:
+    """The raw categories `expand_category` is called on, wherever it is called."""
+    calls: list[str] = []
 
     def counting(raw):
         calls.append(raw)
         return expand_category(raw)
 
     monkeypatch.setattr(typelink.ingest, "expand_category", counting)
-    raw = {"E": {"Cities in Ohio", "Software"}, "F": {"People from Ohio"}}
-    vocab = CategoryVocab(["Cities", "Software", "People"])
+    monkeypatch.setattr(typelink.categories, "expand_category", counting)
+    return calls
 
-    def fresh():
-        return {e: CategoryAssignment(set(cats)) for e, cats in raw.items()}
 
+def test_the_reader_expands_each_raw_category_of_each_asked_for_entity_once(
+        monkeypatch, tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("E\tCities in Ohio\nE\tSoftware\nF\tPeople from Ohio\nE\tCities in Ohio\n"
+                    "G\tTowns in Ohio\nF\tSoftware\nE\t\n", encoding="utf-8")
+    calls = counting_expansions(monkeypatch)
+    types = load_category_assignments(str(path), ["E", "F", "E", "H"])
+    assert sorted(calls) == ["Cities in Ohio", "People from Ohio", "Software", "Software"]
+    assert types == {
+        "E": frozenset({"Cities in Ohio", "Cities", "in Ohio", "Software"}),
+        "F": frozenset({"People from Ohio", "People", "from Ohio", "Software"}),
+    }
+
+
+def test_attaching_and_indexing_expand_nothing(monkeypatch):
+    types = {"E": frozenset(expand_category("Cities in Ohio")), "F": frozenset({"Software"})}
+    vocab = CategoryVocab(["Cities", "Software", "in Ohio"])
+    calls = counting_expansions(monkeypatch)
     examples = [MentionExample(mention="m", tokens=["m"], span=(0, 1), entity=e)
-                for e in ("E", "F", "E", "E", "F")]
-    attach_categories(examples, fresh(), vocab)
-    assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)
-    calls.clear()
-    index = build_category_index(fresh(), vocab)
+                for e in ("E", "F", "E", "Ghost")]
+    labeled = attach_categories(examples, types, vocab)
+    index = build_category_index(types, vocab)
+    assert [ex.categories for ex in labeled] == [["Cities", "in Ohio"], ["Software"],
+                                                  ["Cities", "in Ohio"]]
+    assert [index.category_count(e) for e in ("E", "F", "Ghost")] == [2, 1, 0]
     assert calls == []
-    for entity in ("E", "F", "E", "F"):
-        index.get(entity)
-        index.category_count(entity)
-    assert sorted(calls) == sorted(c for cats in raw.values() for c in cats)

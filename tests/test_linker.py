@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typelink import diagnostics as diag
-from typelink.categories import CategoryVocab
+from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
-from typelink.ingest import CategoryAssignment
 from typelink.linker import (EntityCategoryIndex, build_category_index, link,
                              most_frequent_entity, score_candidates)
 from typelink.model import FeatureVector, TypingModel, predict
@@ -235,10 +234,8 @@ class TestBuildCategoryIndex:
     def test_expansion_and_vocab_filtering(self):
         vocab = CategoryVocab(["Musicians", "American musicians",
                               "Musicians from Chicago", "from Chicago"])
-        assignments = {
-            "Someone": CategoryAssignment({"Musicians from Chicago"}),
-        }
-        index = build_category_index(assignments, vocab)
+        types = {"Someone": frozenset(expand_category("Musicians from Chicago"))}
+        index = build_category_index(types, vocab)
         ids = index.get("Someone").tolist()
         # expanded forms present in the vocabulary, sorted by id
         assert ids == sorted([vocab.id_of("Musicians"),
