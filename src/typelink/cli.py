@@ -3,11 +3,14 @@
 Subcommands: ingest, build-vocab, build-prior, train, link, eval, and
 pipeline (all of them in order).  Every stage reads and writes plain
 files so any step can be rerun or swapped out.  Each subcommand checks
-its settings and input paths (``check_args``), runs one ``stage_*``
-function on its parsed arguments and prints the diagnostic counts it
-returns; ``pipeline`` runs the same functions on its own arguments with
-each stage's paths filled in.  Failures exit nonzero with a one-line
-message of the form ``error: CODE: detail``.
+its settings and paths (``check_args``), runs one ``stage_*`` function
+on its parsed arguments and prints the diagnostic counts it returns;
+``pipeline`` runs the same functions on its own arguments with each
+stage's paths filled in.  It writes every file the stage commands write,
+but a step that reads what the step right before it made takes the
+object in memory (``_handed``) instead of reading the file back.
+Failures exit nonzero with a one-line message of the form
+``error: CODE: detail``.
 
 All randomness flows through --seed, which only the stages that sample
 (ingest, train, pipeline) accept.  Outputs are byte-reproducible.
@@ -46,7 +49,16 @@ class CliError(Exception):
 #
 # Each stage takes the parsed arguments of its subcommand (or the pipeline's,
 # with the stage's paths set), already checked by `check_args`, and returns
-# the diagnostics of what it dropped.
+# the diagnostics of what it dropped.  `args.handoff` is None except in
+# `pipeline`, which passes a dict from the step that fills it, keyed by the
+# path each object was written to, to the step right after it.
+
+def _handed(args: argparse.Namespace, path: str, load):
+    """The object the step before wrote to `path`, if it handed it over, or else `load(path)`."""
+    if args.handoff is not None and path in args.handoff:
+        return args.handoff.pop(path)
+    return load(path)
+
 
 def stage_build_prior(args: argparse.Namespace) -> DiagnosticLog:
     log = DiagnosticLog()
@@ -82,6 +94,8 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
         outputs += [(args.train_out, train_set), (args.dev_out, dev_set)]
     for path, rows in outputs:
         write_examples(path, rows)
+    if args.handoff is not None:
+        args.handoff[args.mentions] = examples
     return log
 
 
@@ -104,7 +118,7 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     Only candidate categories are counted, never the gold labels of the
     mention examples themselves.
     """
-    _, csets, types, log = _candidate_types(args, read_examples(args.mentions))
+    _, csets, types, log = _candidate_types(args, _handed(args, args.mentions, read_examples))
     pairs = ((cset.mention, types[entity])
              for cset in csets for entity in cset.entities() if entity in types)
     select_vocabulary(pairs, args.vocab_size).save(args.vocab)
@@ -164,10 +178,12 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     examples = read_examples(args.mentions)
     table, csets, types, log = _candidate_types(args, examples)
     index = build_category_index(types, model.vocab)
+    kept = [] if args.handoff is not None else None  # (row, posterior) per mention
     with atomic_write(args.predictions) as fh:
         for ex, cset in zip(examples, csets):
             if len(cset) == 0:
                 log.bump(diag.NO_CANDIDATES)
+                posterior = None
                 row = {"mention": ex.mention, "chosen": None,
                        "used_backoff": False, "scores": []}
             else:
@@ -179,6 +195,11 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
                        "used_backoff": pred.used_backoff,
                        "scores": [[e, s] for e, s in pred.scores]}
             fh.write(json_line(row))
+            if kept is not None:
+                kept.append((row, posterior))
+    if kept is not None:
+        args.handoff.update({args.mentions: examples, args.prior: table, args.model: model,
+                             args.predictions: kept})
     return log
 
 
@@ -207,14 +228,17 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
     Gold recall needs the prior (to rebuild candidate sets); the typing
     buckets need the model (to rebuild posteriors).  Either is skipped,
-    and reported as null, when the corresponding file is not given.
+    and reported as null, when the corresponding file is not given.  In
+    `pipeline`, link hands over the posteriors it computed; only the
+    mentions it did not score are predicted here.
     """
-    examples = read_examples(args.mentions)
-    predictions = read_predictions(args.predictions)
+    examples = _handed(args, args.mentions, read_examples)
+    predictions = _handed(args, args.predictions,
+                          lambda path: [(row, None) for row in read_predictions(path)])
     if len(examples) != len(predictions):
         raise ValueError(f"{len(examples)} mentions but {len(predictions)} predictions")
     pairs = []
-    for ex, pred in zip(examples, predictions):
+    for ex, (pred, _) in zip(examples, predictions):
         if pred["mention"] != ex.mention:
             raise ValueError(f"prediction for {pred['mention']!r} does not match "
                              f"mention {ex.mention!r}")
@@ -225,16 +249,17 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
     recall = None
     if args.prior is not None:
-        table = PriorTable.load(args.prior)
+        table = _handed(args, args.prior, PriorTable.load)
         recall = gold_recall((table.candidates(ex.mention, args.threshold), ex.entity)
                              for ex in examples)
 
     buckets = None
     per_cat = None
     if args.model is not None:
-        model = TypingModel.load(args.model)
+        model = _handed(args, args.model, TypingModel.load)
         posteriors = [predict_example(model, build_context(ex, model.context_mode))
-                      for ex in examples]
+                      if posterior is None else posterior
+                      for ex, (_, posterior) in zip(examples, predictions)]
         golds = [model.vocab.to_ids(ex.categories or []) for ex in examples]
         buckets, per_cat = typing_metrics(posteriors, golds, model.vocab.entries,
                                           threshold=args.typing_threshold,
@@ -269,39 +294,43 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
 
     Each stage runs on the pipeline's arguments with every path it reads
     set, and its diagnostics are printed under its name; the log returned
-    is empty.  --categories is the same file for every stage.
+    is empty.  --categories is the same file for every stage.  Every file
+    is written as the stage commands write it.  Two steps hand what they
+    made to the step right after them, which takes it instead of reading
+    the file back: the raw eval ingest its examples to build-vocab, and
+    link its mentions, prior, model, rows and posteriors to eval.  No
+    other step gets the handoff, so nothing is held across one that does
+    not read it.
     """
     os.makedirs(args.workdir, exist_ok=True)
-
-    def path(override: Optional[str], name: str) -> str:
-        return override or os.path.join(args.workdir, name)
-
-    prior = path(args.prior, "prior.tsv")
-    raw = os.path.join(args.workdir, "eval_mentions_raw.jsonl")
-    vocab = path(args.vocab, "vocab.txt")
-    train_mentions = path(args.mentions, "train_mentions.jsonl")
-    eval_mentions = path(args.eval_mentions, "eval_mentions.jsonl")
-    model = path(args.model, "model.json")
-    predictions = path(args.predictions, "predictions.jsonl")
-    steps = [
+    files = _pipeline_outputs(args)
+    prior, raw, vocab = files["--prior"], files["--workdir"], files["--vocab"]
+    train_mentions, eval_mentions = files["--mentions"], files["--eval-mentions"]
+    model, predictions = files["--model"], files["--predictions"]
+    steps = [  # (name, stage, its paths, whether it hands what it made to the next step)
         ("build-prior", stage_build_prior,
-         dict(articles=args.prior_articles or args.articles, prior=prior)),
-        ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=raw, vocab=None)),
-        ("build-vocab", stage_build_vocab, dict(mentions=raw, prior=prior, vocab=vocab)),
+         dict(articles=args.prior_articles or args.articles, prior=prior), False),
+        ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=raw, vocab=None),
+         True),
+        ("build-vocab", stage_build_vocab, dict(mentions=raw, prior=prior, vocab=vocab), False),
         ("ingest", stage_ingest,
-         dict(articles=args.articles, mentions=train_mentions, vocab=vocab)),
+         dict(articles=args.articles, mentions=train_mentions, vocab=vocab), False),
         ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=eval_mentions,
-                                      vocab=vocab, keep_uncategorized=True)),
-        ("train", stage_train, dict(mentions=train_mentions, vocab=vocab, model=model)),
+                                      vocab=vocab, keep_uncategorized=True), False),
+        ("train", stage_train, dict(mentions=train_mentions, vocab=vocab, model=model), False),
         ("link", stage_link, dict(mentions=eval_mentions, model=model, prior=prior,
-                                  predictions=predictions)),
+                                  predictions=predictions), True),
         ("eval", stage_eval, dict(mentions=eval_mentions, predictions=predictions,
-                                  report=path(args.report, "report.json"),
-                                  model=model, prior=prior)),
+                                  report=files["--report"], model=model, prior=prior), False),
     ]
-    for name, stage, paths in steps:
-        _print_diagnostics(args, stage(argparse.Namespace(**{**vars(args), **paths})),
-                           f"{name} ")
+    handoff = None
+    for name, stage, paths, hands_on in steps:
+        if hands_on:
+            handoff = {}
+        log = stage(argparse.Namespace(**{**vars(args), **paths, "handoff": handoff}))
+        if not hands_on:
+            handoff = None
+        _print_diagnostics(args, log, f"{name} ")
     return DiagnosticLog()
 
 
@@ -329,6 +358,12 @@ SETTINGS = {
     "--typing-threshold": dict(type=float, default=TYPING_THRESHOLD),
     "--per-category": dict(action="store_true"),
 }
+# pipeline's output flags, each with the name its file has in --workdir when
+# the flag is left out.
+PIPELINE_OUTPUTS = {"--mentions": "train_mentions.jsonl",
+                    "--eval-mentions": "eval_mentions.jsonl", "--vocab": "vocab.txt",
+                    "--prior": "prior.tsv", "--model": "model.json",
+                    "--predictions": "predictions.jsonl", "--report": "report.json"}
 TRAIN_SETTINGS = ("--learning-rate", "--epochs", "--batch-size", "--l2-penalty",
                   "--feature-dim", "--hash-seed", "--seed")
 
@@ -368,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         # command lines that pin it.
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--quiet", action="store_true")
-        p.set_defaults(run=stage, inputs=inputs, outputs=outputs)
+        p.set_defaults(run=stage, inputs=inputs, outputs=outputs, handoff=None)
         return p
 
     p = subcommand("ingest", stage_ingest, "parse articles into mention examples",
@@ -392,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("eval", stage_eval, "score predictions",
                ("--mentions", "--predictions", "--model", "--prior"), ("--report",),
                ("--model", "--prior"), ("--threshold", "--typing-threshold", "--per-category"))
-    outputs = ("--mentions", "--eval-mentions", "--vocab", "--prior", "--model",
-               "--predictions", "--report")
+    outputs = tuple(PIPELINE_OUTPUTS)
     p = subcommand("pipeline", stage_pipeline, "run all stages",
                    ("--articles", "--eval-articles", "--categories", "--prior-articles"),
                    outputs, ("--prior-articles", *outputs), SETTINGS)
@@ -405,12 +439,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _pipeline_outputs(args: argparse.Namespace) -> dict[str, str]:
+    """Every file `pipeline` writes, by the flag that names it; the raw eval
+    mentions, which have no flag, always go in --workdir."""
+    files = {flag: getattr(args, flag[2:].replace("-", "_")) or os.path.join(args.workdir, name)
+             for flag, name in PIPELINE_OUTPUTS.items()}
+    files["--workdir"] = os.path.join(args.workdir, "eval_mentions_raw.jsonl")
+    return files
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)  # hard links to one file
+    except OSError:  # either is missing
+        return False
+
+
 def check_args(args: argparse.Namespace) -> None:
-    """Refuse a bad setting, a missing input or an output in a missing
-    directory before any stage reads or writes.
+    """Refuse a bad setting, a missing input, an output in a missing
+    directory, or an output that is another output or an input, before any
+    stage reads or writes.
 
     `pipeline` takes every setting, so it checks all its stages' settings;
-    its outputs may also go in the --workdir it creates.
+    its outputs, the --workdir defaults included, may also go in the
+    --workdir it creates.
     """
     given = vars(args)
     _train_config(args)  # each training setting, --seed (ingest's sampling seed) too
@@ -436,12 +494,18 @@ def check_args(args: argparse.Namespace) -> None:
         if given[dest] is not None and not os.path.exists(given[dest]):
             raise CliError(code, given[dest])
     workdir = os.path.abspath(given["workdir"]) if "workdir" in given else None
-    for path in (given[dest] for dest in args.outputs):
-        if path is None:
-            continue
+    outputs = (_pipeline_outputs(args) if workdir is not None else
+               {_flag(dest): given[dest] for dest in args.outputs if given[dest] is not None})
+    for path in outputs.values():
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory) and directory != workdir:
             raise CliError("IO_ERROR", f"no directory for output {path}")
+    files = [*outputs.items(),
+             *((_flag(dest), given[dest]) for dest in args.inputs if given[dest] is not None)]
+    for i, (flag, path) in enumerate(outputs.items()):
+        for other, other_path in files[i + 1:]:
+            if _same_file(path, other_path):
+                raise ValueError(f"{flag} and {other} name one file: {path}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

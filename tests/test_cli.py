@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import typelink.cli
 import typelink.ingest
+import typelink.model
 from typelink.categories import CategoryVocab, expand_category
 from typelink.cli import build_parser, main, read_predictions
 from typelink.ingest import (MentionExample, load_category_assignments,
@@ -267,6 +269,171 @@ class TestPipeline:
         assert out == ""
 
 
+# One train article, and one eval article whose second mention has no
+# candidate in the prior: link leaves it unscored and eval predicts it.
+HAND_CORPUS = {"train_articles": "T1\nx [[A|aa]] y .\nmore [[B|bb]] text .\n%%%%\n",
+               "eval_articles": "E1\nq [[A|aa]] r . s [[A|zzz]] t .\n%%%%\n",
+               "categories": "A\tSimple\nB\tOther\n"}
+
+# pipeline's output flags and their files' names in its --workdir.
+OUTPUT_FLAGS = {"--prior": "prior.tsv", "--vocab": "vocab.txt",
+                "--mentions": "train_mentions.jsonl", "--eval-mentions": "eval_mentions.jsonl",
+                "--model": "model.json", "--predictions": "predictions.jsonl",
+                "--report": "report.json"}
+
+
+def corpus_paths(corpus, small_corpus, tmp_path):
+    if corpus == "small":
+        return small_corpus[1]
+    return {"prior_articles": None, **{name: write_text(tmp_path / name, text)
+                                       for name, text in HAND_CORPUS.items()}}
+
+
+def run_stages(paths, out, capsys, settings):
+    """The README's stage commands on `paths`, writing into `out`, each given
+    the `settings` (flag -> value) its subcommand takes."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    cats = paths["categories"]
+    steps = [
+        ["build-prior", "--articles", paths["prior_articles"] or paths["train_articles"],
+         "--prior", f"{out}/prior.tsv"],
+        ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
+         "--mentions", f"{out}/eval_mentions_raw.jsonl"],
+        ["build-vocab", "--mentions", f"{out}/eval_mentions_raw.jsonl",
+         "--prior", f"{out}/prior.tsv", "--categories", cats, "--vocab", f"{out}/vocab.txt"],
+        ["ingest", "--articles", paths["train_articles"], "--categories", cats,
+         "--mentions", f"{out}/train_mentions.jsonl", "--vocab", f"{out}/vocab.txt"],
+        ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
+         "--mentions", f"{out}/eval_mentions.jsonl", "--vocab", f"{out}/vocab.txt",
+         "--keep-uncategorized"],
+        ["train", "--mentions", f"{out}/train_mentions.jsonl", "--vocab", f"{out}/vocab.txt",
+         "--model", f"{out}/model.json"],
+        ["link", "--mentions", f"{out}/eval_mentions.jsonl", "--model", f"{out}/model.json",
+         "--prior", f"{out}/prior.tsv", "--categories", cats,
+         "--predictions", f"{out}/predictions.jsonl"],
+        ["eval", "--mentions", f"{out}/eval_mentions.jsonl",
+         "--predictions", f"{out}/predictions.jsonl", "--report", f"{out}/report.json",
+         "--model", f"{out}/model.json", "--prior", f"{out}/prior.tsv"],
+    ]
+    for argv in steps:
+        takes = {opt for a in sub.choices[argv[0]]._actions for opt in a.option_strings}
+        for flag, value in settings.items():
+            if flag in takes:
+                argv += [flag, value]
+        code, _, err = run_cli([*argv, "--quiet"], capsys)
+        assert code == 0, (argv[0], err)
+
+
+class TestHandoff:
+    """`pipeline` hands link's work to eval, and the raw eval mentions to build-vocab,
+    in memory; the stage commands read every input from its file."""
+
+    @pytest.mark.parametrize("corpus, settings", [
+        ("small", {"--context-mode": "sentence_only"}),
+        ("small", {"--scoring-mode": "logodds"}),
+        ("hand", {}),
+    ])
+    def test_pipeline_writes_the_bytes_of_the_stage_commands(
+            self, small_corpus, capsys, tmp_path, corpus, settings):
+        paths = corpus_paths(corpus, small_corpus, tmp_path)
+        settings = {"--feature-dim": "4096", "--epochs": "3", "--seed": "13", **settings}
+        assert main(pipeline_argv(paths, tmp_path / "piped", **settings)) == 0
+        (tmp_path / "staged").mkdir()
+        run_stages(paths, tmp_path / "staged", capsys, settings)
+        for name in PIPELINE_FILES:
+            assert (tmp_path / "piped" / name).read_bytes() == \
+                (tmp_path / "staged" / name).read_bytes(), name
+        if corpus == "hand":
+            rows = read_predictions(str(tmp_path / "piped" / "predictions.jsonl"))
+            assert [row["chosen"] for row in rows] == ["A", None]
+
+    @pytest.mark.parametrize("corpus", ["small", "hand"])
+    def test_each_eval_mention_is_predicted_once_and_no_file_is_read_back(
+            self, small_corpus, monkeypatch, tmp_path, corpus):
+        paths = corpus_paths(corpus, small_corpus, tmp_path)
+        calls = {"predict": 0, "read_predictions": 0}
+        loads, reads = [], []
+        predict = typelink.model.predict
+
+        def counting_predict(model, features):
+            calls["predict"] += 1
+            return predict(model, features)
+
+        def counting_read_predictions(path):
+            calls["read_predictions"] += 1
+            return read_predictions(path)
+
+        load = TypingModel.load.__func__
+        monkeypatch.setattr(typelink.model, "predict", counting_predict)
+        monkeypatch.setattr(TypingModel, "load",
+                            classmethod(lambda cls, path: loads.append(path) or load(cls, path)))
+        monkeypatch.setattr(typelink.cli, "read_examples",
+                            lambda path: reads.append(path) or read_examples(path))
+        monkeypatch.setattr(typelink.cli, "read_predictions", counting_read_predictions)
+        work = tmp_path / "work"
+        assert main(pipeline_argv(paths, work)) == 0
+        n_eval = len(read_examples(str(work / "eval_mentions.jsonl")))
+        assert n_eval > 0
+        assert calls == {"predict": n_eval, "read_predictions": 0}
+        assert loads == [str(work / "model.json")]
+        # train reads its mentions and link the eval mentions, each written
+        # steps before; neither ingest's output is read by the step after it.
+        assert reads == [str(work / "train_mentions.jsonl"), str(work / "eval_mentions.jsonl")]
+
+    def test_every_output_flag_overridden_writes_the_default_bytes(self, pipeline_run,
+                                                                   tmp_path):
+        _, paths, workdir_a = pipeline_run
+        out = tmp_path / "out"
+        out.mkdir()
+        work = tmp_path / "work"
+        flags = {flag: str(out / f"x_{name}") for flag, name in OUTPUT_FLAGS.items()}
+        assert main(pipeline_argv(paths, work, **flags)) == 0
+        assert [p.name for p in work.iterdir()] == ["eval_mentions_raw.jsonl"]
+        assert (work / "eval_mentions_raw.jsonl").read_bytes() == \
+            (workdir_a / "eval_mentions_raw.jsonl").read_bytes()
+        for name in OUTPUT_FLAGS.values():
+            assert (out / f"x_{name}").read_bytes() == (workdir_a / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["link", "pipeline"])
+    def test_only_pipeline_keeps_the_posteriors_of_link(self, pipeline_run, monkeypatch,
+                                                        capsys, tmp_path, command):
+        """A link command holds one posterior at a time; pipeline's link keeps
+        each for eval."""
+        _, paths, workdir = pipeline_run
+        slots, seen, live = [], [], []
+        stage_link, link = typelink.cli.stage_link, typelink.cli.link
+
+        def recording_stage(args):
+            slots.append(args.handoff)
+            return stage_link(args)
+
+        def recording_link(posterior, *args, **kwargs):
+            live.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(posterior))
+            return link(posterior, *args, **kwargs)
+
+        monkeypatch.setattr(typelink.cli, "stage_link", recording_stage)
+        monkeypatch.setattr(typelink.cli, "link", recording_link)
+        if command == "link":
+            argv = ["link", "--mentions", str(workdir / "eval_mentions.jsonl"),
+                    "--model", str(workdir / "model.json"), "--prior", str(workdir / "prior.tsv"),
+                    "--categories", paths["categories"],
+                    "--predictions", str(tmp_path / "predictions.jsonl"), "--quiet"]
+        else:
+            argv = pipeline_argv(paths, tmp_path)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert (tmp_path / "predictions.jsonl").read_bytes() == \
+            (workdir / "predictions.jsonl").read_bytes()
+        assert len(live) > 1
+        if command == "link":
+            assert slots == [None]
+            assert set(live) == {0}
+        else:
+            assert slots == [{}]  # eval has taken everything link handed over
+            assert live == list(range(len(live)))
+
+
 class TestErrorCodes:
     def err_code(self, argv, capsys, expected):
         code, out, err = run_cli(argv, capsys)
@@ -497,6 +664,67 @@ class TestErrorCodes:
             pipeline_argv(paths, workdir, **{"--report": str(tmp_path / "new" / "r.json")}))
         with pytest.raises(typelink.cli.CliError):
             typelink.cli.check_args(args)
+
+    # Each case: the argv, the two flags refused, the file they both name.
+    @pytest.mark.parametrize("case", [
+        "prior-is-categories", "prior-default-is-categories", "mentions-is-eval-mentions",
+        "raw-is-eval-mentions", "build-prior-writes-its-articles", "report-links-to-predictions",
+        "predictions-is-a-hard-link-to-mentions", "relative-and-absolute"])
+    def test_an_output_that_is_another_output_or_an_input_is_refused(
+            self, small_corpus, capsys, tmp_path, monkeypatch, case):
+        _, paths = small_corpus
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        cats = write_text(inputs / "categories.tsv",
+                          pathlib.Path(paths["categories"]).read_text(encoding="utf-8"))
+        work = tmp_path / "work"
+        mentions = write_text(inputs / "m.jsonl", "")
+        if case == "prior-is-categories":
+            argv = pipeline_argv({**paths, "categories": cats}, work, **{"--prior": cats})
+            flags, same = ("--prior", "--categories"), cats
+        elif case == "prior-default-is-categories":
+            work = inputs
+            argv = pipeline_argv({**paths, "categories": cats}, work)
+            cats = write_text(inputs / "prior.tsv", "")
+            argv[argv.index("--categories") + 1] = cats
+            flags, same = ("--prior", "--categories"), cats
+        elif case == "mentions-is-eval-mentions":
+            same = str(work / "m.jsonl")
+            argv = pipeline_argv(paths, work, **{"--mentions": same, "--eval-mentions": same})
+            flags = ("--mentions", "--eval-mentions")
+        elif case == "raw-is-eval-mentions":
+            same = str(work / "eval_mentions_raw.jsonl")
+            argv = pipeline_argv(paths, work, **{"--eval-mentions": same})
+            flags = ("--eval-mentions", "--workdir")
+        elif case == "build-prior-writes-its-articles":
+            same = write_text(inputs / "a.txt", "T\nx [[A|aa]] y .\n%%%%\n")
+            argv = ["build-prior", "--articles", same, "--prior", same]
+            flags = ("--prior", "--articles")
+        elif case == "report-links-to-predictions":
+            same = write_text(inputs / "p.jsonl", "")
+            (inputs / "r.json").symlink_to(same)
+            argv = ["eval", "--mentions", mentions, "--predictions", same,
+                    "--report", str(inputs / "r.json")]
+            flags = ("--report", "--predictions")
+            same = str(inputs / "r.json")
+        elif case == "predictions-is-a-hard-link-to-mentions":
+            (inputs / "p.jsonl").hardlink_to(mentions)
+            same = str(inputs / "p.jsonl")
+            argv = ["link", "--mentions", mentions, "--model", cats, "--prior", cats,
+                    "--categories", cats, "--predictions", same]
+            flags = ("--predictions", "--mentions")
+        else:
+            monkeypatch.chdir(inputs)
+            argv = ["ingest", "--articles", cats, "--categories", cats,
+                    "--vocab", str(inputs / "v.txt"), "--mentions", "./v.txt"]
+            write_text(inputs / "v.txt", "")
+            flags, same = ("--mentions", "--vocab"), "./v.txt"
+        before = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"error: INVALID_INPUT: {flags[0]} and {flags[1]} name one file: {same}\n"
+        assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
+        assert work == inputs or not work.exists()
 
     def link_with_model(self, pipeline_run, capsys, tmp_path, corrupt):
         """Run link on a corrupted copy of the pipeline's model file."""

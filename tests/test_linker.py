@@ -21,7 +21,7 @@ def make_index(mapping):
     return index
 
 
-def test_index_ids_are_set_by_put_or_the_assignments_only():
+def test_index_ids_are_set_by_put_only():
     with pytest.raises(TypeError):
         EntityCategoryIndex(ids_by_entity={"E": np.array([1, 0, 1])})
 
