@@ -7,29 +7,30 @@ examples.  The feature side is a plain hashing-trick encoder over
 context words, position-tagged window words, mention words, and mention
 character n-grams.
 
-In memory a model holds only the columns of W for the features seen in
-training, feature-major: the ascending feature ids and a k x categories
-block, one row per feature (the layout of Vowpal Wabbit's weights, after
-the hashing trick of Weinberger et al., 2009).  Its size follows the
-training data, not the feature-space size D.  One forward kernel serves
-training, the dev loss and `predict`: an input's logits are its block
-rows, scaled by the feature values and added one after another, plus the
-bias.  Every category has its own lane in that sum, so the trained
-weights of one category are bit-for-bit unaffected by which other
-categories share the vocabulary, and a logit computed in training equals
-the one `predict` gives for the same input.  Likewise the SGD loop and
-`loss_and_grad`, which the finite-difference check tests, share one loss
-and gradient function.
+A model holds only the columns of W for the features seen in training,
+feature-major: the ascending feature ids and a k x categories block, one
+row per feature (the layout of Vowpal Wabbit's weights, after the hashing
+trick of Weinberger et al., 2009), in memory and in its file alike.  Its
+size follows the training data, not the feature-space size D.  One
+forward kernel serves training, the dev loss and `predict`: an input's
+logits are its block rows, scaled by the feature values and added one
+after another, plus the bias.  Every category has its own lane in that
+sum, so the trained weights of one category are bit-for-bit unaffected
+by which other categories share the vocabulary, and a logit computed in
+training equals the one `predict` gives for the same input.  Likewise
+the SGD loop and `loss_and_grad`, which the finite-difference check
+tests, share one loss and gradient function.
 
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
 little-endian digest integer is reduced mod the feature-space size.
 `feature_strings` and `hash_feature` are the definition.  Tokens and
-mentions repeat across the mentions of a file, so `featurize` keeps, per
-hashing, memos from raw token to its `s|` and `m|` ids, from (offset,
-raw token) to its `w|` id and from mention to its `c3|`/`c4|` ids: a
-feature string is built and hashed only for a key seen for the first
-time, and the ids are exactly those of the definition.
+mentions repeat across the mentions of a file, so `featurize` keeps, for
+each of the 16 most recent hashings, memos from raw token to its `s|`
+and `m|` ids, from (offset, raw token) to its `w|` id and from mention
+to its `c3|`/`c4|` ids: a feature string is built and hashed only for a
+key seen for the first time, and the ids are exactly those of the
+definition.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
 # Feature ids are int64, so D is at most 2**63 (ids 0 .. 2**63 - 1).
 MAX_FEATURE_DIM = 2 ** 63
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 WINDOW_DISTANCE = 3
 # Ids a feature-id memo holds before it is emptied.  One featurize pass over
 # a file of 1,000 mentions puts 700 to 11,000 ids in each.
@@ -183,18 +184,15 @@ class _FeatureIds:
         self.ngrams = _NgramMemo(hash_one)
 
 
-# One set of memos per (hash_seed, feature_dim) this process has featurized
-# with.  A memo only caches the pure `hash_feature`, so sharing it changes
-# no result.
-_feature_ids: dict[tuple[int, int], _FeatureIds] = {}
+# The memos of the 16 most recent hashings.  A memo only caches the pure
+# `hash_feature`, so sharing it changes no result.
+_feature_ids = lru_cache(maxsize=16)(_FeatureIds)
 
 
 def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
               hash_seed: int = DEFAULT_HASH_SEED) -> FeatureVector:
     """The hashed `feature_strings` of an example; colliding ids accumulate counts."""
-    memos = _feature_ids.get((hash_seed, feature_dim))
-    if memos is None:
-        memos = _feature_ids[hash_seed, feature_dim] = _FeatureIds(hash_seed, feature_dim)
+    memos = _feature_ids(hash_seed, feature_dim)
     tokens = example.tokens
     start, end = example.span
     context = memos.context.__getitem__
@@ -350,10 +348,10 @@ class TypingModel:
 
         The header is ``{"format_version", "D", "hash_seed", "context_mode",
         "vocab", "columns"}``; the body is the bias (C x <f8), the ids of the k
-        stored weight columns (k x <i8, ascending) and those columns as a
-        C x k row-major block (<f8).  A column is stored when any entry has
-        a nonzero bit pattern, so every other column is +0.0 throughout and
-        the round trip is bit-exact, -0.0 included.
+        stored weight columns (k x <i8, ascending) and their rows of `block`,
+        k x C row-major (<f8), written as held.  A column is stored when any
+        entry has a nonzero bit pattern, so every other column is +0.0
+        throughout and the round trip is bit-exact, -0.0 included.
         """
         stored = (self.block.view(np.uint64) != 0).any(axis=1)
         header = {
@@ -368,7 +366,7 @@ class TypingModel:
             fh.write(json_line(header).encode("utf-8"))
             fh.write(self.bias.astype("<f8", copy=False).tobytes())
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
-            fh.write(self.block[stored].T.astype("<f8", copy=False).tobytes())
+            fh.write(np.ascontiguousarray(self.block[stored], "<f8"))
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
@@ -376,12 +374,13 @@ class TypingModel:
 
         A header error names ``path:1``; a body of the wrong length, with a
         non-finite number or with column ids not strictly increasing in
-        [0, D) names the file.  The model holds just the stored columns, so
-        its memory follows the file's size and not categories x D.
+        [0, D) names the file.  The body is read once, and the bias, ids and
+        block are views of it, so the model's memory is the file's size and
+        not categories x D.
         """
         with open(path, "rb") as fh:
             line = fh.readline()
-            body = fh.read()
+            body = np.fromfile(fh, np.uint8)
         try:
             header = json.loads(line)
         except RecursionError:
@@ -413,14 +412,12 @@ class TypingModel:
                              f"{8 * (n_cats + n_cols + n_cats * n_cols)}")
         bias = np.frombuffer(body, "<f8", n_cats)
         ids = np.frombuffer(body, "<i8", n_cols, offset=8 * n_cats)
-        stored = np.frombuffer(body, "<f8", n_cats * n_cols,
-                               offset=8 * (n_cats + n_cols)).reshape(n_cats, n_cols)
-        if not (np.isfinite(bias).all() and np.isfinite(stored).all()):
+        block = np.frombuffer(body, "<f8", n_cols * n_cats,
+                              offset=8 * (n_cats + n_cols)).reshape(n_cols, n_cats)
+        if not (np.isfinite(bias).all() and np.isfinite(block).all()):
             raise ValueError(f"{path}: model holds a non-finite weight or bias")
-        block = _zeros(n_cols, n_cats)
-        block[:] = stored.T
         try:
-            return cls(ids.copy(), block, bias.copy(), CategoryVocab(entries), hash_seed, dim,
+            return cls(ids, block, bias, CategoryVocab(entries), hash_seed, dim,
                        header["context_mode"])
         except ValueError as err:  # the column ids, the one part not checked above
             raise ValueError(f"{path}: {err}") from None

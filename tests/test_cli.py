@@ -745,15 +745,20 @@ class TestErrorCodes:
         assert code == 2
         assert "error: INVALID_INPUT:" in err
 
-    def test_version_2_model_must_be_retrained(self, pipeline_run, capsys, tmp_path):
-        def as_v2(header, body):
-            header = {k: v for k, v in header.items() if k != "context_mode"}
-            return {**header, "format_version": 2}, body
+    @pytest.mark.parametrize("version, message", [
+        (2, "unsupported model format version: 2\n"),
+        (3, "unsupported model format version: 3\n"),
+    ], ids=["2", "3"])
+    def test_older_model_version_must_be_retrained(self, pipeline_run, capsys, tmp_path,
+                                                   version, message):
+        def as_older(header, body):
+            if version == 2:  # version 2 headers lack context_mode
+                header = {k: v for k, v in header.items() if k != "context_mode"}
+            return {**header, "format_version": version}, body
 
-        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, as_v2)
+        code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, as_older)
         assert code == 2
-        assert err == (f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}:1: "
-                       "unsupported model format version: 2\n")
+        assert err == f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}:1: {message}"
 
     @pytest.mark.parametrize("corrupt", [
         lambda h, b: (h, b[:-8] + struct.pack("<d", math.nan)),

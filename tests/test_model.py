@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import json
 import math
+import re
 import struct
 import tracemalloc
 from collections import Counter
 from hashlib import blake2b
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -136,8 +139,10 @@ def memo_keys(example):
 
 class TestFeatureMemo:
     @pytest.fixture(autouse=True)
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_feature_ids", {})
+    def fresh_memo(self):
+        model_module._feature_ids.cache_clear()
+        yield
+        model_module._feature_ids.cache_clear()
 
     def test_interleaved_hashings_each_match_the_reference(self):
         hashings = [(4096, 9), (1 << 20, 0)]
@@ -145,7 +150,15 @@ class TestFeatureMemo:
             for ex in MEMO_EXAMPLES:
                 for dim, seed in hashings:
                     assert as_counts(featurize(ex, dim, seed)) == reference_counts(ex, dim, seed)
-        assert set(model_module._feature_ids) == {(9, 4096), (0, 1 << 20)}
+        assert model_module._feature_ids.cache_info().currsize == 2
+
+    def test_memos_of_at_most_16_hashings_are_kept(self):
+        example = MEMO_EXAMPLES[0]
+        for seed in range(17):
+            assert as_counts(featurize(example, 4096, seed)) == \
+                reference_counts(example, 4096, seed)
+        gc.collect()
+        assert sum(isinstance(o, model_module._FeatureIds) for o in gc.get_objects()) <= 16
 
     def test_each_distinct_memo_key_is_hashed_once(self, monkeypatch):
         hashed = Counter()
@@ -174,7 +187,7 @@ class TestFeatureMemo:
         for _ in range(3):
             for ex in MEMO_EXAMPLES:
                 assert as_counts(featurize(ex, 256, 1)) == reference_counts(ex, 256, 1)
-                memos = model_module._feature_ids[1, 256]
+                memos = model_module._feature_ids(1, 256)
                 for memo in (memos.context, memos.window, memos.mention):
                     assert 0 < len(memo) <= 8
                 # The n-gram memo is emptied before a new mention once it holds
@@ -692,8 +705,12 @@ class TestModelFile:
         return model
 
     def build_with_signed_zero(self):
-        """`build` plus a column holding only -0.0: two stored columns, ids at bytes 16-32."""
+        """`build` plus a column holding only -0.0: two stored columns, ids at bytes 16-32.
+
+        Its stored 2 x 2 block is not symmetric, so the file's layout shows.
+        """
         model = self.build()
+        model.weights[1, 3] = 2.5
         model.weights[1, 6] = -0.0
         return model
 
@@ -728,7 +745,7 @@ class TestModelFile:
         header, body = read_model_file(path)
         assert list(header) == ["format_version", "D", "hash_seed", "context_mode", "vocab",
                                 "columns"]
-        assert header["format_version"] == 3 and header["D"] == 8
+        assert header["format_version"] == 4 and header["D"] == 8
         assert header["context_mode"] == "sentence_only"
         # the -0.0 column is stored: its bit pattern is nonzero
         assert header["columns"] == 2
@@ -736,9 +753,41 @@ class TestModelFile:
         assert len(body) == 8 * (c + k + c * k)
         assert np.frombuffer(body, "<f8", c).tolist() == [0.0, -0.5]
         assert np.frombuffer(body, "<i8", k, offset=8 * c).tolist() == [3, 6]
-        block = np.frombuffer(body, "<f8", c * k, offset=8 * (c + k)).reshape(c, k)
-        assert block.tolist() == [[1.25, 0.0], [0.0, -0.0]]
+        # k x C, row-major: the row of feature 3, then the row of feature 6
+        block = np.frombuffer(body, "<f8", k * c, offset=8 * (c + k)).reshape(k, c)
+        assert block.tolist() == [[1.25, 2.5], [0.0, -0.0]]
         assert math.copysign(1.0, block[1, 1]) == -1.0
+
+    def test_readme_header_example_matches_save(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r'^\{"format_version":(\d+),.*\}$', readme, re.MULTILINE)
+        assert example, "README shows no model header example"
+        path = tmp_path / "model.json"
+        self.build().save(str(path))
+        header, _ = read_model_file(path)
+        assert re.findall(r'"(\w+)":', example.group(0)) == list(header)
+        assert int(example.group(1)) == header["format_version"]
+
+    def test_save_and_load_each_copy_the_body_once(self, tmp_path):
+        # 64 categories x 4,096 stored features, every weight nonzero
+        n_cats, k = 64, 4096
+        weights = np.random.default_rng(3).uniform(0.5, 1.0, (k, n_cats))
+        model = TypingModel(np.arange(k) * 2, weights, np.zeros(n_cats),
+                            CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=2 * k)
+        body_bytes = 8 * (n_cats + k + n_cats * k)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            model.save(str(path))
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = TypingModel.load(str(path))
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.block, model.block)
+        assert save_peak <= 1.25 * body_bytes
+        assert load_peak <= 1.25 * body_bytes
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -869,7 +918,7 @@ class TestModelFile:
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
         # weights; the file itself is 128 KiB of zero biases and no columns.
         path = tmp_path / "model.json"
-        header = {"format_version": 3, "D": 2 ** 43, "hash_seed": 0,
+        header = {"format_version": 4, "D": 2 ** 43, "hash_seed": 0,
                   "context_mode": "sentence_only",
                   "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
         write_model_file(path, header, bytes(8 * 2 ** 14))
