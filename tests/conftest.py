@@ -2,14 +2,15 @@ import pytest
 
 from typelink.synthetic import BenchmarkSpec, write_benchmark
 
+SMALL_CORPUS_SPEC = BenchmarkSpec(n_train_sentences=400, n_test=60, seed=2)
+
 
 @pytest.fixture(scope="session")
 def small_corpus(tmp_path_factory):
     """A reduced synthetic corpus shared by CLI-level tests."""
-    spec = BenchmarkSpec(n_train_sentences=400, n_test=60, seed=2)
     root = tmp_path_factory.mktemp("small_corpus")
-    paths = write_benchmark(str(root), spec)
-    return spec, paths
+    paths = write_benchmark(str(root), SMALL_CORPUS_SPEC)
+    return SMALL_CORPUS_SPEC, paths
 
 
 def pipeline_argv(paths, workdir, **overrides):

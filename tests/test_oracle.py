@@ -1,0 +1,126 @@
+"""The equivalence oracle: small pipelines write the bytes recorded in oracle_digests.json.
+
+A refactor that claims "the same bytes from less code" is proven when
+every artifact hashes as before.  This runs small pipelines and a
+regularized `train` and compares the sha256 of every output file with the
+committed digests:
+
+* ``synthetic``: the `small_corpus` corpus at the `pipeline_argv` defaults;
+* ``synthetic_sentence_only_logodds``: the same with
+  ``--context-mode sentence_only --scoring-mode logodds``;
+* ``text_heavy_smoke``: a `perfbench/corpus.py` corpus at the benchmark's
+  smoke sizes, whose articles carry malformed links, with the text_heavy
+  workload's model flags;
+* ``train_l2_dev``: ``train --l2-penalty 0.01 --dev-mentions`` on the
+  ``synthetic`` run's mentions.
+
+The bits depend on numpy and libm (``exp``, ``log1p``), so the file also
+records the Python and numpy versions the digests were made with.  A
+change that moves an artifact on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_oracle.py
+
+and its diff names the digests that moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+from typelink.cli import main
+from typelink.synthetic import write_benchmark
+
+from conftest import SMALL_CORPUS_SPEC, pipeline_argv
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIGESTS = pathlib.Path(__file__).resolve().parent / "oracle_digests.json"
+PIPELINE_FILES = ("prior.tsv", "eval_mentions_raw.jsonl", "vocab.txt", "train_mentions.jsonl",
+                  "eval_mentions.jsonl", "model.json", "predictions.jsonl", "report.json")
+SMOKE_SEED = 1
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import SMOKE_CORPUS, WORKLOADS  # noqa: E402
+from corpus import CorpusSpec, write_corpus  # noqa: E402
+
+
+def versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def _run(argv: list) -> str:
+    """Run one command; returns its stderr, and fails with it on a non-zero exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, (argv[0], err.getvalue())
+    return err.getvalue()
+
+
+def _sha256(path: pathlib.Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
+    """The digest of every output, by run and file name, and the stderr of the
+    text_heavy run (its diagnostics)."""
+    runs = {}
+    synthetic = root / "synthetic"
+    _run(pipeline_argv(small_paths, synthetic))
+    runs["synthetic"] = synthetic
+    sentence_only = root / "synthetic_sentence_only_logodds"
+    _run(pipeline_argv(small_paths, sentence_only, **{"--context-mode": "sentence_only",
+                                                      "--scoring-mode": "logodds"}))
+    runs[sentence_only.name] = sentence_only
+
+    corpus = write_corpus(str(root / "text_heavy_corpus"),
+                          CorpusSpec(seed=SMOKE_SEED, **SMOKE_CORPUS))
+    text_heavy = root / "text_heavy_smoke"
+    stderr = _run(["pipeline", "--articles", corpus["train_articles"],
+                   "--eval-articles", corpus["eval_articles"],
+                   "--prior-articles", corpus["prior_articles"],
+                   "--categories", corpus["categories"], "--workdir", str(text_heavy),
+                   *WORKLOADS["text_heavy"].model_flags])
+    runs[text_heavy.name] = text_heavy
+
+    digests = {name: {f: _sha256(workdir / f) for f in PIPELINE_FILES}
+               for name, workdir in runs.items()}
+    model = root / "train_l2_dev.json"
+    _run(["train", "--mentions", str(synthetic / "train_mentions.jsonl"),
+          "--vocab", str(synthetic / "vocab.txt"),
+          "--dev-mentions", str(synthetic / "eval_mentions.jsonl"),
+          "--l2-penalty", "0.01", "--model", str(model),
+          "--feature-dim", "4096", "--epochs", "3", "--seed", "13", "--quiet"])
+    digests["train_l2_dev"] = {"model.json": _sha256(model)}
+    return digests, stderr
+
+
+def test_outputs_hash_as_recorded(small_corpus, tmp_path):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    digests, stderr = run_all(small_corpus[1], tmp_path)
+    # The perfbench corpus is in the oracle for its malformed links.
+    assert "malformed_link" in stderr or "unclosed_link" in stderr, stderr
+    expected = recorded["digests"]
+    differing = sorted(f"{run}/{name}"
+                       for run in expected.keys() | digests.keys()
+                       for name in expected.get(run, {}).keys() | digests.get(run, {}).keys()
+                       if expected.get(run, {}).get(name) != digests.get(run, {}).get(name))
+    assert not differing, (
+        f"sha256 differs from {DIGESTS.name} for: {', '.join(differing)}; "
+        f"recorded under {recorded['versions']}, run under {versions()}. "
+        f"If the change is meant, regenerate with: PYTHONPATH=src python tests/test_oracle.py")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        small = write_benchmark(str(pathlib.Path(tmp) / "small_corpus"), SMALL_CORPUS_SPEC)
+        digests, _ = run_all(small, pathlib.Path(tmp))
+    DIGESTS.write_text(json.dumps({"versions": versions(), "digests": digests}, indent=1,
+                                  sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS}")
