@@ -26,11 +26,11 @@ digest_size 8), applied to the UTF-8 namespace-prefixed string; the
 little-endian digest integer is reduced mod the feature-space size.
 `feature_strings` and `hash_feature` are the definition.  Tokens and
 mentions repeat across the mentions of a file, so `featurize` keeps, for
-each of the 16 most recent hashings, memos from raw token to its `s|`
-and `m|` ids, from (offset, raw token) to its `w|` id and from mention
-to its `c3|`/`c4|` ids: a feature string is built and hashed only for a
-key seen for the first time, and the ids are exactly those of the
-definition.
+each of the 16 most recent hashings, `functools.lru_cache` memos from raw
+token to its `s|` and `m|` ids, from (offset, raw token) to its `w|` id
+and from mention to its `c3|`/`c4|` ids: a feature string is built and
+hashed only for a key its memo does not hold, and the ids are exactly
+those of the definition.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ DEFAULT_HASH_SEED = 0
 MAX_FEATURE_DIM = 2 ** 63
 MODEL_FORMAT_VERSION = 4
 WINDOW_DISTANCE = 3
-# Ids a feature-id memo holds before it is emptied.  One featurize pass over
-# a file of 1,000 mentions puts 700 to 11,000 ids in each.
+# Keys a token's feature-id memo holds; the least recently used goes first.
+# One featurize pass over a file of 1,000 mentions puts 700 to 11,000 ids in
+# each memo.
 FEATURE_MEMO_LIMIT = 1 << 16
 # Dev examples the dev loss scores in one forward pass.
 DEV_LOSS_CHUNK = 256
+# Block rows `save` tests for a nonzero bit at a time.
+SAVE_CHUNK_ROWS = 4096
 
 
 @lru_cache(maxsize=16)
@@ -133,55 +136,22 @@ class FeatureVector:
             raise ValueError("non-finite feature value")
 
 
-class _TokenMemo(dict):
-    """Memo key -> the id of the feature string `feature_string(key)` under `hash_one`.
-
-    Filled on first lookup; it empties itself when a new key finds it
-    holding FEATURE_MEMO_LIMIT ids, so its memory stays bounded.
-    """
-
-    def __init__(self, feature_string: Callable, hash_one: Callable[[str], int]):
-        super().__init__()
-        self.feature_string = feature_string
-        self.hash_one = hash_one
-
-    def __missing__(self, key) -> int:
-        if len(self) >= FEATURE_MEMO_LIMIT:
-            self.clear()
-        self[key] = feature_id = self.hash_one(self.feature_string(key))
-        return feature_id
-
-
-class _NgramMemo(dict):
-    """Mention -> the ids of its `c3|` and `c4|` strings under `hash_one`.
-
-    Filled on first lookup; it empties itself when a new mention finds it
-    holding FEATURE_MEMO_LIMIT ids or more, so its memory stays bounded.
-    """
-
-    def __init__(self, hash_one: Callable[[str], int]):
-        super().__init__()
-        self.hash_one = hash_one
-        self.held = 0  # ids in all entries
-
-    def __missing__(self, mention: str) -> tuple[int, ...]:
-        if self.held >= FEATURE_MEMO_LIMIT:
-            self.clear()
-            self.held = 0
-        self[mention] = ids = tuple(map(self.hash_one, _ngram_strings(mention)))
-        self.held += len(ids)
-        return ids
-
-
 class _FeatureIds:
-    """The feature-id memos of one hashing, one per way `feature_strings` builds a string."""
+    """The feature-id memos of one hashing: an `lru_cache` per way `feature_strings`
+    builds a string."""
 
     def __init__(self, hash_seed: int, feature_dim: int):
         hash_one = _feature_hash(hash_seed, feature_dim)
-        self.context = _TokenMemo(lambda tok: "s|" + tok.lower(), hash_one)
-        self.window = _TokenMemo(lambda key: f"w|{key[0]}|{key[1].lower()}", hash_one)
-        self.mention = _TokenMemo(lambda tok: "m|" + tok.lower(), hash_one)
-        self.ngrams = _NgramMemo(hash_one)
+        memo = lru_cache(maxsize=FEATURE_MEMO_LIMIT)
+        self.context = memo(lambda tok: hash_one("s|" + tok.lower()))
+        self.window = memo(lambda rel, tok: hash_one(f"w|{rel}|{tok.lower()}"))
+        self.mention = memo(lambda tok: hash_one("m|" + tok.lower()))
+        # Keyed by mention: benchmark mentions carry 15-22 n-gram ids on
+        # average, so 2**12 mentions hold about as many ids as a token memo.
+        # Keyed by n-gram string, a cold pass over the featurize calls of the
+        # text_heavy pipeline took 9-17 ms longer (train_wide: within 3 ms).
+        self.ngrams = lru_cache(maxsize=FEATURE_MEMO_LIMIT // 16)(
+            lambda mention: tuple(map(hash_one, _ngram_strings(mention))))
 
 
 # The memos of the 16 most recent hashings.  A memo only caches the pure
@@ -195,14 +165,13 @@ def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
     memos = _feature_ids(hash_seed, feature_dim)
     tokens = example.tokens
     start, end = example.span
-    context = memos.context.__getitem__
     left = tokens[max(0, start - WINDOW_DISTANCE):start]
     right = tokens[end:end + WINDOW_DISTANCE]
-    ids = [*map(context, tokens[:start]), *map(context, tokens[end:]),
-           *map(memos.window.__getitem__, zip(range(-len(left), 0), left)),
-           *map(memos.window.__getitem__, zip(range(1, len(right) + 1), right)),
-           *map(memos.mention.__getitem__, tokens[start:end]),
-           *memos.ngrams[example.mention]]
+    ids = [*map(memos.context, tokens[:start]), *map(memos.context, tokens[end:]),
+           *map(memos.window, range(-len(left), 0), left),
+           *map(memos.window, range(1, len(right) + 1), right),
+           *map(memos.mention, tokens[start:end]),
+           *memos.ngrams(example.mention)]
     # Sorted, each run of equal ids is one feature whose value is the run's length.
     ids = np.array(ids, dtype=np.int64)
     ids.sort()
@@ -351,9 +320,15 @@ class TypingModel:
         stored weight columns (k x <i8, ascending) and their rows of `block`,
         k x C row-major (<f8), written as held.  A column is stored when any
         entry has a nonzero bit pattern, so every other column is +0.0
-        throughout and the round trip is bit-exact, -0.0 included.
+        throughout and the round trip is bit-exact, -0.0 included.  The
+        rows are tested in chunks and each run of stored rows is written
+        straight from `block`, so no stored row is copied.
         """
-        stored = (self.block.view(np.uint64) != 0).any(axis=1)
+        stored = np.empty(len(self.block), dtype=bool)
+        for lo in range(0, len(stored), SAVE_CHUNK_ROWS):
+            chunk = self.block[lo:lo + SAVE_CHUNK_ROWS]
+            stored[lo:lo + SAVE_CHUNK_ROWS] = (chunk.view(np.uint64) != 0).any(axis=1)
+        edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {
             "format_version": MODEL_FORMAT_VERSION,
             "D": self.feature_dim,
@@ -366,7 +341,8 @@ class TypingModel:
             fh.write(json_line(header).encode("utf-8"))
             fh.write(self.bias.astype("<f8", copy=False).tobytes())
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
-            fh.write(np.ascontiguousarray(self.block[stored], "<f8"))
+            for lo, hi in zip(edges[::2], edges[1::2]):
+                fh.write(np.ascontiguousarray(self.block[lo:hi], "<f8"))
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":

@@ -115,8 +115,8 @@ class PriorTable:
     def load(cls, path: str) -> "PriorTable":
         """Read a count TSV; line order is irrelevant, duplicates add up.
 
-        A malformed line or a count that is not a positive integer raises
-        ValueError naming ``path:line``.
+        A malformed line or a count that is not a positive integer in ASCII
+        digits raises ValueError naming ``path:line``.
         """
         table = cls()
         for lineno, line in enumerate(read_lines(path), start=1):
@@ -130,11 +130,11 @@ class PriorTable:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected mention<TAB>entity<TAB>count")
             mention, entity, count = parts
-            try:
-                table.add(mention, entity, int(count))
-            except ValueError:
+            # ASCII digits only: int() also reads "1_0", " 7", "+3" and other scripts' digits.
+            if not (count.isascii() and count.isdigit() and int(count) > 0):
                 raise ValueError(f"{path}:{lineno}: count must be a positive integer, "
-                                 f"got {count!r}") from None
+                                 f"got {count!r}")
+            table.add(mention, entity, int(count))
         return table
 
 

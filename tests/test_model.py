@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import re
@@ -183,19 +184,32 @@ class TestFeatureMemo:
         assert hashed["s|the", 3, 512] == 2 and hashed["c3|ohi", 3, 512] == 2
 
     def test_capped_memo_stays_bounded_and_exact(self, monkeypatch):
-        monkeypatch.setattr(model_module, "FEATURE_MEMO_LIMIT", 8)
-        for _ in range(3):
-            for ex in MEMO_EXAMPLES:
-                assert as_counts(featurize(ex, 256, 1)) == reference_counts(ex, 256, 1)
-                memos = model_module._feature_ids(1, 256)
-                for memo in (memos.context, memos.window, memos.mention):
-                    assert 0 < len(memo) <= 8
-                # The n-gram memo is emptied before a new mention once it holds
-                # 8 ids, so only its newest entry can take it past 8.
-                ngrams = memos.ngrams
-                assert ex.mention in ngrams
-                newest = list(ngrams.values())[-1]
-                assert ngrams.held == sum(map(len, ngrams.values())) < 8 + len(newest)
+        # At 8 the token memos evict (the n-gram memo holds nothing); at 32
+        # the n-gram memo, which holds 2 mentions, evicts.
+        for limit in (8, 32):
+            monkeypatch.setattr(model_module, "FEATURE_MEMO_LIMIT", limit)
+            model_module._feature_ids.cache_clear()  # a memo reads the limit when built
+            for _ in range(3):
+                for ex in MEMO_EXAMPLES:
+                    assert as_counts(featurize(ex, 256, 1)) == reference_counts(ex, 256, 1)
+                    memos = model_module._feature_ids(1, 256)
+                    infos = [memo.cache_info() for memo in
+                             (memos.context, memos.window, memos.mention, memos.ngrams)]
+                    assert [info.maxsize for info in infos] == [limit] * 3 + [limit // 16]
+                    assert all(info.currsize <= info.maxsize for info in infos)
+            assert any(info.misses > info.currsize for info in infos)
+
+    def test_ngram_memo_of_long_mentions_stays_at_its_bound(self, monkeypatch):
+        assert model_module._FeatureIds(0, 8).ngrams.cache_info().maxsize == 1 << 12
+        monkeypatch.setattr(model_module, "FEATURE_MEMO_LIMIT", 1 << 10)
+        ngrams = model_module._feature_ids(1, 4096).ngrams
+        bound = ngrams.cache_info().maxsize
+        for i in range(3 * bound):
+            mention = f"{i:08d}" + "x" * 192
+            ex = MentionExample(mention=mention, tokens=[mention], span=(0, 1))
+            assert as_counts(featurize(ex, 4096, 1)) == reference_counts(ex, 4096, 1)
+            assert ngrams.cache_info().currsize == min(i + 1, bound)
+        assert ngrams.cache_info().misses == 3 * bound
 
 
 # Tokens whose lowercase differs from them, some in length ("İ" lowers to
@@ -209,18 +223,28 @@ featurize_token_st = st.sampled_from(["İ", "The", "the", "ǅ", "ß", "ΣΑΣ", 
        data=st.data(), hashings=st.lists(st.tuples(st.integers(1, 1 << 20),
                                                    st.integers(0, 2 ** 64 - 1)),
                                          min_size=2, max_size=2),
-       limit=st.sampled_from([8, model_module.FEATURE_MEMO_LIMIT]))
-def test_featurize_matches_the_uncached_hash(tokens, data, hashings, limit):
+       n_spans=st.integers(1, 3),
+       limit=st.sampled_from([16, model_module.FEATURE_MEMO_LIMIT]))
+def test_featurize_matches_the_uncached_hash(tokens, data, hashings, n_spans, limit):
     last = len(tokens) - 1
-    start = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
-    end = data.draw(st.sampled_from([start + 1, len(tokens)]) | st.integers(start + 1, len(tokens)))
-    ex = MentionExample(mention=" ".join(tokens[start:end]), tokens=tokens, span=(start, end))
+    examples = []
+    for _ in range(n_spans):
+        start = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
+        end = data.draw(st.sampled_from([start + 1, len(tokens)])
+                        | st.integers(start + 1, len(tokens)))
+        examples.append(MentionExample(mention=" ".join(tokens[start:end]), tokens=tokens,
+                                       span=(start, end)))
     with mock.patch.object(model_module, "FEATURE_MEMO_LIMIT", limit):
+        # A memo reads the limit when built.  At 16 the n-gram memo holds one
+        # mention, so a second mention evicts the first.
+        model_module._feature_ids.cache_clear()
         for _ in range(2):  # the second round reads ids from the memos
-            for feature_dim, hash_seed in hashings:
-                fv = featurize(ex, feature_dim, hash_seed)
-                assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
-                assert as_counts(fv) == reference_counts(ex, feature_dim, hash_seed)
+            for ex in examples:
+                for feature_dim, hash_seed in hashings:
+                    fv = featurize(ex, feature_dim, hash_seed)
+                    assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
+                    assert as_counts(fv) == reference_counts(ex, feature_dim, hash_seed)
+    model_module._feature_ids.cache_clear()
 
 
 class TestFeatureVector:
@@ -788,6 +812,41 @@ class TestModelFile:
         assert np.array_equal(loaded.block, model.block)
         assert save_peak <= 1.25 * body_bytes
         assert load_peak <= 1.25 * body_bytes
+
+    def test_save_of_an_all_stored_block_copies_no_row(self, tmp_path):
+        # more than two chunks of rows, every weight nonzero
+        n_cats, k = 64, 2 * model_module.SAVE_CHUNK_ROWS + 1000
+        weights = np.random.default_rng(4).uniform(0.5, 1.0, (k, n_cats))
+        model = TypingModel(np.arange(k), weights, np.zeros(n_cats),
+                            CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=k)
+        body_bytes = 8 * (n_cats + k + n_cats * k)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            model.save(str(path))
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 0.25 * body_bytes
+        assert np.array_equal(TypingModel.load(str(path)).block, weights)
+
+    def test_zero_rows_at_start_middle_and_end_hash_as_before(self, tmp_path):
+        block = np.arange(30, dtype=float).reshape(10, 3) * 0.5 - 3.0
+        block[[0, 4, 9]] = 0.0
+        block[6] = [-0.0, 0.0, 0.0]  # stored: its bit pattern is nonzero
+        ids = [1, 2, 5, 7, 8, 11, 13, 20, 21, 30]
+        model = TypingModel(ids, block, [0.25, -1.0, 0.0], CategoryVocab(["a", "b", "c"]),
+                            feature_dim=32)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        # the file `save` wrote when it copied the stored rows in one piece
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "2c90020de1e548ce2bb09e7971a0934e2d860eb0636b1aac470d70df9ca04d01"
+        loaded = TypingModel.load(str(path))
+        stored = [1, 2, 3, 5, 6, 7, 8]
+        assert loaded.feature_ids.tolist() == [ids[i] for i in stored]
+        assert np.array_equal(loaded.block, block[stored])
+        assert math.copysign(1.0, loaded.block[4, 0]) == -1.0
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
