@@ -55,9 +55,9 @@ DEFAULT_HASH_SEED = 0
 MAX_FEATURE_DIM = 2 ** 63
 MODEL_FORMAT_VERSION = 4
 WINDOW_DISTANCE = 3
-# Keys a token's feature-id memo holds; the least recently used goes first.
-# One featurize pass over a file of 1,000 mentions puts 700 to 11,000 ids in
-# each memo.
+# Keys each token feature-id memo holds; the least recently used goes first.
+# One featurize pass over a file of 1,000 mentions puts 700 to 3,000 keys in
+# each.
 FEATURE_MEMO_LIMIT = 1 << 16
 # Dev examples the dev loss scores in one forward pass.
 DEV_LOSS_CHUNK = 256
@@ -328,6 +328,7 @@ class TypingModel:
         for lo in range(0, len(stored), SAVE_CHUNK_ROWS):
             chunk = self.block[lo:lo + SAVE_CHUNK_ROWS]
             stored[lo:lo + SAVE_CHUNK_ROWS] = (chunk.view(np.uint64) != 0).any(axis=1)
+        # Where each run of stored rows starts and ends, alternately.
         edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {
             "format_version": MODEL_FORMAT_VERSION,

@@ -236,7 +236,7 @@ def test_featurize_matches_the_uncached_hash(tokens, data, hashings, n_spans, li
                                        span=(start, end)))
     with mock.patch.object(model_module, "FEATURE_MEMO_LIMIT", limit):
         # A memo reads the limit when built.  At 16 the n-gram memo holds one
-        # mention, so a second mention evicts the first.
+        # mention, so a second distinct mention evicts the first.
         model_module._feature_ids.cache_clear()
         for _ in range(2):  # the second round reads ids from the memos
             for ex in examples:
