@@ -12,7 +12,11 @@ committed digests:
   smoke sizes, whose articles carry malformed links, with the text_heavy
   workload's model flags;
 * ``train_l2_dev``: ``train --l2-penalty 0.01 --dev-mentions`` on the
-  ``synthetic`` run's mentions.
+  ``synthetic`` run's mentions;
+* ``synthetic_standalone_eval``: ``link`` and then ``eval --model --prior
+  --per-category --typing-threshold 0.3`` as separate commands on the
+  ``synthetic`` run's files, so eval reads its posteriors' inputs from
+  files instead of taking them from link in memory.
 
 The bits depend on numpy and libm (``exp``, ``log1p``), so the file also
 records the Python and numpy versions the digests were made with.  A
@@ -98,6 +102,19 @@ def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
           "--l2-penalty", "0.01", "--model", str(model),
           "--feature-dim", "4096", "--epochs", "3", "--seed", "13", "--quiet"])
     digests["train_l2_dev"] = {"model.json": _sha256(model)}
+
+    standalone = root / "synthetic_standalone_eval"
+    standalone.mkdir()
+    model, prior = str(synthetic / "model.json"), str(synthetic / "prior.tsv")
+    mentions = str(synthetic / "eval_mentions.jsonl")
+    predictions, report = standalone / "predictions.jsonl", standalone / "report.json"
+    _run(["link", "--mentions", mentions, "--model", model, "--prior", prior,
+          "--categories", small_paths["categories"], "--predictions", str(predictions),
+          "--quiet"])
+    _run(["eval", "--mentions", mentions, "--predictions", str(predictions),
+          "--model", model, "--prior", prior, "--report", str(report),
+          "--per-category", "--typing-threshold", "0.3", "--quiet"])
+    digests[standalone.name] = {f.name: _sha256(f) for f in (predictions, report)}
     return digests, stderr
 
 
