@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -90,62 +91,54 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
 
     `posteriors` holds per-example probability vectors (arrays or
     objects with a .probs attribute); `golds` holds per-example iterables
-    of gold category ids.  A category counts as predicted when its
-    probability is >= threshold.  Returns (bucket list, per-category map
-    or None); the bucket list ends with a "total" row over every counted
-    category.  Raises ValueError for a threshold outside [0, 1] or NaN.
+    of gold category ids, each in [0, len(vocab_entries)); an id repeated
+    within one example counts once.  A category counts as predicted when
+    its probability is >= threshold.  Returns (bucket list, per-category
+    map or None); the bucket list ends with a "total" row over every
+    counted category.  Raises ValueError for a threshold outside [0, 1]
+    or NaN, and for a gold id outside the vocabulary, naming it.
     """
     check_typing_threshold(threshold)
     if len(posteriors) != len(golds):
         raise ValueError(
             f"got {len(posteriors)} posteriors but {len(golds)} gold sets")
     n_cats = len(vocab_entries)
-    tp = np.zeros(n_cats, dtype=np.int64)
-    fp = np.zeros(n_cats, dtype=np.int64)
-    fn = np.zeros(n_cats, dtype=np.int64)
+    # Per category: examples where it is predicted, gold, and both.
+    predicted, gold, tp = (np.zeros(n_cats, dtype=np.int64) for _ in range(3))
     for posterior, gold_ids in zip(posteriors, golds):
-        probs = getattr(posterior, "probs", posterior)
-        probs = np.asarray(probs)
+        probs = np.asarray(getattr(posterior, "probs", posterior))
         if len(probs) != n_cats:
             raise ValueError("posterior length does not match vocabulary")
-        predicted = probs >= threshold
-        gold = np.zeros(n_cats, dtype=bool)
-        gold_list = list(gold_ids)
-        if gold_list:
-            gold[np.asarray(gold_list, dtype=np.int64)] = True
-        tp += predicted & gold
-        fp += predicted & ~gold
-        fn += ~predicted & gold
+        hits = probs >= threshold
+        ids = np.asarray(sorted(set(gold_ids)), dtype=np.int64)
+        outside = ids[(ids < 0) | (ids >= n_cats)]
+        if len(outside):
+            raise ValueError(f"gold category id {outside[0]} outside the "
+                             f"vocabulary of {n_cats} categories")
+        predicted += hits
+        gold[ids] += 1
+        tp[ids] += hits[ids]
 
-    counted = [i for i in range(n_cats) if tp[i] + fp[i] + fn[i] > 0]
-    stats: dict[int, tuple[float, float, float]] = {}
-    for i in counted:
-        denom_p = int(tp[i] + fp[i])
-        denom_r = int(tp[i] + fn[i])
-        p = int(tp[i]) / denom_p if denom_p else 0.0
-        r = int(tp[i]) / denom_r if denom_r else 0.0
-        stats[i] = (p, r, f1_score(p, r))
+    counted = np.flatnonzero(predicted + gold)
+    precision = np.divide(tp, predicted, out=np.zeros(n_cats), where=predicted > 0)
+    recall = np.divide(tp, gold, out=np.zeros(n_cats), where=gold > 0)
+    # Python floats, so each macro average sums them in ascending category order.
+    columns = [precision[counted].tolist(), recall[counted].tolist()]
+    columns.append([f1_score(p, r) for p, r in zip(*columns)])
 
-    def macro(ids: list[int], label: str) -> BucketMetrics:
-        if not ids:
-            return BucketMetrics(label, 0.0, 0.0, 0.0, 0)
-        p = sum(stats[i][0] for i in ids) / len(ids)
-        r = sum(stats[i][1] for i in ids) / len(ids)
-        f = sum(stats[i][2] for i in ids) / len(ids)
-        return BucketMetrics(label, p, r, f, len(ids))
-
+    ranks = counted + 1
+    buckets = [(_bucket_label(lo, hi), (lo <= ranks) & (ranks <= (hi or n_cats)))
+               for lo, hi in RANK_BUCKETS]
     rows = []
-    for lo, hi in RANK_BUCKETS:
-        ids = [i for i in counted if lo <= i + 1 and (hi is None or i + 1 <= hi)]
-        rows.append(macro(ids, _bucket_label(lo, hi)))
-    rows.append(macro(counted, "total"))
+    for label, mask in [*buckets, ("total", ranks > 0)]:
+        n = int(mask.sum())
+        means = [sum(compress(column, mask)) / n if n else 0.0 for column in columns]
+        rows.append(BucketMetrics(label, *means, n))
 
     per_category = None
     if with_per_category:
-        per_category = {
-            vocab_entries[i]: (stats[i][0], stats[i][1], stats[i][2], int(tp[i] + fn[i]))
-            for i in counted
-        }
+        per_category = {vocab_entries[i]: (p, r, f, g) for i, p, r, f, g
+                        in zip(counted.tolist(), *columns, gold[counted].tolist())}
     return rows, per_category
 
 

@@ -1317,6 +1317,17 @@ def test_seed_accepted_only_where_read():
     assert all({"--workers", "--quiet"} <= opts for opts in flags.values())
 
 
+def test_readme_names_every_long_option():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    missing = sorted(opt for opt in options
+                     if not re.search(re.escape(opt) + r"(?![\w-])", readme))
+    assert not missing, f"README.md never names {', '.join(missing)}"
+
+
 class StageReached(Exception):
     """Raised by a stand-in stage: the checks let the run through."""
 

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typelink.evaluation import (ContextMode, EvalReport, build_context, f1_score,
-                                 linking_accuracy, typing_metrics)
+from typelink.evaluation import (RANK_BUCKETS, BucketMetrics, ContextMode, EvalReport,
+                                 build_context, f1_score, linking_accuracy, typing_metrics)
 from typelink.ingest import MentionExample
 
 
@@ -111,6 +112,12 @@ class TestTypingMetrics:
         with pytest.raises(ValueError):
             typing_metrics([np.array([0.5, 0.5])], [[0]], ["a"])
 
+    @pytest.mark.parametrize("gold_id", [-1, 2])
+    def test_gold_id_outside_vocabulary_rejected(self, gold_id):
+        # -1 must not wrap around to the last category and score it.
+        with pytest.raises(ValueError, match=rf"gold category id {gold_id} outside"):
+            typing_metrics([np.array([0.1, 0.9])], [[gold_id]], ["a", "b"])
+
     @pytest.mark.parametrize("threshold", [math.nan, 2.0, -0.1, math.inf])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValueError):
@@ -125,6 +132,81 @@ class TestTypingMetrics:
         forward, _ = typing_metrics(posteriors, golds, vocab)
         backward, _ = typing_metrics(posteriors[::-1], golds[::-1], vocab)
         assert forward == backward
+
+
+def reference_typing_metrics(posteriors, golds, vocab, threshold):
+    """typing_metrics by brute force: the examples predicting and the examples
+    holding each category as sets, one category at a time."""
+    predicted = {i: {k for k, probs in enumerate(posteriors) if probs[i] >= threshold}
+                 for i in range(len(vocab))}
+    gold = {i: {k for k, ids in enumerate(golds) if i in ids} for i in range(len(vocab))}
+    stats = {}
+    for i in range(len(vocab)):
+        if predicted[i] or gold[i]:
+            hits = len(predicted[i] & gold[i])
+            p = hits / len(predicted[i]) if predicted[i] else 0.0
+            r = hits / len(gold[i]) if gold[i] else 0.0
+            stats[i] = (p, r, f1_score(p, r), len(gold[i]))
+    rows = []
+    for label, lo, hi in [*((f"{lo}-{hi}" if hi else f"{lo}+", lo, hi)
+                            for lo, hi in RANK_BUCKETS), ("total", 1, None)]:
+        ids = [i for i in sorted(stats) if lo <= i + 1 and (hi is None or i + 1 <= hi)]
+        means = [sum(stats[i][j] for i in ids) / len(ids) if ids else 0.0 for j in range(3)]
+        rows.append(BucketMetrics(label, *means, len(ids)))
+    return rows, {vocab[i]: stats[i] for i in stats}
+
+
+@st.composite
+def typing_inputs(draw):
+    """Sparse posteriors over vocabularies small or crossing the 100 and 500
+    bucket boundaries, gold lists with repeats or empty, and probabilities
+    exactly at the threshold."""
+    n_cats = draw(st.one_of(st.integers(1, 8), st.integers(95, 110), st.integers(495, 520)))
+    threshold = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    near_edges = [i for i in (0, 98, 99, 100, 101, 498, 499, 500, 501) if i < n_cats]
+    category = st.one_of(st.integers(0, n_cats - 1), st.sampled_from(near_edges))
+    probability = st.one_of(st.just(threshold), st.sampled_from([0.0, 1.0]),
+                            st.floats(0.0, 1.0))
+    posteriors, golds = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        probs = np.zeros(n_cats)
+        for i, p in draw(st.dictionaries(category, probability, max_size=6)).items():
+            probs[i] = p
+        posteriors.append(probs)
+        golds.append(draw(st.lists(category, max_size=5)))
+    return posteriors, golds, [f"c{i:03d}" for i in range(n_cats)], threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(typing_inputs())
+def test_typing_metrics_equal_the_brute_force_reference(inputs):
+    posteriors, golds, vocab, threshold = inputs
+    rows, per_cat = typing_metrics(posteriors, golds, vocab, threshold=threshold,
+                                   with_per_category=True)
+    assert (rows, per_cat) == reference_typing_metrics(posteriors, golds, vocab, threshold)
+    # Plain Python numbers: json refuses numpy's.
+    for row in rows:
+        assert [type(v) for v in (row.precision, row.recall, row.f1, row.n_categories)] \
+            == [float, float, float, int]
+    for p, r, f, n in per_cat.values():
+        assert [type(v) for v in (p, r, f, n)] == [float, float, float, int]
+
+
+def test_typing_metrics_memory_is_of_the_categories_not_the_examples():
+    # 1,000 posteriors over 2,000 categories hold 16 MB of probabilities;
+    # counting them may take a quarter of that, too little for any n x C array.
+    rng = np.random.default_rng(3)
+    n, n_cats = 1000, 2000
+    posteriors = [rng.random(n_cats) for _ in range(n)]
+    golds = [rng.choice(n_cats, size=3, replace=False).tolist() for _ in range(n)]
+    vocab = [f"c{i}" for i in range(n_cats)]
+    tracemalloc.start()
+    try:
+        typing_metrics(posteriors, golds, vocab, with_per_category=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_eval_report_to_dict_shape():
