@@ -185,11 +185,9 @@ def test_typing_metrics_equal_the_brute_force_reference(inputs):
                                    with_per_category=True)
     assert (rows, per_cat) == reference_typing_metrics(posteriors, golds, vocab, threshold)
     # Plain Python numbers: json refuses numpy's.
-    for row in rows:
-        assert [type(v) for v in (row.precision, row.recall, row.f1, row.n_categories)] \
-            == [float, float, float, int]
-    for p, r, f, n in per_cat.values():
-        assert [type(v) for v in (p, r, f, n)] == [float, float, float, int]
+    for values in [*((b.precision, b.recall, b.f1, b.n_categories) for b in rows),
+                   *per_cat.values()]:
+        assert [type(v) for v in values] == [float, float, float, int]
 
 
 def test_typing_metrics_memory_is_of_the_categories_not_the_examples():
