@@ -7,8 +7,9 @@ its settings and paths (``check_args``), runs one ``stage_*`` function
 on its parsed arguments and prints the diagnostic counts it returns;
 ``pipeline`` runs the same functions on its own arguments with each
 stage's paths filled in.  It writes every file the stage commands write,
-but a step that reads what the step right before it made takes the
-object in memory (``_handed``) instead of reading the file back.
+and a stage that reads a mention file or the model that an earlier stage
+of the run wrote takes the object in memory (``_handed``) instead of
+reading the file back.
 Failures exit nonzero with a one-line message of the form
 ``error: CODE: detail``.
 
@@ -50,11 +51,13 @@ class CliError(Exception):
 # Each stage takes the parsed arguments of its subcommand (or the pipeline's,
 # with the stage's paths set), already checked by `check_args`, and returns
 # the diagnostics of what it dropped.  `args.handoff` is None except in
-# `pipeline`, which passes a dict from the step that fills it, keyed by the
-# path each object was written to, to the step right after it.
+# `pipeline`, which passes every stage one dict for the whole run: ingest,
+# train and link put what they write into it, keyed by the path they wrote
+# it to, and a later stage takes it from there.
 
 def _handed(args: argparse.Namespace, path: str, load):
-    """The object the step before wrote to `path`, if it handed it over, or else `load(path)`."""
+    """The object an earlier stage of the run wrote to `path`, taken out of the
+    handoff, or else `load(path)`."""
     if args.handoff is not None and path in args.handoff:
         return args.handoff.pop(path)
     return load(path)
@@ -149,7 +152,8 @@ def stage_train(args: argparse.Namespace) -> DiagnosticLog:
     config = _train_config(args)
     vocab = CategoryVocab.load(args.vocab)
     log = DiagnosticLog()
-    pairs = _labeled_pairs(read_examples(args.mentions), vocab, args.context_mode, log)
+    pairs = _labeled_pairs(_handed(args, args.mentions, read_examples), vocab,
+                           args.context_mode, log)
     dev_pairs = None
     if args.dev_mentions is not None:
         dev_pairs = _labeled_pairs(read_examples(args.dev_mentions), vocab,
@@ -164,7 +168,10 @@ def stage_train(args: argparse.Namespace) -> DiagnosticLog:
         print(line, file=sys.stderr)
 
     model = train(pairs, vocab, config, dev_pairs=dev_pairs, on_epoch=report)
-    dataclasses.replace(model, context_mode=args.context_mode).save(args.model)
+    model = dataclasses.replace(model, context_mode=args.context_mode)
+    model.save(args.model)
+    if args.handoff is not None:
+        args.handoff[args.model] = model
     return log
 
 
@@ -174,8 +181,8 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     Mentions with an empty candidate set produce a null prediction and a
     diagnostic rather than failing the whole run.
     """
-    model = TypingModel.load(args.model)
-    examples = read_examples(args.mentions)
+    model = _handed(args, args.model, TypingModel.load)
+    examples = _handed(args, args.mentions, read_examples)
     table, csets, types, log = _candidate_types(args, examples)
     index = build_category_index(types, model.vocab)
     kept = [] if args.handoff is not None else None  # (row, posterior) per mention
@@ -295,41 +302,37 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
     Each stage runs on the pipeline's arguments with every path it reads
     set, and its diagnostics are printed under its name; the log returned
     is empty.  --categories is the same file for every stage.  Every file
-    is written as the stage commands write it.  Two steps hand what they
-    made to the step right after them, which takes it instead of reading
-    the file back: the raw eval ingest its examples to build-vocab, and
-    link its mentions, prior, model, rows and posteriors to eval.  No
-    other step gets the handoff, so nothing is held across one that does
-    not read it.
+    is written as the stage commands write it.  One handoff dict serves the
+    run: ingest, train and link put what they write into it, and each
+    reader takes its object out (`_handed`) instead of reading the file
+    back, so the dict is empty after eval.  The prior and the vocabulary,
+    small and read by several stages, are read from their files.  The
+    labeled eval ingest runs after train, so that train holds only the
+    mentions it reads.
     """
     os.makedirs(args.workdir, exist_ok=True)
     files = _pipeline_outputs(args)
     prior, raw, vocab = files["--prior"], files["--workdir"], files["--vocab"]
     train_mentions, eval_mentions = files["--mentions"], files["--eval-mentions"]
     model, predictions = files["--model"], files["--predictions"]
-    steps = [  # (name, stage, its paths, whether it hands what it made to the next step)
+    steps = [  # (name, stage, its paths)
         ("build-prior", stage_build_prior,
-         dict(articles=args.prior_articles or args.articles, prior=prior), False),
-        ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=raw, vocab=None),
-         True),
-        ("build-vocab", stage_build_vocab, dict(mentions=raw, prior=prior, vocab=vocab), False),
+         dict(articles=args.prior_articles or args.articles, prior=prior)),
+        ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=raw, vocab=None)),
+        ("build-vocab", stage_build_vocab, dict(mentions=raw, prior=prior, vocab=vocab)),
         ("ingest", stage_ingest,
-         dict(articles=args.articles, mentions=train_mentions, vocab=vocab), False),
+         dict(articles=args.articles, mentions=train_mentions, vocab=vocab)),
+        ("train", stage_train, dict(mentions=train_mentions, vocab=vocab, model=model)),
         ("ingest", stage_ingest, dict(articles=args.eval_articles, mentions=eval_mentions,
-                                      vocab=vocab, keep_uncategorized=True), False),
-        ("train", stage_train, dict(mentions=train_mentions, vocab=vocab, model=model), False),
+                                      vocab=vocab, keep_uncategorized=True)),
         ("link", stage_link, dict(mentions=eval_mentions, model=model, prior=prior,
-                                  predictions=predictions), True),
+                                  predictions=predictions)),
         ("eval", stage_eval, dict(mentions=eval_mentions, predictions=predictions,
-                                  report=files["--report"], model=model, prior=prior), False),
+                                  report=files["--report"], model=model, prior=prior)),
     ]
-    handoff = None
-    for name, stage, paths, hands_on in steps:
-        if hands_on:
-            handoff = {}
+    handoff = {}
+    for name, stage, paths in steps:
         log = stage(argparse.Namespace(**{**vars(args), **paths, "handoff": handoff}))
-        if not hands_on:
-            handoff = None
         _print_diagnostics(args, log, f"{name} ")
     return DiagnosticLog()
 

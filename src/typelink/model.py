@@ -65,26 +65,9 @@ DEV_LOSS_CHUNK = 256
 SAVE_CHUNK_ROWS = 4096
 
 
-@lru_cache(maxsize=16)
-def _feature_hash(hash_seed: int, feature_dim: int) -> Callable[[str], int]:
-    """`hash_feature` under one hashing, as a function of the string.
-
-    The keyed blake2b state is built once per hashing, and each string is
-    hashed on a copy of it.
-    """
-    keyed = blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
-
-    def hash_one(text: str) -> int:
-        h = keyed.copy()
-        h.update(text.encode("utf-8"))
-        return int.from_bytes(h.digest(), "little") % feature_dim
-
-    return hash_one
-
-
 def hash_feature(text: str, hash_seed: int, feature_dim: int) -> int:
     """Map a namespace-prefixed feature string to an id in [0, feature_dim)."""
-    return _feature_hash(hash_seed, feature_dim)(text)
+    return _feature_ids(hash_seed, feature_dim).hash(text)
 
 
 def feature_strings(example: MentionExample) -> list[str]:
@@ -137,25 +120,38 @@ class FeatureVector:
 
 
 class _FeatureIds:
-    """The feature-id memos of one hashing: an `lru_cache` per way `feature_strings`
-    builds a string."""
+    """One hashing: `hash`, which is `hash_feature` as a function of the string,
+    and the feature-id memos, an `lru_cache` per way `feature_strings` builds a
+    string.
+
+    The keyed blake2b state is built once, and each string is hashed on a
+    copy of it.
+    """
 
     def __init__(self, hash_seed: int, feature_dim: int):
-        hash_one = _feature_hash(hash_seed, feature_dim)
+        keyed = blake2b(digest_size=8, key=hash_seed.to_bytes(8, "little"))
+
+        def hash_one(text: str) -> int:
+            h = keyed.copy()
+            h.update(text.encode("utf-8"))
+            return int.from_bytes(h.digest(), "little") % feature_dim
+
+        self.hash = hash_one
         memo = lru_cache(maxsize=FEATURE_MEMO_LIMIT)
-        self.context = memo(lambda tok: hash_one("s|" + tok.lower()))
-        self.window = memo(lambda rel, tok: hash_one(f"w|{rel}|{tok.lower()}"))
-        self.mention = memo(lambda tok: hash_one("m|" + tok.lower()))
+        self.context = memo(lambda tok: self.hash("s|" + tok.lower()))
+        self.window = memo(lambda rel, tok: self.hash(f"w|{rel}|{tok.lower()}"))
+        self.mention = memo(lambda tok: self.hash("m|" + tok.lower()))
         # Keyed by mention: benchmark mentions carry 15-22 n-gram ids on
         # average, so 2**12 mentions hold about as many ids as a token memo.
         # Keyed by n-gram string, a cold pass over the featurize calls of the
         # text_heavy pipeline took 9-17 ms longer (train_wide: within 3 ms).
         self.ngrams = lru_cache(maxsize=FEATURE_MEMO_LIMIT // 16)(
-            lambda mention: tuple(map(hash_one, _ngram_strings(mention))))
+            lambda mention: tuple(map(self.hash, _ngram_strings(mention))))
 
 
-# The memos of the 16 most recent hashings.  A memo only caches the pure
-# `hash_feature`, so sharing it changes no result.
+# The hashings and memos of the 16 most recent (hash_seed, feature_dim)
+# pairs.  A memo only caches the pure `hash_feature`, so sharing it changes
+# no result.
 _feature_ids = lru_cache(maxsize=16)(_FeatureIds)
 
 

@@ -68,11 +68,16 @@ class PriorTable:
         self.totals[key] += n
 
     def merge(self, other: "PriorTable") -> None:
-        """Fold another table in; equivalent to counting the joined stream."""
+        """Fold another table in; equivalent to counting the joined stream.
+
+        A case-folded `other` is refused by a table that is not folded,
+        since the original casing of its mentions is gone.
+        """
+        if other.case_fold and not self.case_fold:
+            raise ValueError("cannot merge a case-folded prior into one that is not")
         for mention, per_entity in other.counts.items():
             for entity, n in per_entity.items():
-                self.counts[mention][entity] += n
-                self.totals[mention] += n
+                self.add(mention, entity, n)
 
     def prob(self, mention: str, entity: str) -> float:
         key = self._key(mention)

@@ -106,12 +106,12 @@ class TestPipeline:
              "--vocab", f"{b}/vocab.txt"],
             ["ingest", "--articles", paths["train_articles"], "--categories", cats,
              "--mentions", f"{b}/train_mentions.jsonl", "--vocab", f"{b}/vocab.txt"],
-            ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
-             "--mentions", f"{b}/eval_mentions.jsonl", "--vocab", f"{b}/vocab.txt",
-             "--keep-uncategorized"],
             ["train", "--mentions", f"{b}/train_mentions.jsonl",
              "--vocab", f"{b}/vocab.txt", "--model", f"{b}/model.json",
              "--feature-dim", "4096", "--epochs", "3", "--seed", "13", "--quiet"],
+            ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
+             "--mentions", f"{b}/eval_mentions.jsonl", "--vocab", f"{b}/vocab.txt",
+             "--keep-uncategorized"],
             ["link", "--mentions", f"{b}/eval_mentions.jsonl",
              "--model", f"{b}/model.json", "--prior", f"{b}/prior.tsv",
              "--categories", cats, "--predictions", f"{b}/predictions.jsonl"],
@@ -289,6 +289,23 @@ def corpus_paths(corpus, small_corpus, tmp_path):
                                        for name, text in HAND_CORPUS.items()}}
 
 
+# The stage functions `pipeline` calls, by their module attribute.
+STAGES = ("stage_build_prior", "stage_ingest", "stage_build_vocab", "stage_train",
+          "stage_link", "stage_eval")
+
+
+def record_stages(monkeypatch):
+    """Wrap each of `STAGES`; the list returned gets, as each call starts, the
+    stage's name, its `args.handoff` and the sorted paths in that handoff."""
+    calls = []
+    for name in STAGES:
+        def recording(args, name=name, stage=getattr(typelink.cli, name)):
+            calls.append((name, args.handoff, sorted(args.handoff)))
+            return stage(args)
+        monkeypatch.setattr(typelink.cli, name, recording)
+    return calls
+
+
 def run_stages(paths, out, capsys, settings):
     """The README's stage commands on `paths`, writing into `out`, each given
     the `settings` (flag -> value) its subcommand takes."""
@@ -303,11 +320,11 @@ def run_stages(paths, out, capsys, settings):
          "--prior", f"{out}/prior.tsv", "--categories", cats, "--vocab", f"{out}/vocab.txt"],
         ["ingest", "--articles", paths["train_articles"], "--categories", cats,
          "--mentions", f"{out}/train_mentions.jsonl", "--vocab", f"{out}/vocab.txt"],
+        ["train", "--mentions", f"{out}/train_mentions.jsonl", "--vocab", f"{out}/vocab.txt",
+         "--model", f"{out}/model.json"],
         ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
          "--mentions", f"{out}/eval_mentions.jsonl", "--vocab", f"{out}/vocab.txt",
          "--keep-uncategorized"],
-        ["train", "--mentions", f"{out}/train_mentions.jsonl", "--vocab", f"{out}/vocab.txt",
-         "--model", f"{out}/model.json"],
         ["link", "--mentions", f"{out}/eval_mentions.jsonl", "--model", f"{out}/model.json",
          "--prior", f"{out}/prior.tsv", "--categories", cats,
          "--predictions", f"{out}/predictions.jsonl"],
@@ -325,8 +342,8 @@ def run_stages(paths, out, capsys, settings):
 
 
 class TestHandoff:
-    """`pipeline` hands link's work to eval, and the raw eval mentions to build-vocab,
-    in memory; the stage commands read every input from its file."""
+    """`pipeline` hands every mention file, the model and link's work to their
+    readers in memory; the stage commands read every input from its file."""
 
     @pytest.mark.parametrize("corpus, settings", [
         ("small", {"--context-mode": "sentence_only"}),
@@ -375,10 +392,30 @@ class TestHandoff:
         n_eval = len(read_examples(str(work / "eval_mentions.jsonl")))
         assert n_eval > 0
         assert calls == {"predict": n_eval, "read_predictions": 0}
-        assert loads == [str(work / "model.json")]
-        # train reads its mentions and link the eval mentions, each written
-        # steps before; neither ingest's output is read by the step after it.
-        assert reads == [str(work / "train_mentions.jsonl"), str(work / "eval_mentions.jsonl")]
+        # Every mention file and the model reach their reader in memory.
+        assert loads == []
+        assert reads == []
+
+    def test_a_stage_finds_only_what_it_takes_and_eval_leaves_nothing(
+            self, small_corpus, monkeypatch, tmp_path):
+        calls = record_stages(monkeypatch)
+        work = tmp_path / "work"
+        assert main(pipeline_argv(small_corpus[1], work)) == 0
+        w = lambda *names: sorted(str(work / name) for name in names)  # noqa: E731
+        assert [(name, held) for name, _, held in calls] == [
+            ("stage_build_prior", []),
+            ("stage_ingest", []),
+            ("stage_build_vocab", w("eval_mentions_raw.jsonl")),
+            ("stage_ingest", []),
+            ("stage_train", w("train_mentions.jsonl")),
+            ("stage_ingest", w("model.json")),
+            ("stage_link", w("model.json", "eval_mentions.jsonl")),
+            ("stage_eval", w("eval_mentions.jsonl", "prior.tsv", "model.json",
+                             "predictions.jsonl")),
+        ]
+        handoff = calls[0][1]
+        assert all(each is handoff for _, each, _ in calls)  # one dict for the run
+        assert handoff == {}
 
     def test_every_output_flag_overridden_writes_the_default_bytes(self, pipeline_run,
                                                                    tmp_path):
@@ -1326,6 +1363,17 @@ def test_readme_names_every_long_option():
     missing = sorted(opt for opt in options
                      if not re.search(re.escape(opt) + r"(?![\w-])", readme))
     assert not missing, f"README.md never names {', '.join(missing)}"
+
+
+def test_readme_stage_commands_follow_the_pipeline_order(monkeypatch, tmp_path):
+    calls = record_stages(monkeypatch)
+    paths = corpus_paths("hand", None, tmp_path)
+    assert main(pipeline_argv(paths, tmp_path / "work")) == 0
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("or stage by stage", 1)[1].split("```", 2)[1]
+    assert re.findall(r"^typelink +(\S+)", block, re.MULTILINE) == \
+        [name.removeprefix("stage_").replace("_", "-") for name, _, _ in calls]
 
 
 class StageReached(Exception):

@@ -163,25 +163,22 @@ class TestFeatureMemo:
 
     def test_each_distinct_memo_key_is_hashed_once(self, monkeypatch):
         hashed = Counter()
-        feature_hash = model_module._feature_hash
+        hashing = model_module._feature_ids(3, 512)
+        hash_one = hashing.hash
 
-        def counting_feature_hash(hash_seed, feature_dim):
-            def counting_hash(text):
-                hashed[text, hash_seed, feature_dim] += 1
-                return feature_hash(hash_seed, feature_dim)(text)
-            return counting_hash
+        def counting_hash(text):
+            hashed[text] += 1
+            return hash_one(text)
 
-        monkeypatch.setattr(model_module, "_feature_hash", counting_feature_hash)
+        monkeypatch.setattr(hashing, "hash", counting_hash)
         for _ in range(3):
             for ex in MEMO_EXAMPLES:
                 featurize(ex, 512, 3)
         keys = {key: strings for ex in MEMO_EXAMPLES for key, strings in memo_keys(ex).items()}
-        expected = Counter((s, 3, 512) for strings in keys.values() for s in strings)
-        assert hashed == expected
+        assert hashed == Counter(s for strings in keys.values() for s in strings)
         # The keys stand for every feature string, and some strings for two keys.
-        assert {s for s, _, _ in hashed} == {s for ex in MEMO_EXAMPLES
-                                            for s in feature_strings(ex)}
-        assert hashed["s|the", 3, 512] == 2 and hashed["c3|ohi", 3, 512] == 2
+        assert set(hashed) == {s for ex in MEMO_EXAMPLES for s in feature_strings(ex)}
+        assert hashed["s|the"] == 2 and hashed["c3|ohi"] == 2
 
     def test_capped_memo_stays_bounded_and_exact(self, monkeypatch):
         # At 8 the token memos evict (the n-gram memo holds nothing); at 32

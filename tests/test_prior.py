@@ -71,6 +71,32 @@ def test_merge_equals_concatenated_stream(a, b):
     assert merged == accumulate(list(a) + list(b))
 
 
+def test_merge_into_a_folded_table_folds_the_merged_mentions():
+    table = PriorTable(case_fold=True)
+    table.merge(accumulate([("Ant", "Ant"), ("Ant", "Ant"), ("ant", "Apache_Ant")]))
+    assert table.prob("Ant", "Ant") == 2 / 3
+    assert table.candidates("Ant", 0.0).candidates == [("Ant", 2 / 3), ("Apache_Ant", 1 / 3)]
+
+
+cased_streams = st.lists(
+    st.tuples(st.sampled_from(["m", "M", "Ant", "ANT"]), st.sampled_from(["A", "B"])),
+    max_size=20)
+
+
+@given(cased_streams, cased_streams, st.booleans())
+def test_merge_into_a_folded_table_equals_its_concatenated_stream(a, b, fold_b):
+    merged = accumulate(a, case_fold=True)
+    merged.merge(accumulate(b, case_fold=fold_b))
+    assert merged == accumulate(list(a) + list(b), case_fold=True)
+
+
+def test_a_folded_table_is_not_merged_into_an_unfolded_one():
+    table = accumulate([("Ant", "Ant")])
+    with pytest.raises(ValueError, match="case-folded"):
+        table.merge(accumulate([("Ant", "Ant")], case_fold=True))
+    assert table == accumulate([("Ant", "Ant")])
+
+
 @given(pair_streams.filter(len), st.randoms())
 def test_accumulate_is_order_independent(stream, rnd):
     shuffled = list(stream)
