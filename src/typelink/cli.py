@@ -194,7 +194,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
                 row = {"mention": ex.mention, "chosen": None,
                        "used_backoff": False, "scores": []}
             else:
-                posterior = predict_example(model, build_context(ex, model.context_mode))
+                posterior = predict_example(model, ex)
                 pred = link(posterior, cset, index, table,
                             backoff_min_cats=args.backoff_min_cats, tie_eps=args.tie_eps,
                             mode=args.scoring_mode, log=log)
@@ -264,8 +264,7 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     per_cat = None
     if args.model is not None:
         model = _handed(args, args.model, TypingModel.load)
-        posteriors = [predict_example(model, build_context(ex, model.context_mode))
-                      if posterior is None else posterior
+        posteriors = [predict_example(model, ex) if posterior is None else posterior
                       for ex, (_, posterior) in zip(examples, predictions)]
         golds = [model.vocab.to_ids(ex.categories or []) for ex in examples]
         buckets, per_cat = typing_metrics(posteriors, golds, model.vocab.entries,

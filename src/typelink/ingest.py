@@ -269,18 +269,12 @@ def attach_categories(examples: Iterable[MentionExample],
     for ex in examples:
         if ex.entity is None:
             continue
-        categories = types.get(ex.entity)
-        if categories is None:
-            log.bump(diag.ENTITY_WITHOUT_CATEGORIES)
+        cats = sorted(c for c in types.get(ex.entity) or () if c in vocab)
+        if not cats:
+            log.bump(diag.ENTITY_WITHOUT_CATEGORIES if ex.entity not in types
+                     else diag.NO_VOCAB_CATEGORIES)
             if not keep_uncategorized:
                 continue
-            cats: list[str] = []
-        else:
-            cats = sorted(c for c in categories if c in vocab)
-            if not cats:
-                log.bump(diag.NO_VOCAB_CATEGORIES)
-                if not keep_uncategorized:
-                    continue
         out.append(dataclasses.replace(ex, categories=cats))
     return out
 

@@ -130,10 +130,11 @@ def link(posterior, candidate_set: CandidateSet, index: EntityCategoryIndex,
          log: Optional[DiagnosticLog] = None) -> LinkPrediction:
     """Pick the candidate with the highest summed type score, with backoff.
 
-    Backoff to the prior argmax fires when the top-scoring candidate
+    Backoff to `most_frequent_entity` fires when the top-scoring candidate
     carries fewer than `backoff_min_cats` categories or the top two
-    scores sit within `tie_eps` of each other.  Ties anywhere are
-    resolved by higher prior, then by entity string.
+    scores sit within `tie_eps` of each other.  Ties in the ranking are
+    resolved by higher prior, then by entity string, the rule backoff
+    uses too.
     """
     check_backoff(backoff_min_cats, tie_eps)
     scored = score_candidates(posterior, candidate_set, index, mode, log)
@@ -145,9 +146,7 @@ def link(posterior, candidate_set: CandidateSet, index: EntityCategoryIndex,
     tied = len(ranked) > 1 and (top_score - ranked[1][1]) <= tie_eps
     sparse = index.category_count(top_entity) < backoff_min_cats
     if sparse or tied:
-        by_prior = sorted(candidate_set.entities(),
-                          key=lambda e: (-prior.prob(mention, e), e))
-        return LinkPrediction(ranked, by_prior[0], True)
+        return LinkPrediction(ranked, most_frequent_entity(candidate_set), True)
     return LinkPrediction(ranked, top_entity, False)
 
 

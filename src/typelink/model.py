@@ -46,7 +46,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .categories import CategoryVocab
-from .evaluation import ContextMode
+from .evaluation import ContextMode, build_context
 from .ingest import MentionExample, json_line
 
 DEFAULT_FEATURE_DIM = 1 << 20
@@ -243,8 +243,8 @@ class TypingModel:
 
     The input contract is the hashing (`hash_seed`, `feature_dim`) and
     `context_mode`, the `ContextMode` its training examples were built
-    with, which the CLI applies again before predicting.  The default,
-    `sentence_only`, leaves an example as given.
+    with, which `predict_example` applies to every example it is given.
+    The default, `sentence_only`, leaves an example as given.
     """
 
     feature_ids: np.ndarray
@@ -437,7 +437,14 @@ def predict(model: TypingModel, features: FeatureVector) -> TypePosterior:
 
 
 def predict_example(model: TypingModel, example: MentionExample) -> TypePosterior:
-    return predict(model, featurize(example, model.feature_dim, model.hash_seed))
+    """The posterior of a mention as read, built with the model's context mode.
+
+    Every caller, the CLI included, passes the example as ingest wrote it;
+    an example already built with the mode gives the same posterior, since
+    `build_context` applied twice is applied once.
+    """
+    context = build_context(example, model.context_mode)
+    return predict(model, featurize(context, model.feature_dim, model.hash_seed))
 
 
 def _bce_sum(logits: np.ndarray, targets: np.ndarray) -> float:

@@ -27,6 +27,15 @@ import numpy as np
 from .ingest import ARTICLE_SEPARATOR
 
 
+# A sentence draws 3 to 5 distinct context words of its category.
+MIN_SENTENCE_WORDS, MAX_SENTENCE_WORDS = 3, 5
+# Anchor counts of a probe's favored and unfavored candidate in the prior
+# corpus; the gold is favored for GOLD_FAVORED_SLOTS of every
+# GOLD_FAVORED_PERIOD probes.
+FAVORED_COUNT, UNFAVORED_COUNT = 8, 2
+GOLD_FAVORED_PERIOD, GOLD_FAVORED_SLOTS = 5, 2
+
+
 @dataclass
 class BenchmarkSpec:
     n_categories: int = 50
@@ -34,13 +43,14 @@ class BenchmarkSpec:
     n_test: int = 300
     words_per_category: int = 8
     distractor_shift: int = 7
-    favored_count: int = 8
-    unfavored_count: int = 2
-    gold_favored_period: int = 5
-    gold_favored_slots: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_categories < 2:
+            raise ValueError(f"n_categories must be at least 2, got {self.n_categories}")
+        if self.words_per_category < MAX_SENTENCE_WORDS:
+            raise ValueError(f"words_per_category must be at least {MAX_SENTENCE_WORDS} "
+                             f"(a sentence draws that many), got {self.words_per_category}")
         if self.n_categories % 2:
             raise ValueError("n_categories must be even (categories are paired)")
         shift = self.distractor_shift % self.n_categories
@@ -81,17 +91,18 @@ class BenchmarkSpec:
         return (self.gold_category(i) + self.distractor_shift) % self.n_categories
 
     def gold_favored(self, i: int) -> bool:
-        return i % self.gold_favored_period < self.gold_favored_slots
+        return i % GOLD_FAVORED_PERIOD < GOLD_FAVORED_SLOTS
 
     @property
     def expected_mfe_accuracy(self) -> float:
-        return self.gold_favored_slots / self.gold_favored_period
+        return GOLD_FAVORED_SLOTS / GOLD_FAVORED_PERIOD
 
 
 def _sentence(spec: BenchmarkSpec, rng: np.random.Generator, entity: str,
               mention: str, k: int) -> str:
     words = spec.context_words(k)
-    picks = rng.choice(len(words), size=3 + int(rng.integers(0, 3)), replace=False)
+    size = int(rng.integers(MIN_SENTENCE_WORDS, MAX_SENTENCE_WORDS + 1))
+    picks = rng.choice(len(words), size=size, replace=False)
     chosen = " ".join(words[j] for j in picks)
     return f"The [[{entity}|{mention}]] concerns {chosen} ."
 
@@ -130,8 +141,8 @@ def write_benchmark(out_dir: str, spec: BenchmarkSpec) -> dict[str, str]:
     with open(paths["prior_articles"], "w", encoding="utf-8") as fh:
         for i in range(spec.n_test):
             gold, alt = spec.gold_entity(i), spec.alt_entity(i)
-            n_gold = spec.favored_count if spec.gold_favored(i) else spec.unfavored_count
-            n_alt = spec.unfavored_count if spec.gold_favored(i) else spec.favored_count
+            n_gold, n_alt = ((FAVORED_COUNT, UNFAVORED_COUNT) if spec.gold_favored(i)
+                             else (UNFAVORED_COUNT, FAVORED_COUNT))
             fh.write(f"PriorDoc{i:03d}\n")
             probe = spec.probe_mention(i)
             for _ in range(n_gold):

@@ -24,7 +24,7 @@ from typelink.cli import build_parser, main, read_predictions
 from typelink.ingest import (MentionExample, load_category_assignments,
                              read_examples, write_examples)
 from typelink.linker import SCORING_MODES
-from typelink.model import TrainConfig, TypingModel
+from typelink.model import TrainConfig, TypingModel, predict_example
 from typelink.prior import PriorTable
 
 from conftest import pipeline_argv
@@ -146,8 +146,8 @@ class TestPipeline:
         assert code == 0, err
         # link and eval take no --context-mode; they must apply the model's.
         modes = []
-        build_context = typelink.cli.build_context
-        monkeypatch.setattr(typelink.cli, "build_context",
+        build_context = typelink.model.build_context
+        monkeypatch.setattr(typelink.model, "build_context",
                             lambda ex, mode: modes.append(mode) or build_context(ex, mode))
         for argv in (
             ["link", "--mentions", str(piped / "eval_mentions.jsonl"), "--model", model,
@@ -1555,3 +1555,40 @@ def test_pipeline_finishes_or_reports_a_documented_error(
     TypingModel.load(str(work / "model.json"))
     read_predictions(str(work / "predictions.jsonl"))
     json.loads((work / "report.json").read_text(encoding="utf-8"))
+
+
+def test_predict_example_gives_the_posterior_link_scores(tmp_path, monkeypatch, capsys):
+    """The public API applies the model's context mode as `link` does.
+
+    perfbench's smoke corpus has links past the first sentence of an
+    article, where the default mode's prefix changes the features; each
+    eval mention's posterior from `predict_example` on the mention as read
+    must be the one `link` scored, bit for bit.
+    """
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from corpus import CorpusSpec, write_corpus
+        from workloads import SMOKE_CORPUS, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    corpus = write_corpus(str(tmp_path / "corpus"), CorpusSpec(seed=1, **SMOKE_CORPUS))
+    scored = []
+    link = typelink.cli.link
+    monkeypatch.setattr(typelink.cli, "link",
+                        lambda posterior, *rest, **kw: scored.append(posterior)
+                        or link(posterior, *rest, **kw))
+    workdir = tmp_path / "run"
+    code, _, err = run_cli(["pipeline", "--articles", corpus["train_articles"],
+                            "--eval-articles", corpus["eval_articles"],
+                            "--prior-articles", corpus["prior_articles"],
+                            "--categories", corpus["categories"], "--workdir", str(workdir),
+                            *WORKLOADS["text_heavy"].model_flags, "--quiet"], capsys)
+    assert code == 0, err
+    model = TypingModel.load(str(workdir / "model.json"))
+    assert model.context_mode == "sentence_plus_first_doc_sentence"
+    rows = read_predictions(str(workdir / "predictions.jsonl"))
+    linked = [ex for ex, row in zip(read_examples(str(workdir / "eval_mentions.jsonl")), rows)
+              if row["chosen"] is not None]
+    assert len(linked) == len(scored) > 0
+    for ex, posterior in zip(linked, scored):
+        assert predict_example(model, ex).logits.tobytes() == posterior.logits.tobytes()

@@ -327,3 +327,38 @@ def test_argmax_invariant_under_power_of_two_scaling(case, exponent):
     scaled = link(probs * (2.0 ** exponent), cands, index, prior, tie_eps=0.0)
     assert scaled.chosen == base.chosen
     assert scaled.used_backoff == base.used_backoff
+
+
+ENTITIES = ["Alpha", "Beta", "Gamma", "Delta", "Epsilon"]
+
+
+@st.composite
+def link_cases(draw):
+    """A random prior, lookup and posterior; small counts and coarse
+    probabilities, so that prior ties and backoff both come up often."""
+    table = PriorTable(case_fold=draw(st.booleans()))
+    for mention, entity, n in draw(st.lists(st.tuples(
+            st.sampled_from(["ant", "Ant", "m"]), st.sampled_from(ENTITIES),
+            st.integers(1, 3)), min_size=1, max_size=12)):
+        table.add(mention, entity, n)
+    n_cats = 4
+    index = make_index({entity: draw(st.sets(st.integers(0, n_cats - 1)))
+                        for entity in draw(st.sets(st.sampled_from(ENTITIES)))})
+    probs = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                     min_size=n_cats, max_size=n_cats)))
+    return (table, draw(st.sampled_from(["ant", "Ant", "m"])),
+            draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0])), probs, index)
+
+
+@given(link_cases(), st.integers(0, 3), st.sampled_from([0.0, 1e-9, 0.3]),
+       st.sampled_from(["sum", "mean"]))
+@settings(max_examples=300)
+def test_backoff_chooses_the_most_frequent_entity(case, backoff_min_cats, tie_eps, mode):
+    table, mention, threshold, probs, index = case
+    cands = table.candidates(mention, threshold)
+    if len(cands) == 0:
+        return
+    pred = link(probs, cands, index, table, backoff_min_cats=backoff_min_cats,
+                tie_eps=tie_eps, mode=mode)
+    if pred.used_backoff:
+        assert pred.chosen == most_frequent_entity(cands)

@@ -40,3 +40,40 @@ def test_benchmark_on_a_generated_corpus_beats_the_prior_baseline(tmp_path):
                      "--epochs", "2", "--quiet")
     assert benchmark_value(out, "typing linking accuracy") > \
         benchmark_value(out, "most-frequent-entity")
+
+
+def test_make_synthetic_data_refuses_too_few_categories_before_writing(tmp_path):
+    out = tmp_path / "corpus"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "make_synthetic_data.py"),
+                           "--out", str(out), "--n-categories", "0"],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert proc.returncode != 0
+    assert "ValueError: n_categories must be at least 2" in proc.stderr
+    assert not out.exists()
+
+
+def test_code_lines_counts_neither_blanks_comments_nor_docstrings(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # code with a comment
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method
+        docstring."""
+        text = """a string that is
+not a docstring"""
+        return text
+
+
+def one_liner(): """Docstring on a code line."""
+''', encoding="utf-8")
+    out = run_script("code_lines.py", str(tmp_path))
+    # import, class, def method, the two lines of `text`, return, def one_liner
+    assert out.splitlines() == [f"     7  {module}", "     7  total"]
