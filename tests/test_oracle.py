@@ -11,6 +11,9 @@ committed digests:
 * ``text_heavy_smoke``: a `perfbench/corpus.py` corpus at the benchmark's
   smoke sizes, whose articles carry malformed links, with the text_heavy
   workload's model flags;
+* ``text_heavy_casefold_mean_window50``: the same corpus and flags with
+  ``--case-fold --scoring-mode mean --context-mode sentence_plus_window50
+  --backoff-min-cats 0``;
 * ``train_l2_dev``: ``train --l2-penalty 0.01 --dev-mentions`` on the
   ``synthetic`` run's mentions;
 * ``synthetic_standalone_eval``: ``link`` and then ``eval --model --prior
@@ -85,13 +88,18 @@ def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
 
     corpus = write_corpus(str(root / "text_heavy_corpus"),
                           CorpusSpec(seed=SMOKE_SEED, **SMOKE_CORPUS))
+    text_heavy_argv = ["pipeline", "--articles", corpus["train_articles"],
+                       "--eval-articles", corpus["eval_articles"],
+                       "--prior-articles", corpus["prior_articles"],
+                       "--categories", corpus["categories"],
+                       *WORKLOADS["text_heavy"].model_flags]
     text_heavy = root / "text_heavy_smoke"
-    stderr = _run(["pipeline", "--articles", corpus["train_articles"],
-                   "--eval-articles", corpus["eval_articles"],
-                   "--prior-articles", corpus["prior_articles"],
-                   "--categories", corpus["categories"], "--workdir", str(text_heavy),
-                   *WORKLOADS["text_heavy"].model_flags])
+    stderr = _run([*text_heavy_argv, "--workdir", str(text_heavy)])
     runs[text_heavy.name] = text_heavy
+    options = root / "text_heavy_casefold_mean_window50"
+    _run([*text_heavy_argv, "--workdir", str(options), "--case-fold", "--scoring-mode", "mean",
+          "--context-mode", "sentence_plus_window50", "--backoff-min-cats", "0"])
+    runs[options.name] = options
 
     digests = {name: {f: _sha256(workdir / f) for f in PIPELINE_FILES}
                for name, workdir in runs.items()}
