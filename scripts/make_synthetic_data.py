@@ -13,7 +13,7 @@ import argparse
 from typelink.synthetic import BenchmarkSpec, write_benchmark
 
 
-def parse_args():
+def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--n-categories", type=int, default=50)
@@ -22,17 +22,16 @@ def parse_args():
     parser.add_argument("--words-per-category", type=int, default=8)
     parser.add_argument("--distractor-shift", type=int, default=7)
     parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args()
-
-
-def main():
-    args = parse_args()
-    spec = BenchmarkSpec(n_categories=args.n_categories,
-                         n_train_sentences=args.train_sentences,
-                         n_test=args.test_examples,
-                         words_per_category=args.words_per_category,
-                         distractor_shift=args.distractor_shift,
-                         seed=args.seed)
+    args = parser.parse_args()
+    try:
+        spec = BenchmarkSpec(n_categories=args.n_categories,
+                             n_train_sentences=args.train_sentences,
+                             n_test=args.test_examples,
+                             words_per_category=args.words_per_category,
+                             distractor_shift=args.distractor_shift,
+                             seed=args.seed)
+    except ValueError as err:
+        parser.error(str(err))
     paths = write_benchmark(args.out, spec)
     print(f"wrote corpus for {spec.n_categories} categories, "
           f"{spec.n_train_sentences} train sentences, {spec.n_test} test examples")

@@ -36,7 +36,7 @@ from .ingest import (MentionExample, attach_categories, check_sample_sizes,
                      load_category_assignments, read_examples, sample_training_set,
                      write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
-                     build_category_index, check_backoff, link)
+                     LinkPrediction, build_category_index, check_backoff, link)
 from .model import TrainConfig, TypingModel, predict_example, train
 from .prior import (DEFAULT_CANDIDATE_THRESHOLD, CandidateSet, PriorTable, accumulate,
                     check_candidate_threshold, gold_recall)
@@ -178,8 +178,10 @@ def stage_train(args: argparse.Namespace) -> DiagnosticLog:
 def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     """Predict an entity for each mention; one JSON object per input line.
 
-    Mentions with an empty candidate set produce a null prediction and a
-    diagnostic rather than failing the whole run.
+    Every row is written from a `LinkPrediction`.  A mention with an empty
+    candidate set is not linked: its prediction has no scores, no choice
+    and no backoff, and it is counted as a diagnostic rather than failing
+    the whole run.
     """
     model = _handed(args, args.model, TypingModel.load)
     examples = _handed(args, args.mentions, read_examples)
@@ -190,17 +192,14 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
         for ex, cset in zip(examples, csets):
             if len(cset) == 0:
                 log.bump(diag.NO_CANDIDATES)
-                posterior = None
-                row = {"mention": ex.mention, "chosen": None,
-                       "used_backoff": False, "scores": []}
+                posterior, pred = None, LinkPrediction([], None, False)
             else:
                 posterior = predict_example(model, ex)
                 pred = link(posterior, cset, index, table,
                             backoff_min_cats=args.backoff_min_cats, tie_eps=args.tie_eps,
                             mode=args.scoring_mode, log=log)
-                row = {"mention": ex.mention, "chosen": pred.chosen,
-                       "used_backoff": pred.used_backoff,
-                       "scores": [[e, s] for e, s in pred.scores]}
+            row = {"mention": ex.mention, "chosen": pred.chosen,
+                   "used_backoff": pred.used_backoff, "scores": [[e, s] for e, s in pred.scores]}
             fh.write(json_line(row))
             if kept is not None:
                 kept.append((row, posterior))

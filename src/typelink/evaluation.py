@@ -9,8 +9,10 @@ occur in gold and are never predicted are left out of the averages.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
@@ -60,6 +62,15 @@ class EvalReport:
         }
 
 
+def add_left_to_right(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn: the same float on every Python version.
+
+    The builtin `sum` compensates rounding since Python 3.12, so its float
+    result depends on the interpreter.
+    """
+    return reduce(operator.add, values, 0.0)
+
+
 def linking_accuracy(pairs: Sequence[tuple[Optional[str], str]]) -> float:
     """Exact-match fraction over (chosen, gold) pairs."""
     if not pairs:
@@ -95,8 +106,10 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
     within one example counts once.  A category counts as predicted when
     its probability is >= threshold.  Returns (bucket list, per-category
     map or None); the bucket list ends with a "total" row over every
-    counted category.  Raises ValueError for a threshold outside [0, 1]
-    or NaN, and for a gold id outside the vocabulary, naming it.
+    counted category.  Each macro average adds its categories' values in
+    ascending id order with `add_left_to_right`.  Raises ValueError for a
+    threshold outside [0, 1] or NaN, and for a gold id outside the
+    vocabulary, naming it.
     """
     check_typing_threshold(threshold)
     if len(posteriors) != len(golds):
@@ -122,7 +135,7 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
     counted = np.flatnonzero(predicted + gold)
     precision = np.divide(tp, predicted, out=np.zeros(n_cats), where=predicted > 0)
     recall = np.divide(tp, gold, out=np.zeros(n_cats), where=gold > 0)
-    # Python floats, so each macro average sums them in ascending category order.
+    # Python floats, so each macro average adds them in ascending category order.
     columns = [precision[counted].tolist(), recall[counted].tolist()]
     columns.append([f1_score(p, r) for p, r in zip(*columns)])
 
@@ -132,7 +145,8 @@ def typing_metrics(posteriors: Sequence, golds: Sequence[Iterable[int]],
     rows = []
     for label, mask in [*buckets, ("total", ranks > 0)]:
         n = int(mask.sum())
-        means = [sum(compress(column, mask)) / n if n else 0.0 for column in columns]
+        means = [add_left_to_right(compress(column, mask)) / n if n else 0.0
+                 for column in columns]
         rows.append(BucketMetrics(label, *means, n))
 
     per_category = None

@@ -1,9 +1,10 @@
 """Candidate scoring and selection from type posteriors.
 
-Each candidate entity is scored by summing the predicted probabilities
-of the categories it carries; the argmax wins.  When the top candidate
-has too few categories to be informative, or the top two scores are
-effectively tied, the decision falls back to the mention-entity prior.
+Each candidate entity is scored by adding the predicted probabilities
+of the categories it carries left to right (`add_left_to_right`); the
+argmax wins.  When the top candidate has too few categories to be
+informative, or the top two scores are effectively tied, the decision
+falls back to the mention-entity prior.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import diagnostics as diag
 from .categories import CategoryVocab
 from .diagnostics import DiagnosticLog
+from .evaluation import add_left_to_right
 from .model import TypePosterior
 from .prior import CandidateSet, PriorTable
 
@@ -60,7 +62,7 @@ class LinkPrediction:
     """Outcome for one mention: scored candidates and the chosen entity."""
 
     scores: list[tuple[str, float]]
-    chosen: str
+    chosen: Optional[str]
     used_backoff: bool
 
 
@@ -85,16 +87,12 @@ def _score_terms(posterior, mode: str) -> np.ndarray:
 
 
 def _one_score(terms: np.ndarray, ids: Optional[np.ndarray], mode: str) -> float:
+    """The candidate's terms added left to right in ascending category-id
+    order (ids are kept sorted), divided by their count under ``mean``."""
     if ids is None or len(ids) == 0:
         return 0.0
-    total = 0.0
-    # Sequential sum in ascending category-id order; ids are kept sorted,
-    # so the accumulation order is identical everywhere.
-    for i in ids:
-        total += float(terms[i])
-    if mode == "mean":
-        total /= len(ids)
-    return total
+    total = add_left_to_right(terms[ids].tolist())
+    return total / len(ids) if mode == "mean" else total
 
 
 def score_candidates(posterior, candidate_set: CandidateSet,

@@ -61,8 +61,6 @@ WINDOW_DISTANCE = 3
 FEATURE_MEMO_LIMIT = 1 << 16
 # Dev examples the dev loss scores in one forward pass.
 DEV_LOSS_CHUNK = 256
-# Block rows `save` tests for a nonzero bit at a time.
-SAVE_CHUNK_ROWS = 4096
 
 
 def hash_feature(text: str, hash_seed: int, feature_dim: int) -> int:
@@ -316,14 +314,13 @@ class TypingModel:
         stored weight columns (k x <i8, ascending) and their rows of `block`,
         k x C row-major (<f8), written as held.  A column is stored when any
         entry has a nonzero bit pattern, so every other column is +0.0
-        throughout and the round trip is bit-exact, -0.0 included.  The
-        rows are tested in chunks and each run of stored rows is written
-        straight from `block`, so no stored row is copied.
+        throughout and the round trip is bit-exact, -0.0 included.  One
+        `any` over the bits finds the stored rows (numpy reduces it in
+        buffered chunks, so it allocates only the k-entry mask), and each
+        run of stored rows is written straight from `block`, so no stored
+        row is copied.
         """
-        stored = np.empty(len(self.block), dtype=bool)
-        for lo in range(0, len(stored), SAVE_CHUNK_ROWS):
-            chunk = self.block[lo:lo + SAVE_CHUNK_ROWS]
-            stored[lo:lo + SAVE_CHUNK_ROWS] = (chunk.view(np.uint64) != 0).any(axis=1)
+        stored = self.block.view(np.uint64).any(axis=1)
         # Where each run of stored rows starts and ends, alternately.
         edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {

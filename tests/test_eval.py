@@ -1,11 +1,14 @@
 import math
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import typelink.evaluation as evaluation_module
 from typelink.evaluation import (RANK_BUCKETS, BucketMetrics, ContextMode, EvalReport,
                                  build_context, f1_score, linking_accuracy, typing_metrics)
 from typelink.ingest import MentionExample
@@ -151,7 +154,9 @@ def reference_typing_metrics(posteriors, golds, vocab, threshold):
     for label, lo, hi in [*((f"{lo}-{hi}" if hi else f"{lo}+", lo, hi)
                             for lo, hi in RANK_BUCKETS), ("total", 1, None)]:
         ids = [i for i in sorted(stats) if lo <= i + 1 and (hi is None or i + 1 <= hi)]
-        means = [sum(stats[i][j] for i in ids) / len(ids) if ids else 0.0 for j in range(3)]
+        # added left to right, as on every Python version
+        means = [reduce(operator.add, (stats[i][j] for i in ids), 0.0) / len(ids)
+                 if ids else 0.0 for j in range(3)]
         rows.append(BucketMetrics(label, *means, len(ids)))
     return rows, {vocab[i]: stats[i] for i in stats}
 
@@ -205,6 +210,19 @@ def test_typing_metrics_memory_is_of_the_categories_not_the_examples():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000, peak
+
+
+def test_typing_metrics_add_left_to_right_whatever_sum_does(monkeypatch):
+    # The builtin sum compensates rounding since Python 3.12; with a
+    # compensated sum in its place the averages must keep their bits.
+    rng = np.random.default_rng(7)
+    n, n_cats = 200, 120
+    posteriors = [rng.random(n_cats) for _ in range(n)]
+    golds = [rng.choice(n_cats, size=4, replace=False).tolist() for _ in range(n)]
+    vocab = [f"c{i}" for i in range(n_cats)]
+    expected = typing_metrics(posteriors, golds, vocab, with_per_category=True)
+    monkeypatch.setattr(evaluation_module, "sum", math.fsum, raising=False)
+    assert typing_metrics(posteriors, golds, vocab, with_per_category=True) == expected
 
 
 def test_eval_report_to_dict_shape():

@@ -47,9 +47,43 @@ def test_make_synthetic_data_refuses_too_few_categories_before_writing(tmp_path)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "make_synthetic_data.py"),
                            "--out", str(out), "--n-categories", "0"],
                           capture_output=True, text=True, env=ENV, timeout=300)
-    assert proc.returncode != 0
-    assert "ValueError: n_categories must be at least 2" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == \
+        "make_synthetic_data.py: error: n_categories must be at least 2, got 0"
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_code_lines_since_a_revision_counts_each_file_then_and_now(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "pkg" / "kept.py").write_text("a = 1\nb = 2\n", encoding="utf-8")
+    (repo / "pkg" / "gone.py").write_text("c = 3\n", encoding="utf-8")
+    (repo / "notes.txt").write_text("not python\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (repo / "pkg" / "kept.py").write_text('"""Doc."""\na = 1\n# gone\n', encoding="utf-8")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("d = 4\ne = 5\nf = 6\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "second")
+    (repo / "pkg" / "new.py").write_text("d = 4\n", encoding="utf-8")  # not committed
+
+    out = run_script("code_lines.py", "--since", "HEAD~1", str(repo / "pkg"))
+    assert out.splitlines() == ["     1      0     -1  pkg/gone.py",
+                                "     2      1     -1  pkg/kept.py",
+                                "     0      1     +1  pkg/new.py",
+                                "     3      2     -1  total"]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+                           "--since", "no-such-rev", str(repo / "pkg")],
+                          capture_output=True, text=True, env=ENV, timeout=300)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
 def test_code_lines_counts_neither_blanks_comments_nor_docstrings(tmp_path):
