@@ -810,13 +810,13 @@ class TestModelFile:
         assert save_peak <= 1.25 * body_bytes
         assert load_peak <= 1.25 * body_bytes
 
-    def test_save_of_an_all_stored_block_copies_no_row(self, tmp_path):
-        # 9,192 rows, every weight nonzero
-        n_cats, k = 64, 9192
-        weights = np.random.default_rng(4).uniform(0.5, 1.0, (k, n_cats))
+    @staticmethod
+    def all_stored_save_peak(tmp_path, n_cats, k, seed):
+        """tracemalloc's peak while saving a k x n_cats block with every weight
+        nonzero; the saved block must load back equal."""
+        weights = np.random.default_rng(seed).uniform(0.5, 1.0, (k, n_cats))
         model = TypingModel(np.arange(k), weights, np.zeros(n_cats),
                             CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=k)
-        body_bytes = 8 * (n_cats + k + n_cats * k)
         path = tmp_path / "model.json"
         tracemalloc.start()
         try:
@@ -824,24 +824,17 @@ class TestModelFile:
             save_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert save_peak < 0.25 * body_bytes
         assert np.array_equal(TypingModel.load(str(path)).block, weights)
+        return save_peak
+
+    def test_save_of_an_all_stored_block_copies_no_row(self, tmp_path):
+        n_cats, k = 64, 9192
+        body_bytes = 8 * (n_cats + k + n_cats * k)
+        assert self.all_stored_save_peak(tmp_path, n_cats, k, seed=4) < 0.25 * body_bytes
 
     def test_save_finds_the_stored_rows_without_a_rows_by_categories_mask(self, tmp_path):
-        # 1,000 x 2,000 weights, all nonzero: a boolean mask of every weight is 2 MB
-        n_cats, k = 2000, 1000
-        weights = np.random.default_rng(5).uniform(0.5, 1.0, (k, n_cats))
-        model = TypingModel(np.arange(k), weights, np.zeros(n_cats),
-                            CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=k)
-        path = tmp_path / "model.json"
-        tracemalloc.start()
-        try:
-            model.save(str(path))
-            save_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert save_peak < 500_000
-        assert np.array_equal(TypingModel.load(str(path)).block, weights)
+        # a boolean mask of every weight would be 2 MB
+        assert self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5) < 500_000
 
     def test_zero_rows_at_start_middle_and_end_hash_as_before(self, tmp_path):
         block = np.arange(30, dtype=float).reshape(10, 3) * 0.5 - 3.0
