@@ -539,7 +539,8 @@ def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float
         return loss
     if l2_penalty:
         model.block *= 1.0 - learning_rate * l2_penalty
-    model.block[touched] -= learning_rate * grad
+    grad *= learning_rate
+    model.block[touched] -= grad
     model.bias -= learning_rate * bias_grad
     return loss
 
@@ -566,6 +567,7 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     model = TypingModel(feature_ids, _zeros(len(feature_ids), n_cats), np.zeros(n_cats),
                         vocab, config.hash_seed, config.feature_dim)
     examples = [(*model.held_rows(fv), y) for fv, y in zip(feats, labels)]
+    del feats
     dev = None
     if dev_pairs is not None:
         dev = [(*model.held_rows(fv), y)
