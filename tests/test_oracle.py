@@ -27,7 +27,8 @@ change that moves an artifact on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_oracle.py
 
-and its diff names the digests that moved.
+which prints ``moved: run/file`` for each digest that differs from the
+file it replaces, before it rewrites it.
 """
 
 import contextlib
@@ -126,16 +127,20 @@ def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
     return digests, stderr
 
 
+def moved(expected: dict, digests: dict) -> list:
+    """``run/file`` of each digest that differs between two digest dicts, or is in one only."""
+    return sorted(f"{run}/{name}"
+                  for run in expected.keys() | digests.keys()
+                  for name in expected.get(run, {}).keys() | digests.get(run, {}).keys()
+                  if expected.get(run, {}).get(name) != digests.get(run, {}).get(name))
+
+
 def test_outputs_hash_as_recorded(small_corpus, tmp_path):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     digests, stderr = run_all(small_corpus[1], tmp_path)
     # The perfbench corpus is in the oracle for its malformed links.
     assert "malformed_link" in stderr or "unclosed_link" in stderr, stderr
-    expected = recorded["digests"]
-    differing = sorted(f"{run}/{name}"
-                       for run in expected.keys() | digests.keys()
-                       for name in expected.get(run, {}).keys() | digests.get(run, {}).keys()
-                       if expected.get(run, {}).get(name) != digests.get(run, {}).get(name))
+    differing = moved(recorded["digests"], digests)
     assert not differing, (
         f"sha256 differs from {DIGESTS.name} for: {', '.join(differing)}; "
         f"recorded under {recorded['versions']}, run under {versions()}. "
@@ -146,6 +151,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         small = write_benchmark(str(pathlib.Path(tmp) / "small_corpus"), SMALL_CORPUS_SPEC)
         digests, _ = run_all(small, pathlib.Path(tmp))
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+    for name in moved(recorded.get("digests", {}), digests):
+        print(f"moved: {name}")
     DIGESTS.write_text(json.dumps({"versions": versions(), "digests": digests}, indent=1,
                                   sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS}")
