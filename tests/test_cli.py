@@ -1,11 +1,14 @@
 import argparse
+import builtins
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -1060,6 +1063,92 @@ class TestErrorCodes:
         assert code == 2
         assert err.startswith(f"error: INVALID_INPUT: {bad}: not UTF-8 text ("), err
         assert list(out.iterdir()) == []
+
+
+# Runs `typelink.cli.main(sys.argv[2:])` in a process that kills itself with
+# SIGKILL where sys.argv[1] says: "mid_body" once the model file's header and
+# the first array of its body are written, "before_replace" when the finished
+# temporary file would be renamed onto the target.
+KILLED_WRITER = """
+import contextlib, os, signal, sys
+import typelink.atomic, typelink.model
+from typelink.cli import main
+
+def die(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if sys.argv[1] == "mid_body":
+    atomic_write = typelink.model.atomic_write
+
+    class Handle:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.fh.write(data)
+            self.writes += 1
+            if self.writes == 2:
+                self.fh.flush()
+                die()
+
+    @contextlib.contextmanager
+    def killed_write(path, binary=False):
+        with atomic_write(path, binary) as fh:
+            yield Handle(fh)
+
+    typelink.model.atomic_write = killed_write
+else:
+    typelink.atomic.os.replace = die
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestKilledWriter:
+    """A stage killed while it writes leaves the earlier file at the target."""
+
+    @pytest.mark.parametrize("kill_at", ["mid_body", "before_replace"])
+    def test_killed_train_leaves_the_earlier_model(self, pipeline_run, capsys, tmp_path,
+                                                   monkeypatch, kill_at):
+        _, paths, workdir = pipeline_run
+        model = tmp_path / "model.json"
+        earlier = (workdir / "model.json").read_bytes()
+        model.write_bytes(earlier)
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_WRITER, kill_at, "train",
+             "--mentions", str(workdir / "train_mentions.jsonl"),
+             "--vocab", str(workdir / "vocab.txt"), "--model", str(model),
+             "--feature-dim", "4096", "--epochs", "1", "--seed", "7", "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert model.read_bytes() == earlier
+        [leftover] = tmp_path.glob(".model.json.*.tmp")
+        if kill_at == "mid_body":
+            with pytest.raises(ValueError, match="model body is"):
+                TypingModel.load(str(leftover))
+        else:  # the new model, whole but never renamed
+            assert leftover.read_bytes() != earlier
+            TypingModel.load(str(leftover))
+
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        code, _, err = run_cli(
+            ["link", "--mentions", str(workdir / "eval_mentions.jsonl"), "--model", str(model),
+             "--prior", str(workdir / "prior.tsv"), "--categories", paths["categories"],
+             "--predictions", str(tmp_path / "p.jsonl")], capsys)
+        monkeypatch.undo()
+        assert code == 0, err
+        assert (tmp_path / "p.jsonl").read_bytes() == (workdir / "predictions.jsonl").read_bytes()
+        assert str(model) in opened
+        assert not [name for name in opened if name.endswith(".tmp")]
 
 
 def category_stage_argv(stage, paths, workdir, categories, out):
