@@ -18,6 +18,8 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
     partly written file and a failure inside the block leaves any earlier
     file at `path` as it was.  The temporary file is created with mode
     0o666 less the umask, the mode plain ``open`` gives a new file.
+    Nothing is fsynced, so this holds for a killed process, not for a
+    power loss.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")

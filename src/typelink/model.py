@@ -11,15 +11,20 @@ A model holds only the columns of W for the features seen in training,
 feature-major: the ascending feature ids and a k x categories block, one
 row per feature (the layout of Vowpal Wabbit's weights, after the hashing
 trick of Weinberger et al., 2009), in memory and in its file alike.  Its
-size follows the training data, not the feature-space size D.  One
-forward kernel serves training, the dev loss and `predict`: an input's
-logits are its block rows, scaled by the feature values and added one
-after another, plus the bias.  Every category has its own lane in that
-sum, so the trained weights of one category are bit-for-bit unaffected
-by which other categories share the vocabulary, and a logit computed in
-training equals the one `predict` gives for the same input.  Likewise
-the SGD loop and `loss_and_grad`, which the finite-difference check
-tests, share one loss and gradient function.
+size follows the training data, not the feature-space size D.  Training
+runs in float64 and rounds the weights to float32 values after its last
+update; the file stores them as float32, and a loaded model keeps them
+so.  One forward kernel serves training, the dev loss and `predict`: an
+input's logits are its block rows, widened to float64, scaled by the
+feature values and added one after another, plus the bias.  Every
+category has its own lane in that sum, so the trained weights of one
+category are bit-for-bit unaffected by which other categories share the
+vocabulary, and a logit computed in training equals the one `predict`
+gives for the same input and the same weights: the last epoch's dev loss
+and every prediction use the float32 values `train` returns, whether
+held as float64 or read from the file.  Likewise the SGD loop and
+`loss_and_grad`, which the finite-difference check tests, share one loss
+and gradient function.
 
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
@@ -40,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +58,7 @@ DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
 # Feature ids are int64, so D is at most 2**63 (ids 0 .. 2**63 - 1).
 MAX_FEATURE_DIM = 2 ** 63
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 WINDOW_DISTANCE = 3
 # Keys each token feature-id memo holds; the least recently used goes first.
 # One featurize pass over a file of 1,000 mentions puts 700 to 3,000 keys in
@@ -61,6 +66,12 @@ WINDOW_DISTANCE = 3
 FEATURE_MEMO_LIMIT = 1 << 16
 # Dev examples the dev loss scores in one forward pass.
 DEV_LOSS_CHUNK = 256
+# Weights rounded to float32 in one piece, at most (one block row at least).
+FLOAT32_CHUNK = 1 << 16
+# The largest float64 bit pattern whose float32 rounding is +0.0: that of
+# 2**-150, half the least float32 subnormal, which ties to even, to +0.0.
+# Every other pattern is a larger positive value or has its sign bit set.
+_FLOAT32_ZERO_BITS = np.float64(2.0 ** -150).view(np.uint64)
 
 
 def hash_feature(text: str, hash_seed: int, feature_dim: int) -> int:
@@ -230,6 +241,45 @@ def _zeros(n_rows: int, n_cols: int) -> np.ndarray:
         raise ValueError(f"{n_rows} x {n_cols} weights do not fit in memory") from err
 
 
+def _weight_array(a) -> np.ndarray:
+    """`a` as it is if float32, else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no entry is NaN or infinite; min and max propagate NaN, so
+    two reductions decide it without a mask of the entries."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _row_chunks(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of consecutive rows of a 2-D array, at most FLOAT32_CHUNK entries each."""
+    step = max(1, FLOAT32_CHUNK // max(1, a.shape[1]))
+    return (a[lo:lo + step] for lo in range(0, len(a), step))
+
+
+def _float32(a: np.ndarray) -> np.ndarray:
+    """The float32 rounding of `a`, contiguous and little-endian (`a` itself if
+    it is so already); raises ValueError when an entry of it is not finite."""
+    with np.errstate(over="ignore"):  # an overflow rounds to inf, refused below
+        rounded = np.ascontiguousarray(a, "<f4")
+    if not _all_finite(rounded):
+        raise ValueError("a weight or bias is not finite as float32")
+    return rounded
+
+
+def _stored_rows(block: np.ndarray) -> np.ndarray:
+    """The rows of a block with an entry whose float32 rounding has a nonzero bit pattern.
+
+    One max over each row's bits decides it; numpy reduces it in buffered
+    chunks, so it allocates only the k-entry result.
+    """
+    bits, zero = ((np.uint32, 0) if block.dtype == np.float32
+                  else (np.uint64, _FLOAT32_ZERO_BITS))
+    return block.view(bits).max(axis=1, initial=0) > zero
+
+
 @dataclass
 class TypingModel:
     """The weights of the feature columns a model holds, its bias, and its input contract.
@@ -237,7 +287,9 @@ class TypingModel:
     `feature_ids` are the ascending ids of the k feature columns held and
     `block` their weights, feature-major: k rows of one weight per
     category.  Every other column of the categories x D weight matrix is
-    zero.  A dense model holds all D columns, ids 0 .. D-1.
+    zero.  A dense model holds all D columns, ids 0 .. D-1.  The block and
+    the bias are float32 as given, float64 otherwise: training builds
+    float64 ones, and a loaded model holds float32 views of its file.
 
     The input contract is the hashing (`hash_seed`, `feature_dim`) and
     `context_mode`, the `ContextMode` its training examples were built
@@ -256,8 +308,8 @@ class TypingModel:
     def __post_init__(self) -> None:
         self.context_mode = ContextMode(self.context_mode).value
         self.feature_ids = np.asarray(self.feature_ids, dtype=np.int64)
-        self.block = np.asarray(self.block, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.block = _weight_array(self.block)
+        self.bias = _weight_array(self.bias)
         ids = self.feature_ids
         if ids.ndim != 1 or self.block.shape != (len(ids), len(self.vocab)):
             raise ValueError(f"block shape {self.block.shape} does not match "
@@ -278,12 +330,12 @@ class TypingModel:
 
     @property
     def weights(self) -> np.ndarray:
-        """The categories x D weight matrix.
+        """The categories x D weight matrix, float64.
 
-        A writable view of `block` for a dense model; for any other, a
-        read-only matrix built on each read.
+        A writable view of `block` for a dense float64 model; for any
+        other, a read-only matrix built on each read.
         """
-        if len(self.feature_ids) == self.feature_dim:
+        if len(self.feature_ids) == self.feature_dim and self.block.dtype == np.float64:
             return self.block.T
         dense = _zeros(len(self.vocab), self.feature_dim)
         dense[:, self.feature_ids] = self.block.T
@@ -310,17 +362,20 @@ class TypingModel:
         """Write the model file: a JSON header line, then raw little-endian arrays.
 
         The header is ``{"format_version", "D", "hash_seed", "context_mode",
-        "vocab", "columns"}``; the body is the bias (C x <f8), the ids of the k
-        stored weight columns (k x <i8, ascending) and their rows of `block`,
-        k x C row-major (<f8), written as held.  A column is stored when any
-        entry has a nonzero bit pattern, so every other column is +0.0
-        throughout and the round trip is bit-exact, -0.0 included.  One
-        `any` over the bits finds the stored rows (numpy reduces it in
-        buffered chunks, so it allocates only the k-entry mask), and each
-        run of stored rows is written straight from `block`, so no stored
-        row is copied.
+        "vocab", "columns"}``; the body is the ids of the k stored weight
+        columns (k x <i8, ascending), the bias (C x <f4) and the stored rows
+        of `block`, k x C row-major (<f4).  The ids come first, so each array
+        starts at a multiple of its item size.  Weights are written as their
+        float32 roundings, so a float32 model, and a float64 one that holds
+        float32 values, round-trip bit-exactly; a weight or bias whose
+        rounding overflows raises ValueError and leaves no file.  A column is
+        stored when the rounding of any entry has a nonzero bit pattern, so
+        every other column is +0.0 throughout, and -0.0 is kept.  Each run of
+        stored rows is written from `block` a `_row_chunks` chunk at a time:
+        a float32 block straight, a float64 one through a rounded copy of
+        the chunk.
         """
-        stored = self.block.view(np.uint64).any(axis=1)
+        stored = _stored_rows(self.block)
         # Where each run of stored rows starts and ends, alternately.
         edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {
@@ -333,10 +388,11 @@ class TypingModel:
         }
         with atomic_write(path, binary=True) as fh:
             fh.write(json_line(header).encode("utf-8"))
-            fh.write(self.bias.astype("<f8", copy=False).tobytes())
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
-            for lo, hi in zip(edges[::2], edges[1::2]):
-                fh.write(np.ascontiguousarray(self.block[lo:hi], "<f8"))
+            for rows in [self.bias[None], *(self.block[lo:hi]
+                                            for lo, hi in zip(edges[::2], edges[1::2]))]:
+                for chunk in _row_chunks(rows):
+                    fh.write(_float32(chunk))
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
@@ -344,9 +400,9 @@ class TypingModel:
 
         A header error names ``path:1``; a body of the wrong length, with a
         non-finite number or with column ids not strictly increasing in
-        [0, D) names the file.  The body is read once, and the bias, ids and
-        block are views of it, so the model's memory is the file's size and
-        not categories x D.
+        [0, D) names the file.  The body is read once, and the ids and the
+        float32 bias and block are views of it, so the model's memory is the
+        file's size and not categories x D.
         """
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -377,14 +433,14 @@ class TypingModel:
         hash_seed = _header_int(path, header, "hash_seed", 0, 2 ** 64)
         n_cols = _header_int(path, header, "columns", 0)
         n_cats = len(entries)
-        if len(body) != 8 * (n_cats + n_cols + n_cats * n_cols):
-            raise ValueError(f"{path}: model body is {len(body)} bytes, expected "
-                             f"{8 * (n_cats + n_cols + n_cats * n_cols)}")
-        bias = np.frombuffer(body, "<f8", n_cats)
-        ids = np.frombuffer(body, "<i8", n_cols, offset=8 * n_cats)
-        block = np.frombuffer(body, "<f8", n_cols * n_cats,
-                              offset=8 * (n_cats + n_cols)).reshape(n_cols, n_cats)
-        if not (np.isfinite(bias).all() and np.isfinite(block).all()):
+        expected = 8 * n_cols + 4 * (n_cats + n_cats * n_cols)
+        if len(body) != expected:
+            raise ValueError(f"{path}: model body is {len(body)} bytes, expected {expected}")
+        ids = np.frombuffer(body, "<i8", n_cols)
+        bias = np.frombuffer(body, "<f4", n_cats, offset=8 * n_cols)
+        block = np.frombuffer(body, "<f4", n_cols * n_cats,
+                              offset=8 * n_cols + 4 * n_cats).reshape(n_cols, n_cats)
+        if not (_all_finite(bias) and _all_finite(block)):
             raise ValueError(f"{path}: model holds a non-finite weight or bias")
         try:
             return cls(ids, block, bias, CategoryVocab(entries), hash_seed, dim,
@@ -419,10 +475,13 @@ def _logits(block: np.ndarray, bias: np.ndarray, rows: np.ndarray,
     """The forward kernel: one input's logits from its held block rows and their values.
 
     Training, the dev loss and `predict` all call it, so a logit seen in
-    training and one seen at link time for the same input are the same
-    bits, and no category's logit depends on which other categories exist.
+    training and one seen at link time for the same input and weights are
+    the same bits, and no category's logit depends on which other
+    categories exist.  The gathered rows are widened to float64 before they
+    are scaled, so a float32 block and a float64 one of the same values
+    give the same logits.
     """
-    terms = block[rows]
+    terms = block[rows].astype(np.float64, copy=False)
     terms *= values[:, None]
     return _sum_rows(terms) + bias
 
@@ -474,9 +533,10 @@ def loss_and_grad(model: TypingModel,
     loss, touched, row_grad, bias_grad = _batch_gradient(model, encoded)
     grad = _zeros(model.feature_dim, n_cats)
     if l2_penalty:
+        block = model.block.astype(np.float64, copy=False)
         # Row by row, so a column the model does not hold adds nothing.
-        loss += l2_penalty * float(_sum_rows(model.block * model.block).sum()) / 2.0
-        grad[model.feature_ids] = l2_penalty * model.block
+        loss += l2_penalty * float(_sum_rows(block * block).sum()) / 2.0
+        grad[model.feature_ids] = l2_penalty * block
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss; model or inputs have diverged")
     grad[model.feature_ids[touched]] += row_grad
@@ -555,8 +615,11 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     `pairs` carries (example, vocab label ids).  The model holds the
     feature columns of the training examples, all starting at zero; no
     other weight can move.  Each epoch visits a fresh seeded permutation of
-    the data, so a fixed seed gives bit-identical weights.  Raises
-    FloatingPointError when a batch loss goes non-finite.
+    the data, so a fixed seed gives bit-identical weights.  The weights are
+    float64 throughout and are rounded to float32 values in place after the
+    last epoch's updates, before that epoch's dev loss, so the model
+    returned holds the values its file stores.  Raises FloatingPointError
+    when a batch loss goes non-finite or a weight is not finite as float32.
     """
     pairs = list(pairs)
     if not pairs:
@@ -583,14 +646,28 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
                 raise FloatingPointError(
                     f"training diverged: non-finite loss at epoch {epoch + 1}")
             epoch_loss += loss
+        if epoch == config.epochs - 1:
+            _round_to_float32(model)
         dev_loss = None if dev is None else _full_loss(model, dev)
         if on_epoch is not None:
             on_epoch(epoch + 1, epoch_loss, dev_loss)
-    # A batch's loss is checked before its update, so only the last update
-    # can overflow unseen; the model file refuses non-finite values.
-    if not (np.isfinite(model.block).all() and np.isfinite(model.bias).all()):
-        raise FloatingPointError("training diverged: non-finite weights after the last update")
     return model
+
+
+def _round_to_float32(model: TypingModel) -> None:
+    """Round the block and bias to float32 values in place, a `_row_chunks` chunk at a time.
+
+    A batch's loss is checked before its update, so only the last update
+    can overflow unseen; a weight that is not finite, or whose rounding
+    overflows, raises FloatingPointError.
+    """
+    try:
+        for rows in (model.block, model.bias[None]):
+            for chunk in _row_chunks(rows):
+                chunk[...] = _float32(chunk)
+    except ValueError:
+        raise FloatingPointError("training diverged: a weight is not finite as float32 "
+                                 "after the last update") from None
 
 
 def _full_loss(model: TypingModel, examples: Sequence[Encoded]) -> float:

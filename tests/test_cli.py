@@ -788,7 +788,8 @@ class TestErrorCodes:
     @pytest.mark.parametrize("version, message", [
         (2, "unsupported model format version: 2\n"),
         (3, "unsupported model format version: 3\n"),
-    ], ids=["2", "3"])
+        (4, "unsupported model format version: 4\n"),
+    ], ids=["2", "3", "4"])
     def test_older_model_version_must_be_retrained(self, pipeline_run, capsys, tmp_path,
                                                    version, message):
         def as_older(header, body):

@@ -437,6 +437,24 @@ class TestLossAndGrad:
             assert grads.weights.tobytes() == twin_grads.weights.tobytes()
             assert grads.bias.tobytes() == twin_grads.bias.tobytes()
 
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_loaded_model_gives_the_bits_of_its_float64_twin(self, tmp_path, l2):
+        rng = np.random.default_rng(17)
+        for i in range(10):
+            model, batch = random_model_and_batch(rng)
+            path = tmp_path / f"model{i}.json"
+            model.save(str(path))
+            loaded = TypingModel.load(str(path))
+            twin = TypingModel(loaded.feature_ids, loaded.block.astype(np.float64),
+                               loaded.bias.astype(np.float64), loaded.vocab,
+                               feature_dim=loaded.feature_dim)
+            assert loaded.block.dtype == loaded.bias.dtype == np.float32
+            loss, grads = loss_and_grad(loaded, batch, l2)
+            twin_loss, twin_grads = loss_and_grad(twin, batch, l2)
+            assert struct.pack("<d", loss) == struct.pack("<d", twin_loss)
+            assert grads.weights.tobytes() == twin_grads.weights.tobytes()
+            assert grads.bias.tobytes() == twin_grads.bias.tobytes()
+
     def test_unheld_columns_get_exactly_zero_gradient(self):
         # By construction: feature 7 is active, but the model does not hold
         # its column, so SGD cannot move it and `loss_and_grad` reports 0.
@@ -535,6 +553,25 @@ class TestTrain:
                              learning_rate=1e308)
         with pytest.raises(FloatingPointError):
             train(pairs, vocab, config)
+
+    def test_trained_weights_are_float32_values_held_as_float64(self):
+        model = train(separable_pairs(), CategoryVocab(["cat_a", "cat_b"]),
+                      TrainConfig(feature_dim=256, epochs=2, seed=1))
+        assert model.block.dtype == model.bias.dtype == np.float64
+        assert np.array_equal(model.block, model.block.astype(np.float32))
+        assert np.array_equal(model.bias, model.bias.astype(np.float32))
+
+    def test_overflow_in_the_float32_rounding_is_divergence(self, monkeypatch):
+        vocab = CategoryVocab(["cat_a", "cat_b"])
+        pairs = separable_pairs()
+        config = TrainConfig(feature_dim=2, epochs=1, batch_size=len(pairs),
+                             learning_rate=1e40)
+        with pytest.raises(FloatingPointError, match="float32"):
+            train(pairs, vocab, config)
+        # Unrounded, the same training ends with finite weights beyond float32's range.
+        monkeypatch.setattr(model_module, "_round_to_float32", lambda model: None)
+        block = train(pairs, vocab, config).block
+        assert np.isfinite(block).all() and np.abs(block).max() > np.finfo(np.float32).max
 
     def test_huge_feature_dim_trains_in_compact_memory(self):
         # 2 categories x 2**58 features would be 2**62 bytes of dense weights,
@@ -707,14 +744,19 @@ def write_model_file(path, header, body):
                      + b"\n" + body)
 
 
-def patch_f8(body, offset, value):
+def patch_f4(body, offset, value):
     out = bytearray(body)
-    struct.pack_into("<d", out, offset, value)
+    struct.pack_into("<f", out, offset, value)
     return bytes(out)
 
 
 def patch_ids(body, ids):
-    return body[:16] + struct.pack("<2q", *ids) + body[32:]
+    return struct.pack("<2q", *ids) + body[16:]
+
+
+def body_bytes(n_cats, k):
+    """The length of a model body: k <i8 ids, then C + C*k <f4 numbers."""
+    return 8 * k + 4 * (n_cats + n_cats * k)
 
 
 class TestModelFile:
@@ -726,7 +768,9 @@ class TestModelFile:
         return model
 
     def build_with_signed_zero(self):
-        """`build` plus a column holding only -0.0: two stored columns, ids at bytes 16-32.
+        """`build` plus a column holding only -0.0: two stored columns.
+
+        Its body: ids at bytes 0-16, the bias at 16-24, the block at 24-40.
 
         Its stored 2 x 2 block is not symmetric, so the file's layout shows.
         """
@@ -766,16 +810,16 @@ class TestModelFile:
         header, body = read_model_file(path)
         assert list(header) == ["format_version", "D", "hash_seed", "context_mode", "vocab",
                                 "columns"]
-        assert header["format_version"] == 4 and header["D"] == 8
+        assert header["format_version"] == 5 and header["D"] == 8
         assert header["context_mode"] == "sentence_only"
         # the -0.0 column is stored: its bit pattern is nonzero
         assert header["columns"] == 2
         c, k = 2, 2
-        assert len(body) == 8 * (c + k + c * k)
-        assert np.frombuffer(body, "<f8", c).tolist() == [0.0, -0.5]
-        assert np.frombuffer(body, "<i8", k, offset=8 * c).tolist() == [3, 6]
+        assert len(body) == body_bytes(c, k) == 40
+        assert np.frombuffer(body, "<i8", k).tolist() == [3, 6]
+        assert np.frombuffer(body, "<f4", c, offset=8 * k).tolist() == [0.0, -0.5]
         # k x C, row-major: the row of feature 3, then the row of feature 6
-        block = np.frombuffer(body, "<f8", k * c, offset=8 * (c + k)).reshape(k, c)
+        block = np.frombuffer(body, "<f4", k * c, offset=8 * k + 4 * c).reshape(k, c)
         assert block.tolist() == [[1.25, 2.5], [0.0, -0.0]]
         assert math.copysign(1.0, block[1, 1]) == -1.0
 
@@ -789,13 +833,39 @@ class TestModelFile:
         assert re.findall(r'"(\w+)":', example.group(0)) == list(header)
         assert int(example.group(1)) == header["format_version"]
 
+    def test_odd_category_count_loads_aligned_views(self, tmp_path):
+        model = TypingModel([2, 5], [[1.0, -2.0, 0.5], [0.25, 0.0, -0.0]], [0.5, -1.0, 2.0],
+                            CategoryVocab(["one", "two", "three"]), feature_dim=8)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        loaded = TypingModel.load(str(path))
+        for array, dtype in ((loaded.feature_ids, np.int64), (loaded.bias, np.float32),
+                             (loaded.block, np.float32)):
+            assert array.dtype == dtype and array.flags.aligned
+            assert array.base is not None  # a view of the body, not a copy
+        assert loaded.feature_ids.tolist() == [2, 5]
+        assert loaded.bias.tolist() == [0.5, -1.0, 2.0]
+        assert np.array_equal(loaded.block.view(np.uint32),
+                              model.block.astype(np.float32).view(np.uint32))
+
+    def test_weights_of_a_loaded_model_are_float64(self, tmp_path):
+        dense = TypingModel.zeros(CategoryVocab(["one", "two"]), feature_dim=3)
+        dense.weights[:] = [[1.5, -0.25, 3.0], [0.5, 2.0, -1.0]]
+        path = tmp_path / "model.json"
+        dense.save(str(path))
+        loaded = TypingModel.load(str(path))
+        assert len(loaded.feature_ids) == loaded.feature_dim  # every column stored
+        assert loaded.block.dtype == np.float32
+        assert loaded.weights.dtype == np.float64
+        assert np.array_equal(loaded.weights, dense.weights)
+
     def test_save_and_load_each_copy_the_body_once(self, tmp_path):
         # 64 categories x 4,096 stored features, every weight nonzero
         n_cats, k = 64, 4096
-        weights = np.random.default_rng(3).uniform(0.5, 1.0, (k, n_cats))
+        weights = np.random.default_rng(3).uniform(0.5, 1.0, (k, n_cats)).astype(np.float32)
         model = TypingModel(np.arange(k) * 2, weights, np.zeros(n_cats),
                             CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=2 * k)
-        body_bytes = 8 * (n_cats + k + n_cats * k)
+        body = body_bytes(n_cats, k)
         path = tmp_path / "model.json"
         tracemalloc.start()
         try:
@@ -807,14 +877,15 @@ class TestModelFile:
         finally:
             tracemalloc.stop()
         assert np.array_equal(loaded.block, model.block)
-        assert save_peak <= 1.25 * body_bytes
-        assert load_peak <= 1.25 * body_bytes
+        assert save_peak <= 1.25 * body
+        assert load_peak <= 1.25 * body
 
     @staticmethod
-    def all_stored_save_peak(tmp_path, n_cats, k, seed):
-        """tracemalloc's peak while saving a k x n_cats block with every weight
-        nonzero; the saved block must load back equal."""
+    def all_stored_save_peak(tmp_path, n_cats, k, seed, dtype):
+        """tracemalloc's peak while saving a k x n_cats block of `dtype` with every
+        weight nonzero and a float32 value; the saved block must load back equal."""
         weights = np.random.default_rng(seed).uniform(0.5, 1.0, (k, n_cats))
+        weights = weights.astype(np.float32).astype(dtype)
         model = TypingModel(np.arange(k), weights, np.zeros(n_cats),
                             CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=k)
         path = tmp_path / "model.json"
@@ -829,12 +900,15 @@ class TestModelFile:
 
     def test_save_of_an_all_stored_block_copies_no_row(self, tmp_path):
         n_cats, k = 64, 9192
-        body_bytes = 8 * (n_cats + k + n_cats * k)
-        assert self.all_stored_save_peak(tmp_path, n_cats, k, seed=4) < 0.25 * body_bytes
+        peak = self.all_stored_save_peak(tmp_path, n_cats, k, seed=4, dtype=np.float32)
+        assert peak < 0.25 * body_bytes(n_cats, k)
 
     def test_save_finds_the_stored_rows_without_a_rows_by_categories_mask(self, tmp_path):
-        # a boolean mask of every weight would be 2 MB
-        assert self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5) < 500_000
+        # a boolean mask of every weight would be 2 MB; a float64 block, as
+        # training returns, is rounded to float32 a bounded chunk at a time
+        peak = self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5,
+                                         dtype=np.float64)
+        assert peak < 500_000
 
     def test_zero_rows_at_start_middle_and_end_hash_as_before(self, tmp_path):
         block = np.arange(30, dtype=float).reshape(10, 3) * 0.5 - 3.0
@@ -845,9 +919,10 @@ class TestModelFile:
                             feature_dim=32)
         path = tmp_path / "model.json"
         model.save(str(path))
-        # the file `save` wrote when it copied the stored rows in one piece
+        # the header, the stored ids, the bias and the stored rows, each
+        # written in one piece
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "2c90020de1e548ce2bb09e7971a0934e2d860eb0636b1aac470d70df9ca04d01"
+            "7d6de8a3f417fbed9292819de782650ee16b0452dfd69f756d74139a8061555a"
         loaded = TypingModel.load(str(path))
         stored = [1, 2, 3, 5, 6, 7, 8]
         assert loaded.feature_ids.tolist() == [ids[i] for i in stored]
@@ -880,10 +955,10 @@ class TestModelFile:
             dataclasses.replace(model, context_mode="whole_document")
 
     @pytest.mark.parametrize("corrupt", [
-        lambda h, b: (h, patch_f8(b, 32, math.nan)),
-        lambda h, b: (h, patch_f8(b, 56, -math.inf)),
-        lambda h, b: (h, patch_f8(b, 0, math.nan)),
-        lambda h, b: (h, patch_f8(b, 8, math.inf)),
+        lambda h, b: (h, patch_f4(b, 28, math.nan)),
+        lambda h, b: (h, patch_f4(b, 36, -math.inf)),
+        lambda h, b: (h, patch_f4(b, 16, math.nan)),
+        lambda h, b: (h, patch_f4(b, 20, math.inf)),
         lambda h, b: (h, b[:-1]),
         lambda h, b: (h, b + b"\0"),
         lambda h, b: (h, patch_ids(b, (6, 3))),
@@ -951,8 +1026,8 @@ class TestModelFile:
         (lambda h, b: ({**h, "context_mode": ["sentence_only"]}, b),
          ":1: model header 'context_mode' is not one of"),
         (lambda h, b: (["not", "an", "object"], b), ":1: model header is not a JSON object"),
-        (lambda h, b: (h, b[:-1]), ": model body is 63 bytes, expected 64"),
-        (lambda h, b: (h, patch_f8(b, 32, math.nan)),
+        (lambda h, b: (h, b[:-1]), ": model body is 39 bytes, expected 40"),
+        (lambda h, b: (h, patch_f4(b, 28, math.nan)),
          ": model holds a non-finite weight or bias"),
         (lambda h, b: (h, patch_ids(b, (6, 3))),
          ": feature ids must be strictly increasing in [0, D)"),
@@ -981,12 +1056,12 @@ class TestModelFile:
 
     def test_header_larger_than_memory_loads_compact(self, tmp_path):
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
-        # weights; the file itself is 128 KiB of zero biases and no columns.
+        # weights; the file itself is 64 KiB of zero biases and no columns.
         path = tmp_path / "model.json"
-        header = {"format_version": 4, "D": 2 ** 43, "hash_seed": 0,
+        header = {"format_version": 5, "D": 2 ** 43, "hash_seed": 0,
                   "context_mode": "sentence_only",
                   "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
-        write_model_file(path, header, bytes(8 * 2 ** 14))
+        write_model_file(path, header, bytes(body_bytes(2 ** 14, 0)))
         tracemalloc.start()
         try:
             model = TypingModel.load(str(path))
@@ -1022,12 +1097,21 @@ def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
         model.bias[row] = data.draw(_weight_st)
 
     path = tmp_path_factory.mktemp("model") / "model.json"
+    with np.errstate(over="ignore"):
+        weights, bias = model.weights.astype(np.float32), model.bias.astype(np.float32)
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        with pytest.raises(ValueError, match="not finite as float32"):
+            model.save(str(path))
+        assert not path.exists()
+        return
     model.save(str(path))
     header, _ = read_model_file(path)
-    assert header["columns"] == int((model.weights.view(np.uint64) != 0).any(axis=0).sum())
+    assert header["columns"] == int((weights.view(np.uint32) != 0).any(axis=0).sum())
     loaded = TypingModel.load(str(path))
-    assert np.array_equal(loaded.weights.view(np.uint64), model.weights.view(np.uint64))
-    assert np.array_equal(loaded.bias.view(np.uint64), model.bias.view(np.uint64))
+    assert loaded.block.dtype == loaded.bias.dtype == np.float32
+    assert np.array_equal(loaded.weights.view(np.uint64),
+                          weights.astype(np.float64).view(np.uint64))
+    assert np.array_equal(loaded.bias.view(np.uint32), bias.view(np.uint32))
     assert loaded.vocab.entries == entries
     assert (loaded.feature_dim, loaded.hash_seed, loaded.context_mode) == (
         dim, hash_seed, context_mode)
