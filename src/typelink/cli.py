@@ -9,7 +9,9 @@ on its parsed arguments and prints the diagnostic counts it returns;
 stage's paths filled in.  It writes every file the stage commands write,
 and a stage that reads a mention file or the model that an earlier stage
 of the run wrote takes the object in memory (``_handed``) instead of
-reading the file back.
+reading the file back.  ``categories.tsv`` is read twice there: once by
+build-vocab, which hands the types it read to the eval ingest and link
+(``HandedTypes``), and once by the train ingest.
 Failures exit nonzero with a one-line message of the form
 ``error: CODE: detail``.
 
@@ -23,7 +25,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import diagnostics as diag
 from .atomic import atomic_write
@@ -33,8 +35,8 @@ from .evaluation import (ContextMode, EvalReport, build_context, check_typing_th
                          linking_accuracy, typing_metrics, TYPING_THRESHOLD)
 from .ingest import (MentionExample, attach_categories, check_sample_sizes,
                      extract_examples, iter_articles, iter_json_lines, json_line,
-                     load_category_assignments, read_examples, sample_training_set,
-                     write_examples)
+                     link_pairs, load_category_assignments, read_examples,
+                     sample_training_set, write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
                      LinkPrediction, build_category_index, check_backoff, link)
 from .model import TrainConfig, TypingModel, predict_example, train
@@ -53,7 +55,9 @@ class CliError(Exception):
 # the diagnostics of what it dropped.  `args.handoff` is None except in
 # `pipeline`, which passes every stage one dict for the whole run: ingest,
 # train and link put what they write into it, keyed by the path they wrote
-# it to, and a later stage takes it from there.
+# it to, and a later stage takes it from there.  build-vocab puts the types
+# it read under the --categories path, and link its candidate sets under
+# the --prior path.
 
 def _handed(args: argparse.Namespace, path: str, load):
     """The object an earlier stage of the run wrote to `path`, taken out of the
@@ -63,11 +67,60 @@ def _handed(args: argparse.Namespace, path: str, load):
     return load(path)
 
 
+@dataclasses.dataclass(frozen=True)
+class HandedTypes:
+    """The types that build-vocab read from --categories, as `pipeline` hands
+    them to the eval ingest and link under that path.
+
+    `types` gives each entity with a category line its sorted
+    in-vocabulary types, the strings those of the vocabulary and one tuple
+    per distinct label set; `read_for` holds every entity the file was read
+    for, and `empty_category` is the read's count of that diagnostic.
+    """
+
+    types: dict[str, tuple[str, ...]]
+    read_for: AbstractSet[str]
+    empty_category: int
+
+    @classmethod
+    def build(cls, types: dict[str, frozenset[str]], read_for: AbstractSet[str],
+              vocab: CategoryVocab, empty_category: int) -> "HandedTypes":
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        compact = {}
+        for entity, categories in types.items():
+            labels = tuple(sorted(vocab.entries[i] for i in vocab.to_ids(categories)))
+            compact[entity] = shared.setdefault(labels, labels)
+        return cls(compact, read_for, empty_category)
+
+    def of(self, entities: Iterable[str], log: DiagnosticLog) -> dict[str, tuple[str, ...]]:
+        """The types of `entities` within the vocabulary, the read's
+        empty_category count added to `log`; ValueError names an entity the
+        file was not read for."""
+        out = {}
+        for entity in entities:
+            if entity not in self.read_for:
+                raise ValueError(f"the categories handed over were not read for {entity!r}")
+            if entity in self.types:
+                out[entity] = self.types[entity]
+        if self.empty_category:
+            log.counts[diag.EMPTY_CATEGORY] += self.empty_category
+        return out
+
+
+def _category_types(args: argparse.Namespace, entities: Iterable[str], log: DiagnosticLog,
+                    take: bool) -> dict[str, Collection[str]]:
+    """The types of `entities`: from the `HandedTypes` in the handoff under
+    --categories (taken out when `take`), or else read from the file."""
+    if args.handoff is None or args.categories not in args.handoff:
+        return load_category_assignments(args.categories, entities, log)
+    handed = args.handoff.pop(args.categories) if take else args.handoff[args.categories]
+    return handed.of(entities, log)
+
+
 def stage_build_prior(args: argparse.Namespace) -> DiagnosticLog:
     log = DiagnosticLog()
-    pairs = ((ex.mention, ex.entity)
-             for art in iter_articles(args.articles, split=args.split, log=log)
-             for ex in extract_examples(art, log))
+    pairs = (pair for art in iter_articles(args.articles, split=args.split, log=log)
+             for pair in link_pairs(art, log))
     table = accumulate(pairs, case_fold=args.case_fold)
     table.save(args.prior)
     return log
@@ -78,14 +131,19 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
 
     Without a vocabulary the examples keep entity but no categories (the
     form build-vocab consumes); with one, labels are expanded raw
-    categories intersected with it.
+    categories intersected with it.  In `pipeline`, the ingest that keeps
+    uncategorized examples labels the eval mentions, whose entities
+    build-vocab read the categories for: it takes the types build-vocab
+    handed over instead of reading --categories.
     """
     log = DiagnosticLog()
     examples = [ex for art in iter_articles(args.articles, split=args.split, log=log)
                 for ex in extract_examples(art, log)]
     if args.vocab is not None:
         vocab = CategoryVocab.load(args.vocab)
-        types = load_category_assignments(args.categories, {ex.entity for ex in examples}, log)
+        entities = {ex.entity for ex in examples}
+        types = (_category_types(args, entities, log, take=False) if args.keep_uncategorized
+                 else load_category_assignments(args.categories, entities, log))
         examples = attach_categories(examples, types, vocab,
                                      keep_uncategorized=args.keep_uncategorized, log=log)
     # Sample before writing anything, so a request larger than the data
@@ -102,29 +160,36 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
     return log
 
 
-def _candidate_types(args: argparse.Namespace, examples: list[MentionExample]
-                     ) -> tuple[PriorTable, list[CandidateSet], dict[str, frozenset[str]],
-                                DiagnosticLog]:
-    """The prior, each example's candidate set, the candidates' types and
-    the diagnostics of reading them."""
+def _candidate_sets(args: argparse.Namespace, examples: list[MentionExample]
+                    ) -> tuple[PriorTable, list[CandidateSet]]:
+    """The prior and each example's candidate set."""
     table = PriorTable.load(args.prior)
-    csets = [table.candidates(ex.mention, args.threshold) for ex in examples]
-    log = DiagnosticLog()
-    types = load_category_assignments(
-        args.categories, (entity for cset in csets for entity in cset.entities()), log)
-    return table, csets, types, log
+    return table, [table.candidates(ex.mention, args.threshold) for ex in examples]
 
 
 def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     """Select the category vocabulary from candidate entities of the mentions.
 
     Only candidate categories are counted, never the gold labels of the
-    mention examples themselves.
+    mention examples themselves.  In `pipeline` the file is read for the
+    mentions' gold entities too, and their types and the candidates', cut
+    to the vocabulary, are handed over under the --categories path
+    (`HandedTypes`).
     """
-    _, csets, types, log = _candidate_types(args, _handed(args, args.mentions, read_examples))
+    examples = _handed(args, args.mentions, read_examples)
+    _, csets = _candidate_sets(args, examples)
+    read_for = {entity for cset in csets for entity in cset.entities()}
+    if args.handoff is not None:
+        read_for.update(ex.entity for ex in examples)
+    log = DiagnosticLog()
+    types = load_category_assignments(args.categories, read_for, log)
     pairs = ((cset.mention, types[entity])
              for cset in csets for entity in cset.entities() if entity in types)
-    select_vocabulary(pairs, args.vocab_size).save(args.vocab)
+    vocab = select_vocabulary(pairs, args.vocab_size)
+    vocab.save(args.vocab)
+    if args.handoff is not None:
+        args.handoff[args.categories] = HandedTypes.build(
+            types, read_for, vocab, log.counts[diag.EMPTY_CATEGORY])
     return log
 
 
@@ -185,7 +250,10 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     """
     model = _handed(args, args.model, TypingModel.load)
     examples = _handed(args, args.mentions, read_examples)
-    table, csets, types, log = _candidate_types(args, examples)
+    table, csets = _candidate_sets(args, examples)
+    log = DiagnosticLog()
+    types = _category_types(args, (entity for cset in csets for entity in cset.entities()),
+                            log, take=True)
     index = build_category_index(types, model.vocab)
     kept = [] if args.handoff is not None else None  # (row, posterior) per mention
     with atomic_write(args.predictions) as fh:
@@ -204,7 +272,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
             if kept is not None:
                 kept.append((row, posterior))
     if kept is not None:
-        args.handoff.update({args.mentions: examples, args.prior: table, args.model: model,
+        args.handoff.update({args.mentions: examples, args.prior: csets, args.model: model,
                              args.predictions: kept})
     return log
 
@@ -235,8 +303,8 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     Gold recall needs the prior (to rebuild candidate sets); the typing
     buckets need the model (to rebuild posteriors).  Either is skipped,
     and reported as null, when the corresponding file is not given.  In
-    `pipeline`, link hands over the posteriors it computed; only the
-    mentions it did not score are predicted here.
+    `pipeline`, link hands over the candidate sets and the posteriors it
+    computed; only the mentions it did not score are predicted here.
     """
     examples = _handed(args, args.mentions, read_examples)
     predictions = _handed(args, args.predictions,
@@ -255,9 +323,12 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
     recall = None
     if args.prior is not None:
-        table = _handed(args, args.prior, PriorTable.load)
-        recall = gold_recall((table.candidates(ex.mention, args.threshold), ex.entity)
-                             for ex in examples)
+        def candidate_sets(path: str) -> Iterator[CandidateSet]:
+            table = PriorTable.load(path)
+            return (table.candidates(ex.mention, args.threshold) for ex in examples)
+
+        csets = _handed(args, args.prior, candidate_sets)
+        recall = gold_recall(zip(csets, (ex.entity for ex in examples)))
 
     buckets = None
     per_cat = None
@@ -303,10 +374,13 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
     is written as the stage commands write it.  One handoff dict serves the
     run: ingest, train and link put what they write into it, and each
     reader takes its object out (`_handed`) instead of reading the file
-    back, so the dict is empty after eval.  The prior and the vocabulary,
-    small and read by several stages, are read from their files.  The
-    labeled eval ingest runs after train, so that train holds only the
-    mentions it reads.
+    back, so the dict is empty after eval.  build-vocab hands the types it
+    read from --categories to the eval ingest and to link, which takes them
+    out, so the file is read twice: there and by the train ingest.  link
+    hands eval its candidate sets under the --prior path.  The prior and
+    the vocabulary, small and read by several stages, are read from their
+    files.  The labeled eval ingest runs after train, so that train holds
+    only the mentions it reads.
     """
     os.makedirs(args.workdir, exist_ok=True)
     files = _pipeline_outputs(args)

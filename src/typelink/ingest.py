@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -218,6 +218,15 @@ def extract_examples(article: RawArticle,
     return examples
 
 
+def link_pairs(article: RawArticle, log: DiagnosticLog) -> Iterator[tuple[str, str]]:
+    """(mention, entity) of each link of the article, the pairs of its
+    `extract_examples` with the same diagnostics, without building examples."""
+    for sentence in article.sentences:
+        tokens, links = _parse_sentence(sentence, log)
+        for entity, start, stop in links:
+            yield " ".join(tokens[start:stop]), entity
+
+
 # --- category attachment and sampling ---------------------------------------
 
 def load_category_assignments(path: str, entities: Iterable[str],
@@ -252,7 +261,7 @@ def load_category_assignments(path: str, entities: Iterable[str],
 
 
 def attach_categories(examples: Iterable[MentionExample],
-                      types: dict[str, frozenset[str]],
+                      types: dict[str, Collection[str]],
                       vocab: CategoryVocab,
                       keep_uncategorized: bool = False,
                       log: Optional[DiagnosticLog] = None) -> list[MentionExample]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class EntityCategoryIndex:
         return 0 if ids is None else len(ids)
 
 
-def build_category_index(types: dict[str, frozenset[str]],
+def build_category_index(types: dict[str, Collection[str]],
                          vocab: CategoryVocab) -> EntityCategoryIndex:
     """Index the in-vocabulary ids of each entity's types."""
     index = EntityCategoryIndex()

@@ -23,12 +23,13 @@ import typelink.cli
 import typelink.ingest
 import typelink.model
 from typelink.categories import CategoryVocab, expand_category
-from typelink.cli import build_parser, main, read_predictions
-from typelink.ingest import (MentionExample, load_category_assignments,
-                             read_examples, write_examples)
+from typelink.cli import HandedTypes, build_parser, main, read_predictions
+from typelink.diagnostics import DiagnosticLog
+from typelink.ingest import (MentionExample, extract_examples, iter_articles,
+                             load_category_assignments, read_examples, write_examples)
 from typelink.linker import SCORING_MODES
 from typelink.model import TrainConfig, TypingModel, predict_example
-from typelink.prior import PriorTable
+from typelink.prior import PriorTable, accumulate
 
 from conftest import pipeline_argv
 
@@ -404,15 +405,18 @@ class TestHandoff:
         calls = record_stages(monkeypatch)
         work = tmp_path / "work"
         assert main(pipeline_argv(small_corpus[1], work)) == 0
+        # build-vocab's types stay in the handoff until link, their last reader,
+        # takes them; the train ingest and train leave them there.
+        cats = small_corpus[1]["categories"]
         w = lambda *names: sorted(str(work / name) for name in names)  # noqa: E731
         assert [(name, held) for name, _, held in calls] == [
             ("stage_build_prior", []),
             ("stage_ingest", []),
             ("stage_build_vocab", w("eval_mentions_raw.jsonl")),
-            ("stage_ingest", []),
-            ("stage_train", w("train_mentions.jsonl")),
-            ("stage_ingest", w("model.json")),
-            ("stage_link", w("model.json", "eval_mentions.jsonl")),
+            ("stage_ingest", [cats]),
+            ("stage_train", sorted([cats, *w("train_mentions.jsonl")])),
+            ("stage_ingest", sorted([cats, *w("model.json")])),
+            ("stage_link", sorted([cats, *w("model.json", "eval_mentions.jsonl")])),
             ("stage_eval", w("eval_mentions.jsonl", "prior.tsv", "model.json",
                              "predictions.jsonl")),
         ]
@@ -1240,6 +1244,44 @@ class TestCategoryReaders:
         assert err.startswith(f"error: INVALID_INPUT: {bad}: not UTF-8 text")
 
 
+class TestPipelineCategoryReads:
+    """`pipeline` reads categories.tsv twice: build-vocab reads it for the
+    candidates and the raw eval mentions' entities and hands the types to
+    the eval ingest and link; the train ingest reads it for its own."""
+
+    def test_pipeline_reads_the_file_twice(self, small_corpus, monkeypatch, tmp_path):
+        paths = small_corpus[1]
+        asked = []
+
+        def recording(path, entities, log=None):
+            asked.append(set(entities))
+            return load_category_assignments(path, asked[-1], log)
+
+        monkeypatch.setattr(typelink.cli, "load_category_assignments", recording)
+        work = tmp_path / "work"
+        assert main(pipeline_argv(paths, work)) == 0
+        raw = read_examples(str(work / "eval_mentions_raw.jsonl"))
+        table = PriorTable.load(str(work / "prior.tsv"))
+        candidates = {entity for ex in raw for entity in table.candidates(ex.mention).entities()}
+        trained = {ex.entity for article in iter_articles(paths["train_articles"])
+                   for ex in extract_examples(article)}
+        assert asked == [candidates | {ex.entity for ex in raw}, trained]
+
+    @pytest.mark.parametrize("stage", ["ingest", "link"])
+    def test_a_stage_refuses_types_not_read_for_its_entities(self, pipeline_run, tmp_path,
+                                                            stage):
+        _, paths, workdir = pipeline_run
+        args = build_parser().parse_args(
+            category_stage_argv(stage, paths, workdir, paths["categories"], tmp_path))
+        entities = {ex.entity for ex in read_examples(str(workdir / "eval_mentions.jsonl"))}
+        missing = sorted(entities)[0]
+        handed = HandedTypes({}, entities - {missing}, 0)
+        args.handoff = {paths["categories"]: handed}
+        with pytest.raises(ValueError, match=f"not read for {missing!r}"):
+            args.run(args)
+        assert list(tmp_path.iterdir()) == []
+
+
 # Lines a reader must refuse with ValueError, if it does not take them:
 # any text, brackets nested past any parser's depth, and JSON values shaped
 # like the records and prediction rows the readers convert.
@@ -1415,6 +1457,53 @@ class TestPipelineHandCorpus:
         assert (workdir / "prior.tsv").read_text(encoding="utf-8") == "#case_fold\naa\tA\t2\n"
         assert [row["chosen"] for row in read_predictions(str(workdir / "predictions.jsonl"))] \
             == ["A", "A"]
+
+
+# Each piece of broken markup `_parse_sentence` counts, by the diagnostic it
+# is counted under, in a sentence beside well-formed links.
+GLITCHES = [
+    ("unclosed_link", "x [[A|aa]] y . z [[B|bb w ."),
+    ("malformed_link", "x [[A|[[B|bb]] y . q [[A|Aa]] z ."),
+    ("empty_target", "x [[|aa]] y . q [[A|AA]] z ."),
+    ("empty_anchor", "x [[A|]] y . q [[A|aa]] z ."),
+    ("malformed_link", "x [[Foo\tBar|foo]] y . q [[A|aa]] z ."),
+    ("misaligned_anchor", "x[[A|aa]] y . q [[A|Aa]]z [[B|aa]] ."),
+]
+
+
+class TestBuildPrior:
+    @pytest.mark.parametrize("flags", [[], ["--split"], ["--case-fold"],
+                                       ["--split", "--case-fold"]])
+    @pytest.mark.parametrize("reason, sentence", GLITCHES)
+    def test_the_prior_counts_the_pairs_of_the_mention_examples(self, tmp_path, reason,
+                                                                sentence, flags):
+        articles = write_text(tmp_path / "a.txt", f"T\n{sentence}\nq [[A|aa]] [[B|Bb]] .\n"
+                                                  "%%%%\nU\n[[B|bb]] r . [[A|AA]]\n%%%%\n")
+        args = build_parser().parse_args(
+            ["build-prior", "--articles", articles, "--prior", str(tmp_path / "p.tsv"), *flags])
+        counts = args.run(args).counts
+        log = DiagnosticLog()
+        pairs = ((ex.mention, ex.entity)
+                 for article in iter_articles(articles, split="--split" in flags, log=log)
+                 for ex in extract_examples(article, log))
+        accumulate(pairs, case_fold="--case-fold" in flags).save(str(tmp_path / "expected.tsv"))
+        assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "expected.tsv").read_bytes()
+        assert counts == log.counts
+        assert counts[reason] >= 1
+
+    def test_build_prior_builds_no_mention_example(self, small_corpus, monkeypatch, tmp_path):
+        built = []
+        post_init = MentionExample.__post_init__
+        monkeypatch.setattr(MentionExample, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        articles = small_corpus[1]["prior_articles"]
+        assert main(["build-prior", "--articles", articles,
+                     "--prior", str(tmp_path / "prior.tsv"), "--quiet"]) == 0
+        assert built == []
+        assert PriorTable.load(str(tmp_path / "prior.tsv")).counts
+        # The probe sees the examples that ingest builds.
+        extract_examples(next(iter_articles(articles)))
+        assert built
 
 
 def test_standalone_stages_print_diagnostics(tmp_path, capsys):
