@@ -6,12 +6,7 @@ files so any step can be rerun or swapped out.  Each subcommand checks
 its settings and paths (``check_args``), runs one ``stage_*`` function
 on its parsed arguments and prints the diagnostic counts it returns;
 ``pipeline`` runs the same functions on its own arguments with each
-stage's paths filled in.  It writes every file the stage commands write,
-and a stage that reads a mention file or the model that an earlier stage
-of the run wrote takes the object in memory (``_handed``) instead of
-reading the file back.  ``categories.tsv`` is read twice there: once by
-build-vocab, which hands the types it read to the eval ingest and link
-(``HandedTypes``), and once by the train ingest.
+stage's paths filled in (see ``stage_pipeline``).
 Failures exit nonzero with a one-line message of the form
 ``error: CODE: detail``.
 
@@ -53,29 +48,24 @@ class CliError(Exception):
 # Each stage takes the parsed arguments of its subcommand (or the pipeline's,
 # with the stage's paths set), already checked by `check_args`, and returns
 # the diagnostics of what it dropped.  `args.handoff` is None except in
-# `pipeline`, which passes every stage one dict for the whole run: ingest,
-# train and link put what they write into it, keyed by the path they wrote
-# it to, and a later stage takes it from there.  build-vocab puts the types
-# it read under the --categories path, and link its candidate sets under
-# the --prior path.
+# `pipeline` (see `stage_pipeline`).
 
-def _handed(args: argparse.Namespace, path: str, load):
+def _handed(args: argparse.Namespace, path: str, load, take: bool = True):
     """The object an earlier stage of the run wrote to `path`, taken out of the
-    handoff, or else `load(path)`."""
+    handoff unless `take` is false, or else `load(path)`."""
     if args.handoff is not None and path in args.handoff:
-        return args.handoff.pop(path)
+        return args.handoff.pop(path) if take else args.handoff[path]
     return load(path)
 
 
 @dataclasses.dataclass(frozen=True)
 class HandedTypes:
-    """The types that build-vocab read from --categories, as `pipeline` hands
-    them to the eval ingest and link under that path.
+    """The types that build-vocab read from --categories.
 
     `types` gives each entity with a category line its sorted
-    in-vocabulary types, the strings those of the vocabulary and one tuple
-    per distinct label set; `read_for` holds every entity the file was read
-    for, and `empty_category` is the read's count of that diagnostic.
+    in-vocabulary types, one tuple per distinct label set; `read_for`
+    holds every entity the file was read for, and `empty_category` is the
+    read's count of that diagnostic.
     """
 
     types: dict[str, tuple[str, ...]]
@@ -88,33 +78,26 @@ class HandedTypes:
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}
         compact = {}
         for entity, categories in types.items():
-            labels = tuple(sorted(vocab.entries[i] for i in vocab.to_ids(categories)))
+            labels = tuple(sorted(c for c in categories if c in vocab))
             compact[entity] = shared.setdefault(labels, labels)
         return cls(compact, read_for, empty_category)
 
     def of(self, entities: Iterable[str], log: DiagnosticLog) -> dict[str, tuple[str, ...]]:
-        """The types of `entities` within the vocabulary, the read's
-        empty_category count added to `log`; ValueError names an entity the
-        file was not read for."""
-        out = {}
-        for entity in entities:
-            if entity not in self.read_for:
-                raise ValueError(f"the categories handed over were not read for {entity!r}")
-            if entity in self.types:
-                out[entity] = self.types[entity]
+        """The types of `entities`, the read's empty_category count added to `log`."""
         if self.empty_category:
             log.counts[diag.EMPTY_CATEGORY] += self.empty_category
-        return out
+        return {entity: self.types[entity] for entity in entities if entity in self.types}
 
 
 def _category_types(args: argparse.Namespace, entities: Iterable[str], log: DiagnosticLog,
                     take: bool) -> dict[str, Collection[str]]:
-    """The types of `entities`: from the `HandedTypes` in the handoff under
-    --categories (taken out when `take`), or else read from the file."""
-    if args.handoff is None or args.categories not in args.handoff:
-        return load_category_assignments(args.categories, entities, log)
-    handed = args.handoff.pop(args.categories) if take else args.handoff[args.categories]
-    return handed.of(entities, log)
+    """The types of `entities`: from the `HandedTypes` under --categories if
+    it was read for all of them, or else read from the file."""
+    entities = set(entities)
+    handed = _handed(args, args.categories, lambda path: None, take)
+    if handed is not None and entities <= handed.read_for:
+        return handed.of(entities, log)
+    return load_category_assignments(args.categories, entities, log)
 
 
 def stage_build_prior(args: argparse.Namespace) -> DiagnosticLog:
@@ -131,19 +114,14 @@ def stage_ingest(args: argparse.Namespace) -> DiagnosticLog:
 
     Without a vocabulary the examples keep entity but no categories (the
     form build-vocab consumes); with one, labels are expanded raw
-    categories intersected with it.  In `pipeline`, the ingest that keeps
-    uncategorized examples labels the eval mentions, whose entities
-    build-vocab read the categories for: it takes the types build-vocab
-    handed over instead of reading --categories.
+    categories intersected with it.
     """
     log = DiagnosticLog()
     examples = [ex for art in iter_articles(args.articles, split=args.split, log=log)
                 for ex in extract_examples(art, log)]
     if args.vocab is not None:
         vocab = CategoryVocab.load(args.vocab)
-        entities = {ex.entity for ex in examples}
-        types = (_category_types(args, entities, log, take=False) if args.keep_uncategorized
-                 else load_category_assignments(args.categories, entities, log))
+        types = _category_types(args, (ex.entity for ex in examples), log, take=False)
         examples = attach_categories(examples, types, vocab,
                                      keep_uncategorized=args.keep_uncategorized, log=log)
     # Sample before writing anything, so a request larger than the data
@@ -171,10 +149,7 @@ def stage_build_vocab(args: argparse.Namespace) -> DiagnosticLog:
     """Select the category vocabulary from candidate entities of the mentions.
 
     Only candidate categories are counted, never the gold labels of the
-    mention examples themselves.  In `pipeline` the file is read for the
-    mentions' gold entities too, and their types and the candidates', cut
-    to the vocabulary, are handed over under the --categories path
-    (`HandedTypes`).
+    mention examples themselves.
     """
     examples = _handed(args, args.mentions, read_examples)
     _, csets = _candidate_sets(args, examples)
@@ -248,8 +223,8 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
     and no backoff, and it is counted as a diagnostic rather than failing
     the whole run.
     """
-    model = _handed(args, args.model, TypingModel.load)
-    examples = _handed(args, args.mentions, read_examples)
+    model = _handed(args, args.model, TypingModel.load, take=False)
+    examples = _handed(args, args.mentions, read_examples, take=False)
     table, csets = _candidate_sets(args, examples)
     log = DiagnosticLog()
     types = _category_types(args, (entity for cset in csets for entity in cset.entities()),
@@ -272,8 +247,7 @@ def stage_link(args: argparse.Namespace) -> DiagnosticLog:
             if kept is not None:
                 kept.append((row, posterior))
     if kept is not None:
-        args.handoff.update({args.mentions: examples, args.prior: csets, args.model: model,
-                             args.predictions: kept})
+        args.handoff.update({args.prior: csets, args.predictions: kept})
     return log
 
 
@@ -302,9 +276,7 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
     Gold recall needs the prior (to rebuild candidate sets); the typing
     buckets need the model (to rebuild posteriors).  Either is skipped,
-    and reported as null, when the corresponding file is not given.  In
-    `pipeline`, link hands over the candidate sets and the posteriors it
-    computed; only the mentions it did not score are predicted here.
+    and reported as null, when the corresponding file is not given.
     """
     examples = _handed(args, args.mentions, read_examples)
     predictions = _handed(args, args.predictions,
@@ -371,14 +343,20 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
     Each stage runs on the pipeline's arguments with every path it reads
     set, and its diagnostics are printed under its name; the log returned
     is empty.  --categories is the same file for every stage.  Every file
-    is written as the stage commands write it.  One handoff dict serves the
-    run: ingest, train and link put what they write into it, and each
-    reader takes its object out (`_handed`) instead of reading the file
-    back, so the dict is empty after eval.  build-vocab hands the types it
-    read from --categories to the eval ingest and to link, which takes them
-    out, so the file is read twice: there and by the train ingest.  link
-    hands eval its candidate sets under the --prior path.  The prior and
-    the vocabulary, small and read by several stages, are read from their
+    is written as the stage commands write it.
+
+    One handoff dict serves the run, keyed by path.  A stage puts there
+    what it makes: ingest its mentions, train its model, link its
+    candidate sets (under --prior) and its rows with their posteriors
+    (under --predictions), and build-vocab the types it read from
+    --categories, cut to the vocabulary (`HandedTypes`).  A reader finds
+    an object there (`_handed`) instead of reading its file, and its last
+    reader takes it out, so the dict is empty after eval.  build-vocab
+    reads --categories for the raw eval mentions' entities as well as the
+    candidates; an ingest --vocab or link uses the handed types when they
+    were read for every entity it asks about, and reads the file
+    otherwise, so the file is read once or twice.  The prior and the
+    vocabulary, small and read by several stages, are read from their
     files.  The labeled eval ingest runs after train, so that train holds
     only the mentions it reads.
     """

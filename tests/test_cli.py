@@ -1070,20 +1070,22 @@ class TestErrorCodes:
         assert list(out.iterdir()) == []
 
 
-# Runs `typelink.cli.main(sys.argv[2:])` in a process that kills itself with
-# SIGKILL where sys.argv[1] says: "mid_body" once the model file's header and
-# the first array of its body are written, "before_replace" when the finished
-# temporary file would be renamed onto the target.
+# Runs `typelink.cli.main(sys.argv[4:])` in a process that kills itself with
+# SIGKILL where sys.argv[1] says: "mid_body" once the handle that
+# `atomic_write`, as module sys.argv[2] looks it up, yields has taken
+# sys.argv[3] writes; "before_replace" when the finished temporary file
+# would be renamed onto the target.
 KILLED_WRITER = """
-import contextlib, os, signal, sys
-import typelink.atomic, typelink.model
+import contextlib, importlib, os, signal, sys
+import typelink.atomic
 from typelink.cli import main
 
 def die(*_):
     os.kill(os.getpid(), signal.SIGKILL)
 
-if sys.argv[1] == "mid_body":
-    atomic_write = typelink.model.atomic_write
+kill_at, module, writes = sys.argv[1], importlib.import_module(sys.argv[2]), int(sys.argv[3])
+if kill_at == "mid_body":
+    atomic_write = module.atomic_write
 
     class Handle:
         def __init__(self, fh):
@@ -1092,7 +1094,7 @@ if sys.argv[1] == "mid_body":
         def write(self, data):
             self.fh.write(data)
             self.writes += 1
-            if self.writes == 2:
+            if self.writes == writes:
                 self.fh.flush()
                 die()
 
@@ -1101,42 +1103,86 @@ if sys.argv[1] == "mid_body":
         with atomic_write(path, binary) as fh:
             yield Handle(fh)
 
-    typelink.model.atomic_write = killed_write
+    module.atomic_write = killed_write
 else:
     typelink.atomic.os.replace = die
-sys.exit(main(sys.argv[2:]))
+sys.exit(main(sys.argv[4:]))
 """
 
 
-class TestKilledWriter:
-    """A stage killed while it writes leaves the earlier file at the target."""
+def killed_stage_argv(stage, paths, w, target):
+    """argv of `stage` writing `target` other bytes than the file of that name
+    in the pipeline workdir `w`."""
+    cats = paths["categories"]
+    return [str(a) for a in {
+        "build-prior": ["build-prior", "--articles", paths["eval_articles"], "--prior"],
+        "ingest": ["ingest", "--articles", paths["train_articles"], "--categories", cats,
+                   "--vocab", w / "vocab.txt", "--keep-uncategorized", "--mentions"],
+        "build-vocab": ["build-vocab", "--mentions", w / "eval_mentions_raw.jsonl",
+                        "--prior", w / "prior.tsv", "--categories", cats,
+                        "--vocab-size", "3", "--vocab"],
+        "link": ["link", "--mentions", w / "eval_mentions.jsonl", "--model", w / "model.json",
+                 "--prior", w / "prior.tsv", "--categories", cats, "--scoring-mode", "logodds",
+                 "--predictions"],
+        "eval": ["eval", "--mentions", w / "eval_mentions.jsonl",
+                 "--predictions", w / "predictions.jsonl", "--model", w / "model.json",
+                 "--prior", w / "prior.tsv", "--per-category", "--quiet", "--report"],
+    }[stage] + [target]]
 
-    @pytest.mark.parametrize("kill_at", ["mid_body", "before_replace"])
-    def test_killed_train_leaves_the_earlier_model(self, pipeline_run, capsys, tmp_path,
-                                                   monkeypatch, kill_at):
-        _, paths, workdir = pipeline_run
-        model = tmp_path / "model.json"
-        earlier = (workdir / "model.json").read_bytes()
-        model.write_bytes(earlier)
+
+def next_stage_argv(stage, paths, w, target, out):
+    """argv of the stage that reads what `stage` writes, reading `target` and
+    writing into `out` (its last argument) the pipeline's file of that name."""
+    cats = paths["categories"]
+    return [str(a) for a in {
+        "build-prior": ["build-vocab", "--mentions", w / "eval_mentions_raw.jsonl",
+                        "--prior", target, "--categories", cats, "--vocab", out / "vocab.txt"],
+        "ingest": ["link", "--mentions", target, "--model", w / "model.json",
+                   "--prior", w / "prior.tsv", "--categories", cats,
+                   "--predictions", out / "predictions.jsonl"],
+        "build-vocab": ["ingest", "--articles", paths["eval_articles"], "--categories", cats,
+                        "--vocab", target, "--keep-uncategorized",
+                        "--mentions", out / "eval_mentions.jsonl"],
+        "train": ["link", "--mentions", w / "eval_mentions.jsonl", "--model", target,
+                  "--prior", w / "prior.tsv", "--categories", cats,
+                  "--predictions", out / "predictions.jsonl"],
+        "link": ["eval", "--mentions", w / "eval_mentions.jsonl", "--predictions", target,
+                 "--model", w / "model.json", "--prior", w / "prior.tsv", "--quiet",
+                 "--report", out / "report.json"],
+    }[stage]]
+
+
+# Each writing stage but train (tested on its own): the module it looks
+# `atomic_write` up in and the file it writes.  A kill "mid_body" comes after
+# its first write; eval writes its report in one call, so it is killed only
+# before the rename.
+KILLED_STAGES = {"build-prior": ("typelink.prior", "prior.tsv"),
+                 "ingest": ("typelink.ingest", "eval_mentions.jsonl"),
+                 "build-vocab": ("typelink.categories", "vocab.txt"),
+                 "link": ("typelink.cli", "predictions.jsonl"),
+                 "eval": ("typelink.cli", "report.json")}
+
+
+class TestKilledWriter:
+    """A stage killed while it writes leaves the earlier file at the target,
+    and the next stage reads that file, never the leftover."""
+
+    def kill(self, kill_at, module, writes, argv):
+        """Run `argv` in a child killed where `KILLED_WRITER` says."""
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
-            [sys.executable, "-c", KILLED_WRITER, kill_at, "train",
-             "--mentions", str(workdir / "train_mentions.jsonl"),
-             "--vocab", str(workdir / "vocab.txt"), "--model", str(model),
-             "--feature-dim", "4096", "--epochs", "1", "--seed", "7", "--quiet"],
+            [sys.executable, "-c", KILLED_WRITER, kill_at, module, str(writes), *argv],
             env=env, capture_output=True, text=True)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
-        assert model.read_bytes() == earlier
-        [leftover] = tmp_path.glob(".model.json.*.tmp")
-        if kill_at == "mid_body":
-            with pytest.raises(ValueError, match="model body is"):
-                TypingModel.load(str(leftover))
-        else:  # the new model, whole but never renamed
-            assert leftover.read_bytes() != earlier
-            TypingModel.load(str(leftover))
 
+    def run_next(self, stage, paths, workdir, target, capsys, monkeypatch, tmp_path):
+        """Run the stage after `stage` on `target`: it opens the target, no
+        temporary file, and writes the pipeline's bytes."""
+        out = tmp_path / "next"
+        out.mkdir()
+        argv = next_stage_argv(stage, paths, workdir, target, out)
         opened = []
         real_open = builtins.open
 
@@ -1145,15 +1191,53 @@ class TestKilledWriter:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", recording_open)
-        code, _, err = run_cli(
-            ["link", "--mentions", str(workdir / "eval_mentions.jsonl"), "--model", str(model),
-             "--prior", str(workdir / "prior.tsv"), "--categories", paths["categories"],
-             "--predictions", str(tmp_path / "p.jsonl")], capsys)
+        code, _, err = run_cli(argv, capsys)
         monkeypatch.undo()
         assert code == 0, err
-        assert (tmp_path / "p.jsonl").read_bytes() == (workdir / "predictions.jsonl").read_bytes()
-        assert str(model) in opened
+        written = pathlib.Path(argv[-1])
+        assert written.read_bytes() == (workdir / written.name).read_bytes()
+        assert str(target) in opened
         assert not [name for name in opened if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("kill_at", ["mid_body", "before_replace"])
+    def test_killed_train_leaves_the_earlier_model(self, pipeline_run, capsys, tmp_path,
+                                                   monkeypatch, kill_at):
+        _, paths, workdir = pipeline_run
+        model = tmp_path / "model.json"
+        earlier = (workdir / "model.json").read_bytes()
+        model.write_bytes(earlier)
+        # Two writes: the model's header and the first array of its body.
+        self.kill(kill_at, "typelink.model", 2,
+                  ["train", "--mentions", str(workdir / "train_mentions.jsonl"),
+                   "--vocab", str(workdir / "vocab.txt"), "--model", str(model),
+                   "--feature-dim", "4096", "--epochs", "1", "--seed", "7", "--quiet"])
+        assert model.read_bytes() == earlier
+        [leftover] = tmp_path.glob(".model.json.*.tmp")
+        if kill_at == "mid_body":
+            with pytest.raises(ValueError, match="model body is"):
+                TypingModel.load(str(leftover))
+        else:  # the new model, whole but never renamed
+            assert leftover.read_bytes() != earlier
+            TypingModel.load(str(leftover))
+        self.run_next("train", paths, workdir, model, capsys, monkeypatch, tmp_path)
+
+    @pytest.mark.parametrize("stage, kill_at", [
+        *((stage, kill_at) for stage in ("build-prior", "ingest", "build-vocab", "link")
+          for kill_at in ("mid_body", "before_replace")),
+        ("eval", "before_replace")])
+    def test_a_killed_stage_leaves_the_earlier_file(self, pipeline_run, capsys, tmp_path,
+                                                    monkeypatch, stage, kill_at):
+        _, paths, workdir = pipeline_run
+        module, name = KILLED_STAGES[stage]
+        target = tmp_path / name
+        earlier = (workdir / name).read_bytes()
+        target.write_bytes(earlier)
+        self.kill(kill_at, module, 1, killed_stage_argv(stage, paths, workdir, target))
+        assert target.read_bytes() == earlier
+        [leftover] = tmp_path.glob(f".{name}.*.tmp")
+        assert leftover.read_bytes() != earlier
+        if stage != "eval":  # nothing reads the report
+            self.run_next(stage, paths, workdir, target, capsys, monkeypatch, tmp_path)
 
 
 def category_stage_argv(stage, paths, workdir, categories, out):
@@ -1244,10 +1328,24 @@ class TestCategoryReaders:
         assert err.startswith(f"error: INVALID_INPUT: {bad}: not UTF-8 text")
 
 
+def recording_category_reads(monkeypatch):
+    """Wrap `cli.load_category_assignments`; the list returned gets the set of
+    entities each call asks about."""
+    asked = []
+
+    def recording(path, entities, log=None):
+        asked.append(set(entities))
+        return load_category_assignments(path, asked[-1], log)
+
+    monkeypatch.setattr(typelink.cli, "load_category_assignments", recording)
+    return asked
+
+
 class TestPipelineCategoryReads:
-    """`pipeline` reads categories.tsv twice: build-vocab reads it for the
-    candidates and the raw eval mentions' entities and hands the types to
-    the eval ingest and link; the train ingest reads it for its own."""
+    """`pipeline` reads categories.tsv once or twice: build-vocab reads it for
+    the candidates and the raw eval mentions' entities and hands the types
+    on; a later reader asking about an entity outside that read reads the
+    file itself."""
 
     def test_pipeline_reads_the_file_twice(self, small_corpus, monkeypatch, tmp_path):
         paths = small_corpus[1]
@@ -1267,19 +1365,50 @@ class TestPipelineCategoryReads:
                    for ex in extract_examples(article)}
         assert asked == [candidates | {ex.entity for ex in raw}, trained]
 
+    def test_pipeline_reads_the_file_once_when_every_train_entity_is_a_candidate(
+            self, monkeypatch, capsys, tmp_path):
+        # C is a candidate of "aa" but no eval mention's gold entity.
+        corpus = {"train_articles": "T1\nx [[A|aa]] y [[C|aa]] .\nmore [[B|bb]] text .\n%%%%\n",
+                  "eval_articles": "E1\nq [[A|aa]] r . s [[B|bb]] t .\n%%%%\n",
+                  "categories": "A\tSimple\nB\tOther\nC\tSimple things\nA\t\nD\tUnused\n"}
+        paths = {"prior_articles": None, **{name: write_text(tmp_path / name, text)
+                                            for name, text in corpus.items()}}
+        asked = recording_category_reads(monkeypatch)
+        assert main(pipeline_argv(paths, tmp_path / "piped")) == 0
+        assert asked == [{"A", "B", "C"}]
+        (tmp_path / "staged").mkdir()
+        run_stages(paths, tmp_path / "staged", capsys,
+                   {"--feature-dim": "4096", "--epochs": "3", "--seed": "13"})
+        for name in PIPELINE_FILES:
+            assert (tmp_path / "piped" / name).read_bytes() == \
+                (tmp_path / "staged" / name).read_bytes(), name
+
     @pytest.mark.parametrize("stage", ["ingest", "link"])
-    def test_a_stage_refuses_types_not_read_for_its_entities(self, pipeline_run, tmp_path,
-                                                            stage):
+    def test_a_stage_reads_the_file_for_entities_not_handed(self, pipeline_run, monkeypatch,
+                                                            capsys, tmp_path, stage):
         _, paths, workdir = pipeline_run
-        args = build_parser().parse_args(
-            category_stage_argv(stage, paths, workdir, paths["categories"], tmp_path))
-        entities = {ex.entity for ex in read_examples(str(workdir / "eval_mentions.jsonl"))}
-        missing = sorted(entities)[0]
-        handed = HandedTypes({}, entities - {missing}, 0)
-        args.handoff = {paths["categories"]: handed}
-        with pytest.raises(ValueError, match=f"not read for {missing!r}"):
-            args.run(args)
-        assert list(tmp_path.iterdir()) == []
+        text = pathlib.Path(paths["categories"]).read_text(encoding="utf-8")
+        categories = write_text(tmp_path / "categories.tsv", f"{text}Entity\t\n")
+        asked = recording_category_reads(monkeypatch)
+        outputs, printed = [], []
+        for name in ("standalone", "handed"):
+            out = tmp_path / name
+            out.mkdir()
+            args = build_parser().parse_args(
+                category_stage_argv(stage, paths, workdir, categories, out))
+            if name == "handed":
+                # Types read for all but one entity the stage asks about, and
+                # wrong for every one of them.
+                missing = sorted(asked[0])[0]
+                args.handoff = {categories: HandedTypes({}, asked[0] - {missing}, 0)}
+            typelink.cli._print_diagnostics(args, args.run(args))
+            [written] = out.iterdir()
+            outputs.append(written.read_bytes())
+            printed.append(capsys.readouterr().err)
+        assert len(asked) == 2 and asked[1] == asked[0]
+        assert outputs[1] == outputs[0]
+        assert printed[1] == printed[0]
+        assert "empty_category=1" in printed[0]
 
 
 # Lines a reader must refuse with ValueError, if it does not take them:
