@@ -9,11 +9,13 @@ full wiki-markup parser; anything outside the two link forms is plain
 text.
 
 An article file is read in one streaming pass, one record at a time.
-Each sentence is scanned once for markup (`_parse_sentence`), its text
-split into tokens once, and each link placed on its tokens by binary
-search over the token offsets.  A mention file (`write_examples`,
-`read_examples`) stores the tokens that consecutive examples' context
-windows share once.
+Each sentence is scanned once for markup (`_parse_sentence`) and its
+text split into tokens once.  A link's anchor is aligned unless a token
+runs across one of its ends; an aligned anchor's first token is counted
+from the text between it and the previous aligned anchor, so placing
+all of a sentence's links takes time linear in the sentence.  A mention
+file (`write_examples`, `read_examples`) stores the tokens that
+consecutive examples' context windows share once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
@@ -36,7 +37,6 @@ from .diagnostics import DiagnosticLog
 ARTICLE_SEPARATOR = "%%%%"
 CONTEXT_WINDOW = 50
 
-_TOKEN_RE = re.compile(r"\S+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?]) ")
 
 
@@ -127,9 +127,11 @@ def _parse_sentence(sentence: str,
       tab inside the target (counted as malformed), which would split
       the target across columns of the prior file.
 
-    A link whose anchor does not sit exactly on token boundaries (it got
-    glued to adjacent text) is logged as misaligned and dropped; its
-    text still contributes tokens.
+    Tokens are the whitespace-separated runs of the text left.  A link
+    whose anchor does not sit exactly on token boundaries, because a
+    token runs across its start or its end (it got glued to adjacent
+    text), is logged as misaligned and dropped; its text still
+    contributes tokens.
     """
     parts: list[str] = []
     linked: list[tuple[str, int]] = []  # (entity, index of its anchor in parts)
@@ -169,24 +171,24 @@ def _parse_sentence(sentence: str,
         pos = close_at + 2
 
     text = "".join(parts)
-    matches = list(_TOKEN_RE.finditer(text))
-    tokens = [m.group() for m in matches]
-    starts = [m.start() for m in matches]
-    ends = [m.end() for m in matches]
     offsets = list(accumulate(map(len, parts), initial=0))
     links: list[tuple[str, int, int]] = []
+    cut = count = 0  # text[:cut] ends on a token boundary and holds `count` tokens
     for entity, i in linked:
         begin, stop = offsets[i], offsets[i + 1]
-        # The anchor holds a non-space character, so it overlaps a token:
-        # `first` is the first token ending after it begins, `last` the
-        # last token starting before it stops.
-        first = bisect_right(ends, begin)
-        last = bisect_left(starts, stop) - 1
-        if starts[first] < begin or ends[last] > stop:
+        if _splits_token(text, begin) or _splits_token(text, stop):
             log.bump(diag.MISALIGNED_ANCHOR)
             continue
-        links.append((entity, first, last + 1))
-    return tokens, links
+        count += len(text[cut:begin].split())
+        width = len(parts[i].split())  # at least 1: the anchor holds a non-space
+        links.append((entity, count, count + width))
+        cut, count = stop, count + width
+    return text.split(), links
+
+
+def _splits_token(text: str, pos: int) -> bool:
+    """Whether a token of `text` runs across position `pos`."""
+    return 0 < pos < len(text) and not text[pos - 1].isspace() and not text[pos].isspace()
 
 
 def extract_examples(article: RawArticle,
@@ -334,9 +336,13 @@ MENTIONS_HEADER = {"format": "typelink-mentions", "version": 2}
 PLACEMENT_TRIES = 8
 
 
+# The encoder `json.dumps` would build anew on every call with these options.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def json_line(obj) -> str:
     """`obj` as one compact JSON line, non-ASCII kept as is."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 _HEADER_LINE = json_line(MENTIONS_HEADER)

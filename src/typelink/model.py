@@ -563,9 +563,11 @@ def _forward(model: TypingModel, batch: Sequence[Encoded]) -> tuple[np.ndarray, 
     """Logits and 0/1 targets (examples x categories) of encoded examples."""
     logits = np.empty((len(batch), len(model.bias)))
     targets = np.zeros((len(batch), len(model.bias)))
-    for i, (rows, values, labels) in enumerate(batch):
+    for i, (rows, values, _) in enumerate(batch):
         logits[i] = _logits(model.block, model.bias, rows, values)
-        targets[i, labels] = 1.0
+    label_ids = [labels for _, _, labels in batch]
+    targets[np.repeat(np.arange(len(batch)), [len(ids) for ids in label_ids]),
+            np.concatenate(label_ids)] = 1.0
     return logits, targets
 
 
@@ -574,16 +576,24 @@ def _batch_gradient(model: TypingModel,
     """The forward pass, summed BCE and gradient of encoded examples.
 
     Returns the loss, the ascending block rows the batch touches, their
-    gradient (one row each) and the bias gradient.  Each example's
-    gradient, its feature values times (t - y), is added into the touched
-    rows in example order.
+    gradient (one row each) and the bias gradient.  The batch's rows are
+    sorted once, together, for the distinct rows and for each row's place
+    among them.  Each example's gradient, its feature values times
+    (t - y), is added into the touched rows in example order.
     """
     logits, targets = _forward(model, batch)
     err = sigmoid(logits) - targets
-    touched = np.unique(np.concatenate([rows for rows, _, _ in batch]))
+    batch_rows = np.concatenate([rows for rows, _, _ in batch])
+    ordered = np.sort(batch_rows)
+    distinct = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    touched = ordered[distinct]
+    places = np.searchsorted(touched, batch_rows)
     grad = np.zeros((len(touched), len(model.bias)))
-    for (rows, values, _), example_err in zip(batch, err):
-        grad[np.searchsorted(touched, rows)] += values[:, None] * example_err
+    end = 0
+    for (_, values, _), example_err in zip(batch, err):
+        start, end = end, end + len(values)
+        grad[places[start:end]] += values[:, None] * example_err
     return _bce_sum(logits, targets), touched, grad, _sum_rows(err)
 
 

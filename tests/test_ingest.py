@@ -1,5 +1,8 @@
 import json
 import os
+import re
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
 from typelink.ingest import (CONTEXT_WINDOW, MentionExample, RawArticle,
-                             MENTIONS_HEADER, attach_categories, extract_examples, iter_articles,
+                             MENTIONS_HEADER, _parse_sentence, attach_categories, extract_examples, iter_articles,
                              load_category_assignments, read_examples,
                              sample_training_set, split_sentences, write_examples)
 from typelink.linker import build_category_index
@@ -117,6 +120,90 @@ def test_extraction_never_raises_and_keeps_the_example_invariants(sentences):
         assert all(tok.split() == [tok] for tok in ex.tokens)
         assert ex.entity.strip() and "\t" not in ex.entity and ex.categories is None
         assert len(ex.left_extra) <= CONTEXT_WINDOW and len(ex.right_extra) <= CONTEXT_WINDOW
+
+
+def reference_parse(sentence, log):
+    """The link parser as it was before tokenizing with `str.split`: the same
+    markup scan, then a regex tokenizer and binary search over token offsets."""
+    parts, linked, pos = [], [], 0
+    while pos < len(sentence):
+        open_at = sentence.find("[[", pos)
+        if open_at < 0:
+            parts.append(sentence[pos:])
+            break
+        parts.append(sentence[pos:open_at])
+        close_at = sentence.find("]]", open_at + 2)
+        if close_at < 0:
+            log.bump(diag.UNCLOSED_LINK)
+            parts.append(sentence[open_at + 2:])
+            break
+        inner_open = sentence.find("[[", open_at + 2, close_at)
+        if inner_open >= 0:
+            log.bump(diag.MALFORMED_LINK)
+            parts.append(sentence[open_at + 2:inner_open])
+            pos = inner_open
+            continue
+        target, bar, anchor = sentence[open_at + 2:close_at].partition("|")
+        if not bar:
+            anchor = target
+        if not target.strip():
+            log.bump(diag.EMPTY_TARGET)
+            parts.append(anchor)
+        elif not anchor.strip():
+            log.bump(diag.EMPTY_ANCHOR)
+            parts.append(target)
+        elif "\t" in target:
+            log.bump(diag.MALFORMED_LINK)
+            parts.append(anchor)
+        else:
+            linked.append((target, len(parts)))
+            parts.append(anchor)
+        pos = close_at + 2
+    text = "".join(parts)
+    matches = list(re.finditer(r"\S+", text))
+    starts = [m.start() for m in matches]
+    ends = [m.end() for m in matches]
+    offsets = list(accumulate(map(len, parts), initial=0))
+    links = []
+    for entity, i in linked:
+        begin, stop = offsets[i], offsets[i + 1]
+        first = bisect_right(ends, begin)
+        last = bisect_left(starts, stop) - 1
+        if starts[first] < begin or ends[last] > stop:
+            log.bump(diag.MISALIGNED_ANCHOR)
+            continue
+        links.append((entity, first, last + 1))
+    return [m.group() for m in matches], links
+
+
+def assert_parses_like_the_reference(sentence):
+    log, reference_log = DiagnosticLog(), DiagnosticLog()
+    assert _parse_sentence(sentence, log) == reference_parse(sentence, reference_log)
+    assert log.counts == reference_log.counts
+
+
+# Markup, tabs and ASCII spaces, and characters at the edges of what counts
+# as whitespace: \x1c and \x85 do, \u2003 (em space) does, \u200b does not.
+fuzz_st = st.lists(st.sampled_from(
+    ["[[", "]]", "|", "\t", " ", "\x1c", "\x85", "\u2003", "\u200b", "a", "B"]),
+    max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(sentence=fuzz_st)
+def test_parsing_matches_the_regex_and_bisect_reference(sentence):
+    assert_parses_like_the_reference(sentence)
+
+
+def test_a_sentence_of_many_links_parses_like_the_reference():
+    # 5,000 links, every third glued to the text before it.
+    sentence = " ".join(f"y[[E{i}]] z" if i % 3 == 0 else f"[[E{i}|w{i} x]]"
+                        for i in range(5000))
+    assert_parses_like_the_reference(sentence)
+    log = DiagnosticLog()
+    tokens, links = _parse_sentence(sentence, log)
+    assert (len(tokens), len(links), log.counts) == (10000, 3333, {diag.MISALIGNED_ANCHOR: 1667})
+    assert links[-1] == ("E4999", 9998, 10000)
 
 
 class TestArticleFile:

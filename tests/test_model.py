@@ -733,6 +733,67 @@ def test_one_sgd_step_matches_loss_and_grad(seed, l2, learning_rate):
     assert np.abs(model.bias - bias).max() <= 1e-12
 
 
+def reference_batch_gradient(model, batch):
+    """The batch gradient as it was before one sort per batch: `np.unique` of
+    the rows, a `searchsorted` per example, and targets set example by example."""
+    logits = np.empty((len(batch), len(model.bias)))
+    targets = np.zeros((len(batch), len(model.bias)))
+    for i, (rows, values, labels) in enumerate(batch):
+        logits[i] = model_module._logits(model.block, model.bias, rows, values)
+        targets[i, labels] = 1.0
+    err = model_module.sigmoid(logits) - targets
+    touched = np.unique(np.concatenate([rows for rows, _, _ in batch]))
+    grad = np.zeros((len(touched), len(model.bias)))
+    for (rows, values, _), example_err in zip(batch, err):
+        grad[np.searchsorted(touched, rows)] += values[:, None] * example_err
+    return model_module._bce_sum(logits, targets), touched, grad, model_module._sum_rows(err)
+
+
+def random_encoded_batch(rng, n_cats, n_rows, n_examples, empty=()):
+    """A model of `n_rows` held rows and a batch drawing its rows from few of
+    them, so examples share rows; the examples at `empty` hold none."""
+    model = TypingModel(np.arange(n_rows) * 3, rng.normal(size=(n_rows, n_cats)),
+                        rng.normal(size=n_cats), CategoryVocab([f"c{i}" for i in range(n_cats)]),
+                        feature_dim=3 * n_rows)
+    batch = []
+    for i in range(n_examples):
+        size = 0 if i in empty else int(rng.integers(1, n_rows + 1))
+        rows = np.sort(rng.choice(n_rows, size=size, replace=False))
+        labels = np.flatnonzero(rng.random(n_cats) < 0.4)
+        batch.append((rows, rng.uniform(-3.0, 3.0, size=size), labels))
+    return model, batch
+
+
+def assert_same_bits(got, want):
+    (loss, touched, grad, bias_grad), (ref_loss, ref_touched, ref_grad, ref_bias) = got, want
+    assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+    assert touched.dtype == ref_touched.dtype and np.array_equal(touched, ref_touched)
+    assert grad.shape == ref_grad.shape
+    assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
+    assert np.array_equal(bias_grad.view(np.uint64), ref_bias.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cats=st.sampled_from([1, 3]),
+       n_rows=st.integers(1, 12), n_examples=st.integers(1, 9), empty=st.sets(st.integers(0, 8)))
+def test_the_batch_gradient_keeps_every_bit_of_the_unique_and_searchsorted_form(
+        seed, n_cats, n_rows, n_examples, empty):
+    model, batch = random_encoded_batch(np.random.default_rng(seed), n_cats, n_rows,
+                                        n_examples, empty)
+    got = model_module._batch_gradient(model, batch)
+    assert_same_bits(got, reference_batch_gradient(model, batch))
+    assert np.array_equal(got[1], np.unique(np.concatenate([rows for rows, _, _ in batch])))
+
+
+@pytest.mark.parametrize("n_cats", [1, 3])
+def test_a_batch_holding_no_rows_touches_none(n_cats):
+    model, batch = random_encoded_batch(np.random.default_rng(n_cats), n_cats, 4, 3,
+                                        empty={0, 1, 2})
+    got = model_module._batch_gradient(model, batch)
+    assert_same_bits(got, reference_batch_gradient(model, batch))
+    assert len(got[1]) == 0 and got[2].shape == (0, n_cats)
+
+
 def read_model_file(path):
     """(header dict, body bytes) of a saved model file."""
     head, _, body = path.read_bytes().partition(b"\n")
