@@ -12,19 +12,18 @@ feature-major: the ascending feature ids and a k x categories block, one
 row per feature (the layout of Vowpal Wabbit's weights, after the hashing
 trick of Weinberger et al., 2009), in memory and in its file alike.  Its
 size follows the training data, not the feature-space size D.  Training
-runs in float64 and rounds the weights to float32 values after its last
-update; the file stores them as float32, and a loaded model keeps them
-so.  One forward kernel serves training, the dev loss and `predict`: an
-input's logits are its block rows, widened to float64, scaled by the
-feature values and added one after another, plus the bias.  Every
-category has its own lane in that sum, so the trained weights of one
-category are bit-for-bit unaffected by which other categories share the
-vocabulary, and a logit computed in training equals the one `predict`
-gives for the same input and the same weights: the last epoch's dev loss
-and every prediction use the float32 values `train` returns, whether
-held as float64 or read from the file.  Likewise the SGD loop and
-`loss_and_grad`, which the finite-difference check tests, share one loss
-and gradient function.
+holds the weights as float32, the file stores them so, and a loaded model
+keeps them so.  One forward kernel serves training, the dev loss and
+`predict`: an input's logits are its block rows, widened to float64,
+scaled by the feature values and added one after another, plus the
+bias.  Every category has its own lane in that sum, so the trained
+weights of one category are bit-for-bit unaffected by which other
+categories share the vocabulary, and a logit computed in training equals
+the one `predict` gives for the same input and the same weights: the
+last epoch's dev loss and every prediction use the float32 weights
+`train` returns, whether held in memory or read from the file.
+Likewise the SGD loop and `loss_and_grad`, which the finite-difference
+check tests, share one loss and gradient function.
 
 Feature hash: blake2b keyed with the seed (8 bytes little-endian,
 digest_size 8), applied to the UTF-8 namespace-prefixed string; the
@@ -45,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,12 +65,6 @@ WINDOW_DISTANCE = 3
 FEATURE_MEMO_LIMIT = 1 << 16
 # Dev examples the dev loss scores in one forward pass.
 DEV_LOSS_CHUNK = 256
-# Weights rounded to float32 in one piece, at most (one block row at least).
-FLOAT32_CHUNK = 1 << 16
-# The largest float64 bit pattern whose float32 rounding is +0.0: that of
-# 2**-150, half the least float32 subnormal, which ties to even, to +0.0.
-# Every other pattern is a larger positive value or has its sign bit set.
-_FLOAT32_ZERO_BITS = np.float64(2.0 ** -150).view(np.uint64)
 
 
 def hash_feature(text: str, hash_seed: int, feature_dim: int) -> int:
@@ -233,10 +226,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _zeros(n_rows: int, n_cols: int) -> np.ndarray:
-    """A zero float64 matrix; raises ValueError when it does not fit in memory."""
+def _zeros(n_rows: int, n_cols: int, dtype=np.float64) -> np.ndarray:
+    """A zero matrix of `dtype`; raises ValueError when it does not fit in memory."""
     try:
-        return np.zeros((n_rows, n_cols))
+        return np.zeros((n_rows, n_cols), dtype)
     except MemoryError as err:
         raise ValueError(f"{n_rows} x {n_cols} weights do not fit in memory") from err
 
@@ -253,12 +246,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def _row_chunks(a: np.ndarray) -> Iterator[np.ndarray]:
-    """Views of consecutive rows of a 2-D array, at most FLOAT32_CHUNK entries each."""
-    step = max(1, FLOAT32_CHUNK // max(1, a.shape[1]))
-    return (a[lo:lo + step] for lo in range(0, len(a), step))
-
-
 def _float32(a: np.ndarray) -> np.ndarray:
     """The float32 rounding of `a`, contiguous and little-endian (`a` itself if
     it is so already); raises ValueError when an entry of it is not finite."""
@@ -267,17 +254,6 @@ def _float32(a: np.ndarray) -> np.ndarray:
     if not _all_finite(rounded):
         raise ValueError("a weight or bias is not finite as float32")
     return rounded
-
-
-def _stored_rows(block: np.ndarray) -> np.ndarray:
-    """The rows of a block with an entry whose float32 rounding has a nonzero bit pattern.
-
-    One max over each row's bits decides it; numpy reduces it in buffered
-    chunks, so it allocates only the k-entry result.
-    """
-    bits, zero = ((np.uint32, 0) if block.dtype == np.float32
-                  else (np.uint64, _FLOAT32_ZERO_BITS))
-    return block.view(bits).max(axis=1, initial=0) > zero
 
 
 @dataclass
@@ -289,7 +265,8 @@ class TypingModel:
     category.  Every other column of the categories x D weight matrix is
     zero.  A dense model holds all D columns, ids 0 .. D-1.  The block and
     the bias are float32 as given, float64 otherwise: training builds
-    float64 ones, and a loaded model holds float32 views of its file.
+    float32 ones and a loaded model holds float32 views of its file, so
+    only a model built in code, such as `TypingModel.zeros`, is float64.
 
     The input contract is the hashing (`hash_seed`, `feature_dim`) and
     `context_mode`, the `ContextMode` its training examples were built
@@ -370,12 +347,14 @@ class TypingModel:
         float32 values, round-trip bit-exactly; a weight or bias whose
         rounding overflows raises ValueError and leaves no file.  A column is
         stored when the rounding of any entry has a nonzero bit pattern, so
-        every other column is +0.0 throughout, and -0.0 is kept.  Each run of
-        stored rows is written from `block` a `_row_chunks` chunk at a time:
-        a float32 block straight, a float64 one through a rounded copy of
-        the chunk.
+        every other column is +0.0 throughout, and -0.0 is kept.  A float32
+        block is written straight from its runs of stored rows; a float64
+        one, built in code, through one rounded copy.
         """
-        stored = _stored_rows(self.block)
+        block, bias = _float32(self.block), _float32(self.bias)
+        # One max over each row's bits; numpy reduces it in buffered chunks,
+        # so it allocates only the k-entry result.
+        stored = block.view(np.uint32).max(axis=1, initial=0) > 0
         # Where each run of stored rows starts and ends, alternately.
         edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {
@@ -389,10 +368,9 @@ class TypingModel:
         with atomic_write(path, binary=True) as fh:
             fh.write(json_line(header).encode("utf-8"))
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
-            for rows in [self.bias[None], *(self.block[lo:hi]
-                                            for lo, hi in zip(edges[::2], edges[1::2]))]:
-                for chunk in _row_chunks(rows):
-                    fh.write(_float32(chunk))
+            fh.write(bias)
+            for lo, hi in zip(edges[::2], edges[1::2]):
+                fh.write(block[lo:hi])
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
@@ -625,11 +603,13 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     `pairs` carries (example, vocab label ids).  The model holds the
     feature columns of the training examples, all starting at zero; no
     other weight can move.  Each epoch visits a fresh seeded permutation of
-    the data, so a fixed seed gives bit-identical weights.  The weights are
-    float64 throughout and are rounded to float32 values in place after the
-    last epoch's updates, before that epoch's dev loss, so the model
-    returned holds the values its file stores.  Raises FloatingPointError
-    when a batch loss goes non-finite or a weight is not finite as float32.
+    the data, so a fixed seed gives bit-identical weights.  The weights and
+    the bias are float32, the values the model file stores; each gradient
+    step is computed in float64 and rounded as it is stored, and the L2
+    decay multiplies in float32.  Raises FloatingPointError when a batch
+    loss goes non-finite or a weight or the bias is not finite after the
+    last update; numpy's overflow and invalid warnings are silenced, since
+    those two checks report them.
     """
     pairs = list(pairs)
     if not pairs:
@@ -637,8 +617,9 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     n_cats = len(vocab)
     feats, labels = _encode(pairs, config, n_cats)
     feature_ids = np.unique(np.concatenate([fv.indices for fv in feats]))
-    model = TypingModel(feature_ids, _zeros(len(feature_ids), n_cats), np.zeros(n_cats),
-                        vocab, config.hash_seed, config.feature_dim)
+    model = TypingModel(feature_ids, _zeros(len(feature_ids), n_cats, np.float32),
+                        np.zeros(n_cats, np.float32), vocab, config.hash_seed,
+                        config.feature_dim)
     examples = [(*model.held_rows(fv), y) for fv, y in zip(feats, labels)]
     del feats
     dev = None
@@ -646,38 +627,27 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
         dev = [(*model.held_rows(fv), y)
                for fv, y in zip(*_encode(dev_pairs, config, n_cats))]
     rng = np.random.default_rng(config.seed)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(examples))
-        epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-            loss = _sgd_step(model, batch, config.learning_rate, config.l2_penalty)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"training diverged: non-finite loss at epoch {epoch + 1}")
-            epoch_loss += loss
-        if epoch == config.epochs - 1:
-            _round_to_float32(model)
-        dev_loss = None if dev is None else _full_loss(model, dev)
-        if on_epoch is not None:
-            on_epoch(epoch + 1, epoch_loss, dev_loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(examples))
+            epoch_loss = 0.0
+            for lo in range(0, len(order), config.batch_size):
+                batch = [examples[i] for i in order[lo:lo + config.batch_size]]
+                loss = _sgd_step(model, batch, config.learning_rate, config.l2_penalty)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"training diverged: non-finite loss at epoch {epoch + 1}")
+                epoch_loss += loss
+            # A batch's loss is checked before its update, so only the last
+            # update can overflow unseen.
+            if epoch == config.epochs - 1 and not (_all_finite(model.block)
+                                                   and _all_finite(model.bias)):
+                raise FloatingPointError("training diverged: a weight or bias is not "
+                                         "finite after the last update")
+            dev_loss = None if dev is None else _full_loss(model, dev)
+            if on_epoch is not None:
+                on_epoch(epoch + 1, epoch_loss, dev_loss)
     return model
-
-
-def _round_to_float32(model: TypingModel) -> None:
-    """Round the block and bias to float32 values in place, a `_row_chunks` chunk at a time.
-
-    A batch's loss is checked before its update, so only the last update
-    can overflow unseen; a weight that is not finite, or whose rounding
-    overflows, raises FloatingPointError.
-    """
-    try:
-        for rows in (model.block, model.bias[None]):
-            for chunk in _row_chunks(rows):
-                chunk[...] = _float32(chunk)
-    except ValueError:
-        raise FloatingPointError("training diverged: a weight is not finite as float32 "
-                                 "after the last update") from None
 
 
 def _full_loss(model: TypingModel, examples: Sequence[Encoded]) -> float:

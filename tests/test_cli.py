@@ -836,7 +836,7 @@ class TestErrorCodes:
         assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.jsonl", "p.jsonl"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_training_divergence_reported(self, pipeline_run, capsys, tmp_path):
         _, _, workdir = pipeline_run
         code, _, err = run_cli(
@@ -847,6 +847,25 @@ class TestErrorCodes:
              "--l2-penalty", "1e300", "--quiet"], capsys)
         assert code == 2
         assert "error: TRAINING_DIVERGED:" in err
+
+    @pytest.mark.parametrize("settings", [["--learning-rate", "1e40", "--batch-size", "100000"],
+                                          ["--learning-rate", "1e40", "--batch-size", "8"],
+                                          ["--l2-penalty", "1e300"]],
+                             ids=["lr_one_batch", "lr_batches_of_8", "l2"])
+    def test_diverging_train_prints_only_its_error_line(self, pipeline_run, tmp_path,
+                                                        settings):
+        # A subprocess, so a numpy warning reaches stderr as a user would see it.
+        _, _, workdir = pipeline_run
+        proc = subprocess.run(
+            [sys.executable, "-m", "typelink", "train",
+             "--mentions", str(workdir / "train_mentions.jsonl"),
+             "--vocab", str(workdir / "vocab.txt"), "--model", str(tmp_path / "m.json"),
+             "--feature-dim", "4096", "--epochs", "3", *settings, "--quiet"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: TRAINING_DIVERGED: "), lines
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("flag,value", [("--learning-rate", "nan"),
                                             ("--learning-rate", "inf"),

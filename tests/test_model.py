@@ -544,7 +544,7 @@ class TestTrain:
         m2 = train(separable_pairs(), vocab, TrainConfig(feature_dim=256, epochs=2, seed=2))
         assert not np.array_equal(m1.weights, m2.weights)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_in_the_last_update_is_divergence(self):
         # One batch: its loss is finite, and only the update after it overflows.
         vocab = CategoryVocab(["cat_a", "cat_b"])
@@ -554,24 +554,40 @@ class TestTrain:
         with pytest.raises(FloatingPointError):
             train(pairs, vocab, config)
 
-    def test_trained_weights_are_float32_values_held_as_float64(self):
+    def test_trained_block_and_bias_are_float32(self):
         model = train(separable_pairs(), CategoryVocab(["cat_a", "cat_b"]),
                       TrainConfig(feature_dim=256, epochs=2, seed=1))
-        assert model.block.dtype == model.bias.dtype == np.float64
-        assert np.array_equal(model.block, model.block.astype(np.float32))
-        assert np.array_equal(model.bias, model.bias.astype(np.float32))
+        assert model.block.dtype == model.bias.dtype == np.float32
 
-    def test_overflow_in_the_float32_rounding_is_divergence(self, monkeypatch):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_of_a_float32_weight_in_the_last_update_is_divergence(self):
+        # One batch at a learning rate whose update is finite in float64 but
+        # beyond float32's range, about 3.4e38.
         vocab = CategoryVocab(["cat_a", "cat_b"])
         pairs = separable_pairs()
         config = TrainConfig(feature_dim=2, epochs=1, batch_size=len(pairs),
                              learning_rate=1e40)
-        with pytest.raises(FloatingPointError, match="float32"):
+        with pytest.raises(FloatingPointError, match="not finite after the last update"):
             train(pairs, vocab, config)
-        # Unrounded, the same training ends with finite weights beyond float32's range.
-        monkeypatch.setattr(model_module, "_round_to_float32", lambda model: None)
-        block = train(pairs, vocab, config).block
-        assert np.isfinite(block).all() and np.abs(block).max() > np.finfo(np.float32).max
+
+    def test_training_holds_less_than_two_and_a_half_float32_blocks(self):
+        # About 15,000 held features x 400 categories: a 24 MB float32 block.
+        rng = np.random.default_rng(23)
+        n_cats = 400
+        pairs = []
+        for _ in range(300):
+            toks = [f"t{i}" for i in rng.integers(0, 100_000, size=40)]
+            ex = MentionExample(mention=toks[20], tokens=toks, span=(20, 21))
+            pairs.append((ex, rng.choice(n_cats, size=3, replace=False).tolist()))
+        vocab = CategoryVocab([f"c{i}" for i in range(n_cats)])
+        tracemalloc.start()
+        try:
+            model = train(pairs, vocab, TrainConfig(feature_dim=2 ** 20, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.feature_ids) > 10_000
+        assert peak < 2.5 * model.block.size * 4
 
     def test_huge_feature_dim_trains_in_compact_memory(self):
         # 2 categories x 2**58 features would be 2**62 bytes of dense weights,
@@ -652,15 +668,16 @@ class TestTrain:
             assert (model_full.bias[vocab_full.id_of(cat)]
                     == model_drop.bias[vocab_drop.id_of(cat)])
 
-    def test_one_category_model_matches_its_row_of_a_wider_model(self):
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_one_category_model_matches_its_row_of_a_wider_model(self, l2):
         pairs = separable_pairs()
-        config = TrainConfig(feature_dim=256, epochs=3, seed=2)
+        config = TrainConfig(feature_dim=256, epochs=3, seed=2, l2_penalty=l2)
         wide = train(pairs, CategoryVocab(["cat_a", "cat_b"]), config)
         narrow = train([(ex, [l for l in labels if l == 0]) for ex, labels in pairs],
                        CategoryVocab(["cat_a"]), config)
         assert np.array_equal(narrow.feature_ids, wide.feature_ids)
-        assert np.array_equal(narrow.block[:, 0].view(np.uint64),
-                              wide.block[:, 0].view(np.uint64))
+        assert np.array_equal(narrow.block[:, 0].view(np.uint32),
+                              wide.block[:, 0].view(np.uint32))
         assert narrow.bias[0] == wide.bias[0]
 
 
@@ -942,11 +959,10 @@ class TestModelFile:
         assert load_peak <= 1.25 * body
 
     @staticmethod
-    def all_stored_save_peak(tmp_path, n_cats, k, seed, dtype):
-        """tracemalloc's peak while saving a k x n_cats block of `dtype` with every
-        weight nonzero and a float32 value; the saved block must load back equal."""
-        weights = np.random.default_rng(seed).uniform(0.5, 1.0, (k, n_cats))
-        weights = weights.astype(np.float32).astype(dtype)
+    def all_stored_save_peak(tmp_path, n_cats, k, seed):
+        """tracemalloc's peak while saving a k x n_cats float32 block with every
+        weight nonzero; the saved block must load back equal."""
+        weights = np.random.default_rng(seed).uniform(0.5, 1.0, (k, n_cats)).astype(np.float32)
         model = TypingModel(np.arange(k), weights, np.zeros(n_cats),
                             CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=k)
         path = tmp_path / "model.json"
@@ -961,14 +977,12 @@ class TestModelFile:
 
     def test_save_of_an_all_stored_block_copies_no_row(self, tmp_path):
         n_cats, k = 64, 9192
-        peak = self.all_stored_save_peak(tmp_path, n_cats, k, seed=4, dtype=np.float32)
+        peak = self.all_stored_save_peak(tmp_path, n_cats, k, seed=4)
         assert peak < 0.25 * body_bytes(n_cats, k)
 
     def test_save_finds_the_stored_rows_without_a_rows_by_categories_mask(self, tmp_path):
-        # a boolean mask of every weight would be 2 MB; a float64 block, as
-        # training returns, is rounded to float32 a bounded chunk at a time
-        peak = self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5,
-                                         dtype=np.float64)
+        # a boolean mask of every weight would be 2 MB
+        peak = self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5)
         assert peak < 500_000
 
     def test_zero_rows_at_start_middle_and_end_hash_as_before(self, tmp_path):
