@@ -36,9 +36,10 @@ def atomic_write(path: str, binary: bool = False) -> Iterator[IO]:
 def read_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 text file, as a text-mode file gives them.
 
-    Bytes that are not UTF-8 raise ValueError naming the file.
+    A leading byte-order mark is dropped, so it never becomes part of the
+    first line.  Bytes that are not UTF-8 raise ValueError naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:

@@ -20,7 +20,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Optional, Sequence
 
 from . import diagnostics as diag
 from .atomic import atomic_write
@@ -33,7 +33,8 @@ from .ingest import (MentionExample, attach_categories, check_sample_sizes,
                      link_pairs, load_category_assignments, read_examples,
                      sample_training_set, write_examples)
 from .linker import (DEFAULT_BACKOFF_MIN_CATS, DEFAULT_TIE_EPS, SCORING_MODES,
-                     LinkPrediction, build_category_index, check_backoff, link)
+                     LinkPrediction, build_category_index, check_backoff, link,
+                     most_frequent_entity)
 from .model import TrainConfig, TypingModel, predict_example, train
 from .prior import (DEFAULT_CANDIDATE_THRESHOLD, CandidateSet, PriorTable, accumulate,
                     check_candidate_threshold, gold_recall)
@@ -274,9 +275,13 @@ def read_predictions(path: str) -> list[dict]:
 def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
     """Score predictions against gold entities and, optionally, gold types.
 
-    Gold recall needs the prior (to rebuild candidate sets); the typing
-    buckets need the model (to rebuild posteriors).  Either is skipped,
-    and reported as null, when the corresponding file is not given.
+    The prior gives each mention its candidate set under --threshold (in
+    `pipeline`, the sets link built), and from those sets gold recall and
+    `prior_accuracy`: the accuracy of the most-frequent-entity baseline,
+    which picks `most_frequent_entity` of the set and counts a mention
+    without candidates as wrong.  The typing buckets need the model (to
+    rebuild posteriors).  Either group is skipped, and reported as null,
+    when the corresponding file is not given.
     """
     examples = _handed(args, args.mentions, read_examples)
     predictions = _handed(args, args.predictions,
@@ -293,14 +298,14 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
         pairs.append((pred["chosen"], ex.entity))
     accuracy = linking_accuracy(pairs)
 
-    recall = None
+    recall = prior_accuracy = None
     if args.prior is not None:
-        def candidate_sets(path: str) -> Iterator[CandidateSet]:
-            table = PriorTable.load(path)
-            return (table.candidates(ex.mention, args.threshold) for ex in examples)
-
-        csets = _handed(args, args.prior, candidate_sets)
-        recall = gold_recall(zip(csets, (ex.entity for ex in examples)))
+        csets = _handed(args, args.prior, lambda _: _candidate_sets(args, examples)[1])
+        entities = [gold for _, gold in pairs]
+        recall = gold_recall(zip(csets, entities))
+        prior_accuracy = linking_accuracy(
+            [(most_frequent_entity(cset) if len(cset) else None, gold)
+             for cset, gold in zip(csets, entities)])
 
     buckets = None
     per_cat = None
@@ -313,7 +318,8 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
                                           threshold=args.typing_threshold,
                                           with_per_category=args.per_category)
 
-    report = EvalReport(accuracy, recall, buckets, per_cat)
+    report = EvalReport(linking_accuracy=accuracy, prior_accuracy=prior_accuracy,
+                        gold_recall=recall, typing_buckets=buckets, per_category=per_cat)
     with atomic_write(args.report) as fh:
         fh.write(json_line(report.to_dict()))
     if not args.quiet:
@@ -323,6 +329,8 @@ def stage_eval(args: argparse.Namespace) -> DiagnosticLog:
 
 def _print_report(report: EvalReport) -> None:
     print(f"linking_accuracy {report.linking_accuracy:.4f}")
+    if report.prior_accuracy is not None:
+        print(f"prior_accuracy   {report.prior_accuracy:.4f}")
     if report.gold_recall is not None:
         print(f"gold_recall      {report.gold_recall:.4f}")
     if report.typing_buckets is not None:

@@ -45,6 +45,7 @@ class EvalReport:
     gold_recall: Optional[float]
     typing_buckets: Optional[list[BucketMetrics]]
     per_category: Optional[dict[str, tuple[float, float, float, int]]] = None
+    prior_accuracy: Optional[float] = None
 
     def to_dict(self) -> dict:
         buckets = None
@@ -56,6 +57,7 @@ class EvalReport:
             per_cat = {cat: list(vals) for cat, vals in sorted(self.per_category.items())}
         return {
             "linking_accuracy": self.linking_accuracy,
+            "prior_accuracy": self.prior_accuracy,
             "gold_recall": self.gold_recall,
             "typing_buckets": buckets,
             "per_category": per_cat,

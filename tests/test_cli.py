@@ -69,8 +69,9 @@ class TestPipeline:
     def test_report_content(self, pipeline_run):
         spec, _, workdir = pipeline_run
         report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
-        assert list(report) == ["linking_accuracy", "gold_recall",
+        assert list(report) == ["linking_accuracy", "prior_accuracy", "gold_recall",
                                 "typing_buckets", "per_category"]
+        assert report["prior_accuracy"] == spec.expected_mfe_accuracy
         assert report["linking_accuracy"] >= spec.expected_mfe_accuracy
         assert report["gold_recall"] == 1.0
         labels = [row[0] for row in report["typing_buckets"]]
@@ -260,17 +261,30 @@ class TestPipeline:
             models.append(out.read_bytes())
         assert models[0] == models[1]
 
-    def test_eval_prints_report_unless_quiet(self, pipeline_run, capsys, tmp_path):
+    @pytest.mark.parametrize("given", [(), ("--prior",), ("--model",), ("--prior", "--model")],
+                             ids=["bare", "prior", "model", "prior_model"])
+    def test_eval_prints_report_unless_quiet(self, pipeline_run, capsys, tmp_path, given):
+        """One line per number of the report, in its order, each to four places."""
         _, _, workdir = pipeline_run
+        inputs = {"--prior": workdir / "prior.tsv", "--model": workdir / "model.json"}
         argv = ["eval", "--mentions", str(workdir / "eval_mentions.jsonl"),
                 "--predictions", str(workdir / "predictions.jsonl"),
-                "--report", str(tmp_path / "r.json")]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert "linking_accuracy" in out
-        code, out, _ = run_cli(argv + ["--quiet"], capsys)
-        assert code == 0
-        assert out == ""
+                "--report", str(tmp_path / "r.json"),
+                *(arg for flag in given for arg in (flag, str(inputs[flag])))]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        expected = [f"linking_accuracy {report['linking_accuracy']:.4f}"]
+        if "--prior" in given:
+            expected += [f"prior_accuracy   {report['prior_accuracy']:.4f}",
+                         f"gold_recall      {report['gold_recall']:.4f}"]
+        if "--model" in given:
+            expected.append("      bucket        P        R       F1    cats")
+            expected += [f"{label:>12}  {p:7.4f}  {r:7.4f}  {f1:7.4f}  {n:6d}"
+                         for label, p, r, f1, n in report["typing_buckets"]]
+        assert out.splitlines() == expected
+        code, out, err = run_cli(argv + ["--quiet"], capsys)
+        assert (code, out, err) == (0, "", "")
 
 
 # One train article, and one eval article whose second mention has no
@@ -1605,6 +1619,77 @@ class TestPipelineHandCorpus:
         assert (workdir / "prior.tsv").read_text(encoding="utf-8") == "#case_fold\naa\tA\t2\n"
         assert [row["chosen"] for row in read_predictions(str(workdir / "predictions.jsonl"))] \
             == ["A", "A"]
+
+    def test_a_byte_order_mark_leaves_the_first_entity_its_types(self, tmp_path, capsys):
+        article = "T\nx [[A|aa]] y .\n%%%%\n"
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        plain, _ = self.run(tmp_path / "plain", capsys, article, "A\tThings in Ohio\n")
+        marked, _ = self.run(tmp_path / "bom", capsys, article, "\ufeffA\tThings in Ohio\n")
+        for name in PIPELINE_FILES:
+            assert (marked / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+class TestPriorAccuracy:
+    """`prior_accuracy`: the most-frequent-entity baseline over the candidate
+    sets that gold recall reads."""
+
+    def evaluate(self, tmp_path, capsys, prior, golds, *flags):
+        """eval --prior on `prior` (TSV text) for one-token mentions with
+        their gold entities `golds`, none of them chosen; returns the report."""
+        mentions = str(tmp_path / "m.jsonl")
+        write_examples(mentions, [MentionExample(mention=m, tokens=[m], span=(0, 1), entity=e)
+                                  for m, e in golds])
+        predictions = write_text(tmp_path / "p.jsonl", "".join(
+            json.dumps({"mention": m, "chosen": None, "used_backoff": False, "scores": []})
+            + "\n" for m, _ in golds))
+        code, _, err = run_cli(
+            ["eval", "--mentions", mentions, "--predictions", predictions,
+             "--prior", write_text(tmp_path / "prior.tsv", prior),
+             "--report", str(tmp_path / "r.json"), "--quiet", *flags], capsys)
+        assert code == 0, err
+        return json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+
+    def test_a_mention_without_candidates_counts_as_wrong(self, tmp_path, capsys):
+        report = self.evaluate(tmp_path, capsys, "aa\tA\t1\n", [("aa", "A"), ("zzz", "Z")])
+        assert (report["prior_accuracy"], report["gold_recall"]) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("gold, accuracy", [("A", 1.0), ("B", 0.0)])
+    def test_equal_counts_go_to_the_smaller_entity_string(self, tmp_path, capsys, gold,
+                                                          accuracy):
+        report = self.evaluate(tmp_path, capsys, "m\tB\t2\nm\tA\t2\n", [("m", gold)])
+        assert (report["prior_accuracy"], report["gold_recall"]) == (accuracy, 1.0)
+
+    @pytest.mark.parametrize("threshold, accuracy", [("0.75", 1.0), ("0.8", 0.0)])
+    def test_a_candidate_below_the_threshold_is_never_the_baseline(self, tmp_path, capsys,
+                                                                   threshold, accuracy):
+        # B has prior 0.75, so --threshold 0.8 leaves "m" without candidates.
+        report = self.evaluate(tmp_path, capsys, "m\tB\t3\nm\tA\t1\n", [("m", "B")],
+                               "--threshold", threshold)
+        assert (report["prior_accuracy"], report["gold_recall"]) == (accuracy, accuracy)
+
+    def test_standalone_eval_writes_the_report_of_pipeline(self, tmp_path, capsys):
+        # "aa" links to A twice and to B once; the eval article's second
+        # "aa" is B's, and "zzz" has no candidate.
+        articles = write_text(tmp_path / "train.txt", "T1\nx [[A|aa]] y .\nmore [[A|aa]] text ."
+                              "\nthe [[B|aa]] z .\n%%%%\n")
+        eval_articles = write_text(tmp_path / "eval.txt", "E1\nq [[A|aa]] r .\n"
+                                   "s [[B|aa]] t .\nu [[A|zzz]] v .\n%%%%\n")
+        cats = write_text(tmp_path / "c.tsv", "A\tSimple\nB\tOther\n")
+        w = tmp_path / "run"
+        code, _, err = run_cli(["pipeline", "--articles", articles, "--eval-articles",
+                                eval_articles, "--categories", cats, "--workdir", str(w),
+                                "--feature-dim", "64", "--epochs", "1", "--quiet"], capsys)
+        assert code == 0, err
+        code, _, err = run_cli(["eval", "--mentions", str(w / "eval_mentions.jsonl"),
+                                "--predictions", str(w / "predictions.jsonl"),
+                                "--model", str(w / "model.json"), "--prior", str(w / "prior.tsv"),
+                                "--report", str(tmp_path / "r.json"), "--quiet"], capsys)
+        assert code == 0, err
+        piped = (w / "report.json").read_bytes()
+        assert (tmp_path / "r.json").read_bytes() == piped
+        report = json.loads(piped)
+        assert (report["prior_accuracy"], report["gold_recall"]) == (1 / 3, 2 / 3)
 
 
 # Each piece of broken markup `_parse_sentence` counts, by the diagnostic it

@@ -231,10 +231,16 @@ def test_eval_report_to_dict_shape():
     report = EvalReport(linking_accuracy=0.5, gold_recall=None,
                         typing_buckets=rows, per_category=per_cat)
     doc = report.to_dict()
+    assert list(doc) == ["linking_accuracy", "prior_accuracy", "gold_recall",
+                         "typing_buckets", "per_category"]
     assert doc["linking_accuracy"] == 0.5
+    assert doc["prior_accuracy"] is None
     assert doc["gold_recall"] is None
     assert doc["typing_buckets"][0] == ["1-100", 1.0, 1.0, 1.0, 1]
     assert doc["per_category"] == {"a": [1.0, 1.0, 1.0, 1]}
+    with_prior = EvalReport(linking_accuracy=0.5, prior_accuracy=0.25, gold_recall=0.75,
+                            typing_buckets=None).to_dict()
+    assert list(with_prior.values()) == [0.5, 0.25, 0.75, None, None]
 
 
 def example_with_context():

@@ -215,6 +215,11 @@ class TestArticleFile:
         assert [a.title for a in arts] == ["Title One", "Title Two"]
         assert arts[0].sentences == ["sentence a", "sentence b"]
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_title(self, tmp_path):
+        path = tmp_path / "articles.txt"
+        path.write_text("\ufeffTitle One\nsentence a\n%%%%\n", encoding="utf-8")
+        assert [a.title for a in iter_articles(str(path))] == ["Title One"]
+
     def test_missing_trailing_separator(self, tmp_path):
         path = tmp_path / "articles.txt"
         path.write_text("T\nbody\n", encoding="utf-8")
@@ -581,6 +586,13 @@ def test_load_category_assignments(tmp_path):
     path.write_text("E1\tCats\nE1\tDogs\nE2\tCats\n", encoding="utf-8")
     table = load_category_assignments(str(path), {"E1", "E2"})
     assert table == {"E1": frozenset({"Cats", "Dogs"}), "E2": frozenset({"Cats"})}
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_entity(tmp_path):
+    path = tmp_path / "cats.tsv"
+    path.write_text("\ufeffBig_Bang\tCosmology\nE2\tCats\n", encoding="utf-8")
+    table = load_category_assignments(str(path), {"Big_Bang", "E2"})
+    assert table == {"Big_Bang": frozenset({"Cosmology"}), "E2": frozenset({"Cats"})}
 
 
 def test_load_category_assignments_rejects_bad_line(tmp_path):

@@ -185,6 +185,17 @@ def test_case_folded_table_round_trips(tmp_path):
     assert loaded.candidates("Paris").entities() == ["Paris", "Paris_(band)"]
 
 
+@pytest.mark.parametrize("text, folded", [("#case_fold\nparis\tParis\t3\n", True),
+                                          ("Paris\tParis\t3\n", False)],
+                         ids=["case_fold", "plain"])
+def test_a_byte_order_mark_is_not_part_of_the_first_line(tmp_path, text, folded):
+    path = tmp_path / "prior.tsv"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    loaded = PriorTable.load(str(path))
+    assert loaded.case_fold is folded
+    assert loaded.candidates("Paris").entities() == ["Paris"]
+
+
 def test_case_fold_line_only_first(tmp_path):
     path = tmp_path / "prior.tsv"
     path.write_text("m\tE\t2\n#case_fold\n", encoding="utf-8")

@@ -1,6 +1,6 @@
+import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -16,30 +16,24 @@ def run_script(name, *argv):
     return proc.stdout
 
 
-def benchmark_value(stdout, label):
-    return float(re.search(rf"^{label}\s+(\S+)$", stdout, re.M).group(1))
-
-
-def test_synthetic_benchmark_script_beats_the_prior_baseline(tmp_path):
-    """The README quickstart script runs end to end and typing beats the prior."""
-    out = run_script("run_synthetic_benchmark.py",
-                     "--workdir", str(tmp_path / "run"), "--train-sentences", "300",
-                     "--test-examples", "100", "--feature-dim", "4096", "--epochs", "2",
-                     "--quiet")
-    assert benchmark_value(out, "typing linking accuracy") > \
-        benchmark_value(out, "most-frequent-entity")
-
-
-def test_benchmark_on_a_generated_corpus_beats_the_prior_baseline(tmp_path):
-    """make_synthetic_data.py writes a corpus that run_synthetic_benchmark.py --corpus reads."""
-    corpus = tmp_path / "corpus"
+def test_readme_quick_start_beats_the_prior_baseline(tmp_path):
+    """The README quick start at small sizes: make_synthetic_data.py, then
+    `python -m typelink pipeline`, whose report puts typing above the prior."""
+    corpus, workdir = tmp_path / "corpus", tmp_path / "run"
     run_script("make_synthetic_data.py", "--out", str(corpus),
-               "--train-sentences", "300", "--test-examples", "60")
-    out = run_script("run_synthetic_benchmark.py", "--corpus", str(corpus),
-                     "--workdir", str(tmp_path / "run"), "--feature-dim", "4096",
-                     "--epochs", "2", "--quiet")
-    assert benchmark_value(out, "typing linking accuracy") > \
-        benchmark_value(out, "most-frequent-entity")
+               "--train-sentences", "300", "--test-examples", "100")
+    proc = subprocess.run(
+        [sys.executable, "-m", "typelink", "pipeline",
+         "--articles", str(corpus / "train_articles.txt"),
+         "--eval-articles", str(corpus / "eval_articles.txt"),
+         "--prior-articles", str(corpus / "prior_articles.txt"),
+         "--categories", str(corpus / "categories.tsv"), "--workdir", str(workdir),
+         "--feature-dim", "4096", "--epochs", "2", "--seed", "13"],
+        capture_output=True, text=True, env=ENV, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
+    assert report["linking_accuracy"] > report["prior_accuracy"]
+    assert f"prior_accuracy   {report['prior_accuracy']:.4f}" in proc.stdout.splitlines()
 
 
 def test_make_synthetic_data_refuses_too_few_categories_before_writing(tmp_path):
