@@ -16,12 +16,12 @@ from typelink.synthetic import BenchmarkSpec, write_benchmark
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--n-categories", type=int, default=50)
-    parser.add_argument("--train-sentences", type=int, default=5000)
-    parser.add_argument("--test-examples", type=int, default=300)
-    parser.add_argument("--words-per-category", type=int, default=8)
-    parser.add_argument("--distractor-shift", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--n-categories", type=int, default=BenchmarkSpec.n_categories)
+    parser.add_argument("--train-sentences", type=int, default=BenchmarkSpec.n_train_sentences)
+    parser.add_argument("--test-examples", type=int, default=BenchmarkSpec.n_test)
+    parser.add_argument("--words-per-category", type=int, default=BenchmarkSpec.words_per_category)
+    parser.add_argument("--distractor-shift", type=int, default=BenchmarkSpec.distractor_shift)
+    parser.add_argument("--seed", type=int, default=BenchmarkSpec.seed)
     args = parser.parse_args()
     try:
         spec = BenchmarkSpec(n_categories=args.n_categories,

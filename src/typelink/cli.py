@@ -397,8 +397,14 @@ def stage_pipeline(args: argparse.Namespace) -> DiagnosticLog:
 
 # --- argument plumbing -------------------------------------------------------
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 # Every stage setting, declared once: a subcommand takes the settings its
-# stage reads, and `pipeline` takes them all.
+# stage reads, and `pipeline` takes them all.  The training settings are the
+# TrainConfig fields, each flag typed and defaulted by its field.
+TRAIN_SETTINGS = tuple(_flag(f.name) for f in dataclasses.fields(TrainConfig))
 SETTINGS = {
     "--split": dict(action="store_true"),
     "--case-fold": dict(action="store_true"),
@@ -406,13 +412,8 @@ SETTINGS = {
     "--threshold": dict(type=float, default=DEFAULT_CANDIDATE_THRESHOLD),
     "--context-mode": dict(choices=[m.value for m in ContextMode],
                            default=ContextMode.SENTENCE_PLUS_FIRST_DOC_SENTENCE.value),
-    "--learning-rate": dict(type=float, default=TrainConfig.learning_rate),
-    "--epochs": dict(type=int, default=TrainConfig.epochs),
-    "--batch-size": dict(type=int, default=TrainConfig.batch_size),
-    "--l2-penalty": dict(type=float, default=TrainConfig.l2_penalty),
-    "--feature-dim": dict(type=int, default=TrainConfig.feature_dim),
-    "--hash-seed": dict(type=int, default=TrainConfig.hash_seed),
-    "--seed": dict(type=int, default=0),
+    **{_flag(f.name): dict(type=type(f.default), default=f.default)
+       for f in dataclasses.fields(TrainConfig)},
     "--backoff-min-cats": dict(type=int, default=DEFAULT_BACKOFF_MIN_CATS),
     "--tie-eps": dict(type=float, default=DEFAULT_TIE_EPS),
     "--scoring-mode": dict(choices=SCORING_MODES, default="sum"),
@@ -425,8 +426,6 @@ PIPELINE_OUTPUTS = {"--mentions": "train_mentions.jsonl",
                     "--eval-mentions": "eval_mentions.jsonl", "--vocab": "vocab.txt",
                     "--prior": "prior.tsv", "--model": "model.json",
                     "--predictions": "predictions.jsonl", "--report": "report.json"}
-TRAIN_SETTINGS = ("--learning-rate", "--epochs", "--batch-size", "--l2-penalty",
-                  "--feature-dim", "--hash-seed", "--seed")
 
 # The code a missing input is reported under, by the kind of file its flag
 # names last (--eval-articles reads articles).
@@ -498,10 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(keep_uncategorized=False, sample_train=None, sample_dev=None,
                    train_out=None, dev_out=None, dev_mentions=None)
     return parser
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
 
 
 def _pipeline_outputs(args: argparse.Namespace) -> dict[str, str]:

@@ -52,16 +52,15 @@ class RawArticle:
 class MentionExample:
     """A mention span inside a tokenized sentence.
 
-    `span` is a half-open token interval [start, end); the mention string
-    always equals the whitespace join of the covered tokens.  `entity`
-    and `categories` are present for supervised records.  The auxiliary
-    context fields hold up to 50 surrounding tokens per side and the
-    tokens of the document's first sentence; an empty list means "present
-    but nothing there" (the example sits at the document edge), while
-    None means the field was never populated.
+    `span` is a half-open token interval [start, end) of `tokens`; the
+    mention string is read off it (`mention`), so it cannot disagree with
+    the span.  `entity` and `categories` are present for supervised
+    records.  The auxiliary context fields hold up to 50 surrounding
+    tokens per side and the tokens of the document's first sentence; an
+    empty list means "present but nothing there" (the example sits at the
+    document edge), while None means the field was never populated.
     """
 
-    mention: str
     tokens: list[str]
     span: tuple[int, int]
     entity: Optional[str] = None
@@ -74,11 +73,15 @@ class MentionExample:
         start, end = self.span
         if not (0 <= start < end <= len(self.tokens)):
             raise ValueError(f"invalid span {self.span} for {len(self.tokens)} tokens")
-        joined = " ".join(self.tokens[start:end])
-        if self.mention != joined:
-            raise ValueError(f"mention {self.mention!r} != span text {joined!r}")
         if self.entity is None and self.categories is not None:
             raise ValueError("categories present without an entity")
+
+    @property
+    def mention(self) -> str:
+        """The whitespace join of the span's tokens, read anew each time:
+        an example's lists may be changed in place."""
+        start, end = self.span
+        return " ".join(self.tokens[start:end])
 
 
 def split_sentences(text: str) -> list[str]:
@@ -209,7 +212,6 @@ def extract_examples(article: RawArticle,
         begin = end - len(tokens)
         for entity, start, stop in links:
             examples.append(MentionExample(
-                mention=" ".join(tokens[start:stop]),
                 tokens=list(tokens),
                 span=(start, stop),
                 entity=entity,
@@ -462,14 +464,14 @@ def examples_from_record(record: dict) -> list[MentionExample]:
         stop = begin + n_tokens
         tokens = run[begin:stop]
         examples.append(MentionExample(
-            " ".join(tokens[start:end]), tokens, (start, end), entity, categories,
+            tokens, (start, end), entity, categories,
             None if flag is None else list(first) if flag else [],
             None if n_left is None else run[offset:begin],
             None if n_right is None else run[stop:stop + n_right]))
     return examples
 
 
-def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = None) -> Iterator:
+def iter_json_lines(path: str, convert: Callable[[dict], object]) -> Iterator:
     """The JSON object on each non-blank line of a file, in order, through `convert`.
 
     A line that is not a JSON object (nested too deeply to parse, too), or
@@ -483,8 +485,7 @@ def iter_json_lines(path: str, convert: Optional[Callable[[dict], object]] = Non
             row = json.loads(line)
             if type(row) is not dict:
                 raise ValueError("expected a JSON object")
-            if convert is not None:
-                row = convert(row)
+            row = convert(row)
         except KeyError as err:
             raise ValueError(f"{path}:{lineno}: missing field {err}") from None
         except ValueError as err:

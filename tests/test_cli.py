@@ -578,7 +578,7 @@ class TestErrorCodes:
         assert list(out.iterdir()) == []
 
     def test_mention_count_mismatch(self, capsys, tmp_path):
-        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        ex = MentionExample(tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
         write_examples(str(mentions), [ex, dataclasses.replace(ex)])
         predictions = write_text(
@@ -591,7 +591,7 @@ class TestErrorCodes:
         assert "error: INVALID_INPUT:" in err
 
     def test_mention_name_mismatch(self, capsys, tmp_path):
-        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        ex = MentionExample(tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
         write_examples(str(mentions), [ex])
         predictions = write_text(
@@ -647,7 +647,7 @@ class TestErrorCodes:
         assert not (tmp_path / "v.txt").exists()
 
     def test_non_object_prediction_row_names_its_file_and_line(self, capsys, tmp_path):
-        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        ex = MentionExample(tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
         write_examples(str(mentions), [ex])
         predictions = write_text(tmp_path / "p.jsonl", "[1]\n")
@@ -675,7 +675,7 @@ class TestErrorCodes:
             "score_string", "entity_int", "score_bool", "scores_missing",
             "mention_int", "mention_null", "mention_missing"])
     def test_mistyped_prediction_row_names_its_file_and_line(self, capsys, tmp_path, row):
-        ex = MentionExample(mention="aa", tokens=["aa"], span=(0, 1), entity="A")
+        ex = MentionExample(tokens=["aa"], span=(0, 1), entity="A")
         mentions = tmp_path / "m.jsonl"
         write_examples(str(mentions), [ex, ex])
         good = '{"mention":"aa","chosen":null,"used_backoff":true,"scores":[["A",1],["B",0.5]]}'
@@ -1638,7 +1638,7 @@ class TestPriorAccuracy:
         """eval --prior on `prior` (TSV text) for one-token mentions with
         their gold entities `golds`, none of them chosen; returns the report."""
         mentions = str(tmp_path / "m.jsonl")
-        write_examples(mentions, [MentionExample(mention=m, tokens=[m], span=(0, 1), entity=e)
+        write_examples(mentions, [MentionExample(tokens=[m], span=(0, 1), entity=e)
                                   for m, e in golds])
         predictions = write_text(tmp_path / "p.jsonl", "".join(
             json.dumps({"mention": m, "chosen": None, "used_backoff": False, "scores": []})

@@ -245,7 +245,6 @@ def test_eval_report_to_dict_shape():
 
 def example_with_context():
     return MentionExample(
-        mention="Lars Riedel",
         tokens=["Discus", "winner", "was", "Lars", "Riedel", "."],
         span=(3, 5),
         entity="Lars_Riedel",

@@ -13,6 +13,7 @@ import typelink.ingest
 from typelink import diagnostics as diag
 from typelink.categories import CategoryVocab, expand_category
 from typelink.diagnostics import DiagnosticLog
+from typelink.evaluation import ContextMode, build_context
 from typelink.ingest import (CONTEXT_WINDOW, MentionExample, RawArticle,
                              MENTIONS_HEADER, _parse_sentence, attach_categories, extract_examples, iter_articles,
                              load_category_assignments, read_examples,
@@ -107,19 +108,32 @@ class TestLinkGrammar:
         assert len(extract_examples(RawArticle("X", body))) == 4
 
 
+# Markup pieces, and whole links so that any sentence of an article often
+# holds an example.
 markup_st = st.lists(st.sampled_from(
-    ["[[", "]]", "|", " ", "a", "B", ".", "\t", "\x1c", "\u00a0"])).map("".join)
+    ["[[", "]]", "|", " ", "a", "B", ".", "\t", "\x1c", "\u00a0", " [[A|b c]] ", " [[B]] "])
+).map("".join)
 
 
 @given(sentences=st.lists(markup_st, max_size=4))
-def test_extraction_never_raises_and_keeps_the_example_invariants(sentences):
-    for ex in extract_examples(RawArticle("X", sentences)):
+def test_extraction_never_raises_and_keeps_the_example_invariants(sentences, tmp_path_factory):
+    examples = extract_examples(RawArticle("X", sentences))
+    for ex in examples:
         start, end = ex.span
         assert 0 <= start < end <= len(ex.tokens)
         assert ex.mention == " ".join(ex.tokens[start:end])
         assert all(tok.split() == [tok] for tok in ex.tokens)
         assert ex.entity.strip() and "\t" not in ex.entity and ex.categories is None
         assert len(ex.left_extra) <= CONTEXT_WINDOW and len(ex.right_extra) <= CONTEXT_WINDOW
+    # The mention stays its span's text through a mention file and every context mode.
+    path = str(tmp_path_factory.mktemp("extracted") / "m.jsonl")
+    write_examples(path, examples)
+    read = read_examples(path)
+    assert read == examples
+    for ex, back in zip(examples, read):
+        for context in (back, *(build_context(back, mode) for mode in ContextMode)):
+            start, end = context.span
+            assert context.mention == " ".join(context.tokens[start:end]) == ex.mention
 
 
 def reference_parse(sentence, log):
@@ -280,20 +294,16 @@ class TestContextFields:
 class TestMentionExample:
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
-            MentionExample(mention="a", tokens=["a"], span=(0, 2))
-
-    def test_mention_must_match_span_text(self):
-        with pytest.raises(ValueError):
-            MentionExample(mention="b", tokens=["a"], span=(0, 1))
+            MentionExample(tokens=["a"], span=(0, 2))
 
     def test_categories_require_entity(self):
         with pytest.raises(ValueError):
-            MentionExample(mention="a", tokens=["a"], span=(0, 1), categories=["c"])
+            MentionExample(tokens=["a"], span=(0, 1), categories=["c"])
 
 
 class TestAttachCategories:
     def example(self, entity="E"):
-        return MentionExample(mention="m", tokens=["m"], span=(0, 1), entity=entity)
+        return MentionExample(tokens=["m"], span=(0, 1), entity=entity)
 
     def test_identity_category(self):
         vocab = CategoryVocab(["Software"])
@@ -331,7 +341,7 @@ class TestAttachCategories:
 
 class TestSampling:
     def make(self, n):
-        return [MentionExample(mention=f"m{i}", tokens=[f"m{i}"], span=(0, 1))
+        return [MentionExample(tokens=[f"m{i}"], span=(0, 1))
                 for i in range(n)]
 
     def test_exhaustive_partition(self):
@@ -372,8 +382,7 @@ def examples_st(draw):
     if entity is not None:
         categories = draw(st.none() | st.lists(token_st, max_size=3))
     return MentionExample(
-        mention=" ".join(tokens[start:end]), tokens=tokens, span=(start, end),
-        entity=entity, categories=categories,
+        tokens=tokens, span=(start, end), entity=entity, categories=categories,
         doc_first_sentence=draw(st.none() | st.lists(token_st, max_size=3)),
         left_extra=draw(st.none() | st.lists(token_st, max_size=3)),
         right_extra=draw(st.none() | st.lists(token_st, max_size=3)))
@@ -387,9 +396,8 @@ def test_jsonl_round_trip(examples, tmp_path_factory):
 
 
 def test_jsonl_key_order(tmp_path):
-    ex = MentionExample(mention="m", tokens=["m"], span=(0, 1), entity="E",
-                        categories=["c"], doc_first_sentence=[], left_extra=[],
-                        right_extra=[])
+    ex = MentionExample(tokens=["m"], span=(0, 1), entity="E", categories=["c"],
+                        doc_first_sentence=[], left_extra=[], right_extra=[])
     path = tmp_path / "one.jsonl"
     write_examples(str(path), [ex])
     header, record = [json.loads(line, object_pairs_hook=lambda pairs: [k for k, _ in pairs])
@@ -403,7 +411,7 @@ def test_failed_write_leaves_existing_file_and_no_temp_file(tmp_path):
     path.write_text("earlier output\n", encoding="utf-8")
 
     def rows():
-        yield MentionExample(mention="m", tokens=["m"], span=(0, 1))
+        yield MentionExample(tokens=["m"], span=(0, 1))
         raise RuntimeError("source failed mid-stream")
 
     with pytest.raises(RuntimeError):
@@ -451,7 +459,7 @@ def test_a_record_holds_each_window_as_a_slice_of_its_run(tmp_path):
     path = tmp_path / "m.jsonl"
     path.write_text(f"{HEADER}\n{GOOD_RECORD}\n", encoding="utf-8")
     assert read_examples(str(path)) == [MentionExample(
-        mention="aa", tokens=["aa", "b"], span=(0, 1), entity="A", categories=["c"],
+        tokens=["aa", "b"], span=(0, 1), entity="A", categories=["c"],
         doc_first_sentence=["x"], left_extra=["x"], right_extra=None)]
 
 
@@ -561,8 +569,7 @@ def article_examples_st(draw):
             width = draw(st.integers(0, 8))
             entity = draw(st.none() | article_token_st)
             examples.append(MentionExample(
-                mention=" ".join(sentence[start:stop]), tokens=sentence, span=(start, stop),
-                entity=entity,
+                tokens=sentence, span=(start, stop), entity=entity,
                 categories=None if entity is None else draw(
                     st.none() | st.lists(article_token_st, max_size=3)),
                 doc_first_sentence=draw(st.sampled_from([None, [], list(first)])),
@@ -705,7 +712,7 @@ def test_attaching_and_indexing_expand_nothing(monkeypatch):
     types = {"E": frozenset(expand_category("Cities in Ohio")), "F": frozenset({"Software"})}
     vocab = CategoryVocab(["Cities", "Software", "in Ohio"])
     calls = counting_expansions(monkeypatch)
-    examples = [MentionExample(mention="m", tokens=["m"], span=(0, 1), entity=e)
+    examples = [MentionExample(tokens=["m"], span=(0, 1), entity=e)
                 for e in ("E", "F", "E", "Ghost")]
     labeled = attach_categories(examples, types, vocab)
     index = build_category_index(types, vocab)

@@ -50,15 +50,14 @@ class TestHashFeature:
 
 class TestFeaturize:
     def test_empty_context_yields_only_mention_namespaces(self):
-        ex = MentionExample(mention="x", tokens=["x"], span=(0, 1))
+        ex = MentionExample(tokens=["x"], span=(0, 1))
         assert feature_strings(ex) == ["m|x", "c3|^x$"]
         fv = featurize(ex, 1 << 20, 0)
         assert sorted(fv.indices.tolist()) == sorted([51527, 1010513])
         assert fv.values.tolist() == [1.0, 1.0]
 
     def test_hand_enumerated_oracle(self):
-        ex = MentionExample(mention="Big Bang",
-                            tokens=["Big", "Bang", "theory", "was", "proposed"],
+        ex = MentionExample(tokens=["Big", "Bang", "theory", "was", "proposed"],
                             span=(0, 2))
         expected = [
             "s|theory", "w|1|theory", "s|was", "w|2|was", "s|proposed", "w|3|proposed",
@@ -74,8 +73,7 @@ class TestFeaturize:
         assert Counter(dict(zip(fv.indices.tolist(), fv.values.tolist()))) == oracle
 
     def test_window_tagging_left_and_right(self):
-        ex = MentionExample(mention="m",
-                            tokens=["far", "a", "b", "c", "m", "d", "e", "f", "far2"],
+        ex = MentionExample(tokens=["far", "a", "b", "c", "m", "d", "e", "f", "far2"],
                             span=(4, 5))
         strings = feature_strings(ex)
         assert "w|-1|c" in strings and "w|-3|a" in strings
@@ -84,13 +82,13 @@ class TestFeaturize:
         assert "s|far" in strings and "s|far2" in strings
 
     def test_duplicate_features_accumulate(self):
-        ex = MentionExample(mention="m", tokens=["go", "go", "m"], span=(2, 3))
+        ex = MentionExample(tokens=["go", "go", "m"], span=(2, 3))
         fv = featurize(ex, 1 << 16, 0)
         by_id = dict(zip(fv.indices.tolist(), fv.values.tolist()))
         assert by_id[hash_feature("s|go", 0, 1 << 16)] == 2.0
 
     def test_deterministic(self):
-        ex = MentionExample(mention="m", tokens=["a", "m", "b"], span=(1, 2))
+        ex = MentionExample(tokens=["a", "m", "b"], span=(1, 2))
         one = featurize(ex, 512, 3)
         two = featurize(ex, 512, 3)
         assert np.array_equal(one.indices, two.indices)
@@ -107,16 +105,13 @@ def as_counts(fv):
 
 
 MEMO_EXAMPLES = [
-    MentionExample(mention="Big Bang", tokens=["Big", "Bang", "theory", "was", "proposed"],
-                   span=(0, 2)),
-    MentionExample(mention="m", tokens=["go", "go", "m"], span=(2, 3)),
-    MentionExample(mention="Ohio", tokens=["Cities", "in", "Ohio", "grew"], span=(2, 3)),
-    MentionExample(mention="Zoë", tokens=["Zoë", "sang", "ünder", "the", "bridge"],
-                   span=(0, 1)),
+    MentionExample(tokens=["Big", "Bang", "theory", "was", "proposed"], span=(0, 2)),
+    MentionExample(tokens=["go", "go", "m"], span=(2, 3)),
+    MentionExample(tokens=["Cities", "in", "Ohio", "grew"], span=(2, 3)),
+    MentionExample(tokens=["Zoë", "sang", "ünder", "the", "bridge"], span=(0, 1)),
     # Raw tokens that lowercase alike, a context token that is another
     # example's mention, and n-grams shared with the mention "Ohio".
-    MentionExample(mention="Ohio River", tokens=["The", "Ohio", "River", "and", "the", "Ohio"],
-                   span=(1, 3)),
+    MentionExample(tokens=["The", "Ohio", "River", "and", "the", "Ohio"], span=(1, 3)),
 ]
 
 
@@ -203,7 +198,7 @@ class TestFeatureMemo:
         bound = ngrams.cache_info().maxsize
         for i in range(3 * bound):
             mention = f"{i:08d}" + "x" * 192
-            ex = MentionExample(mention=mention, tokens=[mention], span=(0, 1))
+            ex = MentionExample(tokens=[mention], span=(0, 1))
             assert as_counts(featurize(ex, 4096, 1)) == reference_counts(ex, 4096, 1)
             assert ngrams.cache_info().currsize == min(i + 1, bound)
         assert ngrams.cache_info().misses == 3 * bound
@@ -229,8 +224,7 @@ def test_featurize_matches_the_uncached_hash(tokens, data, hashings, n_spans, li
         start = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
         end = data.draw(st.sampled_from([start + 1, len(tokens)])
                         | st.integers(start + 1, len(tokens)))
-        examples.append(MentionExample(mention=" ".join(tokens[start:end]), tokens=tokens,
-                                       span=(start, end)))
+        examples.append(MentionExample(tokens=tokens, span=(start, end)))
     with mock.patch.object(model_module, "FEATURE_MEMO_LIMIT", limit):
         # A memo reads the limit when built.  At 16 the n-gram memo holds one
         # mention, so a second distinct mention evicts the first.
@@ -504,9 +498,9 @@ class TestLossAndGrad:
 def separable_pairs():
     pairs = []
     for i in range(40):
-        ex = MentionExample(mention="m", tokens=[f"alpha{i % 5}", "m"], span=(1, 2))
+        ex = MentionExample(tokens=[f"alpha{i % 5}", "m"], span=(1, 2))
         pairs.append((ex, [0]))
-        ex = MentionExample(mention="m", tokens=[f"beta{i % 5}", "m"], span=(1, 2))
+        ex = MentionExample(tokens=[f"beta{i % 5}", "m"], span=(1, 2))
         pairs.append((ex, [1]))
     return pairs
 
@@ -577,7 +571,7 @@ class TestTrain:
         pairs = []
         for _ in range(300):
             toks = [f"t{i}" for i in rng.integers(0, 100_000, size=40)]
-            ex = MentionExample(mention=toks[20], tokens=toks, span=(20, 21))
+            ex = MentionExample(tokens=toks, span=(20, 21))
             pairs.append((ex, rng.choice(n_cats, size=3, replace=False).tolist()))
         vocab = CategoryVocab([f"c{i}" for i in range(n_cats)])
         tracemalloc.start()
@@ -631,7 +625,7 @@ class TestTrain:
 
     def test_label_out_of_range_rejected(self):
         vocab = CategoryVocab(["a"])
-        ex = MentionExample(mention="m", tokens=["m"], span=(0, 1))
+        ex = MentionExample(tokens=["m"], span=(0, 1))
         with pytest.raises(ValueError):
             train([(ex, [4])], vocab, TrainConfig(feature_dim=16))
         with pytest.raises(ValueError):
@@ -651,7 +645,7 @@ class TestTrain:
             for i, labels in enumerate(label_sets):
                 toks = [tok_pool[int(gen.integers(0, 20))] for _ in range(4)]
                 toks.append(f"men{i % 6}")
-                ex = MentionExample(mention=toks[4], tokens=toks, span=(4, 5))
+                ex = MentionExample(tokens=toks, span=(4, 5))
                 pairs.append((ex, [vocab.id_of(l) for l in labels if l in vocab]))
             return vocab, pairs
 

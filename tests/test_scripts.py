@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+from typelink.synthetic import BenchmarkSpec, corpus_paths, write_benchmark
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -34,6 +36,14 @@ def test_readme_quick_start_beats_the_prior_baseline(tmp_path):
     report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
     assert report["linking_accuracy"] > report["prior_accuracy"]
     assert f"prior_accuracy   {report['prior_accuracy']:.4f}" in proc.stdout.splitlines()
+
+
+def test_make_synthetic_data_defaults_write_the_default_benchmark_spec(tmp_path):
+    run_script("make_synthetic_data.py", "--out", str(tmp_path / "script"))
+    expected = write_benchmark(str(tmp_path / "spec"), BenchmarkSpec())
+    written = corpus_paths(str(tmp_path / "script"))
+    for kind, path in expected.items():
+        assert pathlib.Path(written[kind]).read_bytes() == pathlib.Path(path).read_bytes(), kind
 
 
 def test_make_synthetic_data_refuses_too_few_categories_before_writing(tmp_path):
