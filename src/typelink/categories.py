@@ -71,9 +71,6 @@ class CategoryVocab:
     def __contains__(self, category: str) -> bool:
         return category in self.index
 
-    def id_of(self, category: str) -> int:
-        return self.index[category]
-
     def to_ids(self, categories: Iterable[str]) -> list[int]:
         """Sorted ids of the given categories that are in the vocabulary."""
         return sorted(self.index[c] for c in categories if c in self.index)

@@ -10,18 +10,24 @@ character n-grams.
 A model holds only the columns of W for the features seen in training,
 feature-major: the ascending feature ids and a k x categories block, one
 row per feature (the layout of Vowpal Wabbit's weights, after the hashing
-trick of Weinberger et al., 2009), in memory and in its file alike.  Its
-size follows the training data, not the feature-space size D.  Training
-holds the weights as float32, the file stores them so, and a loaded model
-keeps them so.  One forward kernel serves training, the dev loss and
-`predict`: an input's logits are its block rows, widened to float64,
-scaled by the feature values and added one after another, plus the
-bias.  Every category has its own lane in that sum, so the trained
+trick of Weinberger et al., 2009).  Its size follows the training data,
+not the feature-space size D.  Its file stores each nonzero row's
+nonzero weights behind a bitmap of the row, and a loaded model holds the
+same block again.  Training holds the weights as float32, the file
+stores them so, and a loaded model keeps them so.  Once its last update
+is done, `train` zeroes every weight with |w| < `PRUNE_BELOW`, as DiSMEC
+(Babbar and Schoelkopf, 2017) prunes one-vs-rest linear weights, so the
+file stores only the weights that matter.  One forward kernel serves
+training, the dev loss and `predict`: an input's logits are its block
+rows, widened to float64, scaled by the feature values and added one
+after another, plus the bias.  Every category has its own lane in that
+sum, and the pruning zeroes each weight on its own, so the trained
 weights of one category are bit-for-bit unaffected by which other
 categories share the vocabulary, and a logit computed in training equals
 the one `predict` gives for the same input and the same weights: the
-last epoch's dev loss and every prediction use the float32 weights
-`train` returns, whether held in memory or read from the file.
+last epoch's dev loss, taken after the pruning, and every prediction use
+the float32 weights `train` returns, whether held in memory or read from
+the file.
 Likewise the SGD loop and `loss_and_grad`, which the finite-difference
 check tests, share one loss and gradient function.
 
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
@@ -57,7 +64,13 @@ DEFAULT_FEATURE_DIM = 1 << 20
 DEFAULT_HASH_SEED = 0
 # Feature ids are int64, so D is at most 2**63 (ids 0 .. 2**63 - 1).
 MAX_FEATURE_DIM = 2 ** 63
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
+# `train` zeroes every weight with |w| below this once its last update is done:
+# 1e-4 as float32, the dtype of the weights it is compared with.
+PRUNE_BELOW = np.float32(1e-4)
+# Float32 weights in one chunk of rows that `save`, `load` and the pruning
+# read at a time.
+CHUNK_BYTES = 1 << 17
 WINDOW_DISTANCE = 3
 # Keys each token feature-id memo holds; the least recently used goes first.
 # One featurize pass over a file of 1,000 mentions puts 700 to 3,000 keys in
@@ -265,8 +278,9 @@ class TypingModel:
     category.  Every other column of the categories x D weight matrix is
     zero.  A dense model holds all D columns, ids 0 .. D-1.  The block and
     the bias are float32 as given, float64 otherwise: training builds
-    float32 ones and a loaded model holds float32 views of its file, so
-    only a model built in code, such as `TypingModel.zeros`, is float64.
+    float32 ones and a loaded model holds float32 arrays read from its
+    file, so only a model built in code, such as `TypingModel.zeros`, is
+    float64.
 
     The input contract is the hashing (`hash_seed`, `feature_dim`) and
     `context_mode`, the `ContextMode` its training examples were built
@@ -339,22 +353,27 @@ class TypingModel:
         """Write the model file: a JSON header line, then raw little-endian arrays.
 
         The header is ``{"format_version", "D", "hash_seed", "context_mode",
-        "vocab", "columns"}``; the body is the ids of the k stored weight
-        columns (k x <i8, ascending), the bias (C x <f4) and the stored rows
-        of `block`, k x C row-major (<f4).  The ids come first, so each array
-        starts at a multiple of its item size.  Weights are written as their
-        float32 roundings, so a float32 model, and a float64 one that holds
-        float32 values, round-trip bit-exactly; a weight or bias whose
-        rounding overflows raises ValueError and leaves no file.  A column is
-        stored when the rounding of any entry has a nonzero bit pattern, so
-        every other column is +0.0 throughout, and -0.0 is kept.  A float32
-        block is written straight from its runs of stored rows; a float64
-        one, built in code, through one rounded copy.
+        "vocab", "columns"}``; the body is the ids of the k stored rows of
+        `block` (k x <i8, ascending), the bias (C x <f4), a bitmap per stored
+        row (k x ceil(C/8) bytes, bit j of a row at bit j % 8 of its byte
+        j // 8, the rest of its last byte 0) and, row-major, the weights
+        whose bits are set there (<f4).  The ids come first, so the ids and
+        the bias start at a multiple of their item size.  Weights are
+        written as their float32 roundings, so a float32 model, and a
+        float64 one that holds float32 values, round-trip bit-exactly; a
+        weight or bias whose rounding overflows raises ValueError and leaves
+        no file.  A weight's bit is set when its rounding has a nonzero bit
+        pattern, so -0.0 is kept, and a row is stored when any bit of it is
+        set.  A float32 block is read a chunk of rows at a time; a float64
+        one, built in code, is rounded in one copy first.
         """
         block, bias = _float32(self.block), _float32(self.bias)
-        # One max over each row's bits; numpy reduces it in buffered chunks,
-        # so it allocates only the k-entry result.
-        stored = block.view(np.uint32).max(axis=1, initial=0) > 0
+        chunks = _row_chunks(*block.shape)
+        bitmap = np.empty((len(block), -(-len(bias) // 8)), np.uint8)
+        for lo, hi in chunks:
+            bitmap[lo:hi] = np.packbits(block[lo:hi].view(np.uint32) != 0, axis=1,
+                                        bitorder="little")
+        stored = bitmap.max(axis=1, initial=0) > 0
         # Where each run of stored rows starts and ends, alternately.
         edges = np.flatnonzero(np.diff(stored, prepend=False, append=False))
         header = {
@@ -370,69 +389,127 @@ class TypingModel:
             fh.write(self.feature_ids[stored].astype("<i8", copy=False).tobytes())
             fh.write(bias)
             for lo, hi in zip(edges[::2], edges[1::2]):
-                fh.write(block[lo:hi])
+                fh.write(bitmap[lo:hi])
+            for lo, hi in chunks:
+                rows = block[lo:hi]
+                fh.write(rows[rows.view(np.uint32) != 0])
 
     @classmethod
     def load(cls, path: str) -> "TypingModel":
         """Read a file written by `save`; raises ValueError on any malformed part.
 
-        A header error names ``path:1``; a body of the wrong length, with a
-        non-finite number or with column ids not strictly increasing in
-        [0, D) names the file.  The body is read once, and the ids and the
-        float32 bias and block are views of it, so the model's memory is the
-        file's size and not categories x D.
+        A header error names ``path:1``; a body of the wrong length for its
+        header and bitmap, a bitmap bit set past the last category, a
+        non-finite number or row ids not strictly increasing in [0, D) name
+        the file.  The ids, the bias and the bitmap are read whole, then the
+        stored weights a chunk of rows at a time into a zeroed k x C float32
+        block, so the model's memory is that block and not categories x D,
+        and no buffer of the file outlives the read.
         """
         with open(path, "rb") as fh:
-            line = fh.readline()
-            body = np.fromfile(fh, np.uint8)
+            header = _read_header(path, fh.readline())
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            n_cols, n_cats = header["columns"], len(header["vocab"])
+            width = -(-n_cats // 8)
+            expected = 8 * n_cols + 4 * n_cats + width * n_cols
+            if size < expected:
+                raise ValueError(f"{path}: model body is {size} bytes, "
+                                 f"expected at least {expected}")
+            ids = _read(fh, path, "<i8", n_cols)
+            bias = _read(fh, path, "<f4", n_cats)
+            bitmap = _read(fh, path, np.uint8, n_cols * width).reshape(n_cols, width)
+            if n_cats % 8 and (bitmap[:, -1] >> n_cats % 8).any():
+                raise ValueError(f"{path}: model bitmap sets a bit past the last category")
+            # Counted with the unpacking the reads use: `np.bitwise_count` pages
+            # in about 0.2 MB more of numpy's code in a fresh process.
+            chunks = _row_chunks(n_cols, n_cats)
+            expected += 4 * sum(np.count_nonzero(_unpack(bitmap[lo:hi], n_cats))
+                                for lo, hi in chunks)
+            if size != expected:
+                raise ValueError(f"{path}: model body is {size} bytes, expected {expected}")
+            if not _all_finite(bias):
+                raise ValueError(f"{path}: model holds a non-finite weight or bias")
+            block = _zeros(n_cols, n_cats, np.float32)
+            for lo, hi in chunks:
+                _read_rows(fh, path, bitmap[lo:hi], block[lo:hi])
         try:
-            header = json.loads(line)
-        except RecursionError:
-            raise ValueError(f"{path}:1: model header is nested too deeply") from None
-        except ValueError as err:
-            raise ValueError(f"{path}:1: model header is not JSON: {err}") from None
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}:1: model header is not a JSON object")
-        version = header.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"{path}:1: unsupported model format version: {version!r}")
-        for key in ("D", "hash_seed", "context_mode", "vocab", "columns"):
-            if key not in header:
-                raise ValueError(f"{path}:1: model header lacks {key!r}")
-        entries = header["vocab"]
-        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)
-                and len(set(entries)) == len(entries)):
-            raise ValueError(f"{path}:1: model vocab must be a list of distinct strings")
-        modes = [m.value for m in ContextMode]
-        if header["context_mode"] not in modes:
-            raise ValueError(f"{path}:1: model header 'context_mode' is not one of "
-                             f"{', '.join(modes)}: {header['context_mode']!r}")
-        dim = _header_int(path, header, "D", 1, MAX_FEATURE_DIM + 1)
-        hash_seed = _header_int(path, header, "hash_seed", 0, 2 ** 64)
-        n_cols = _header_int(path, header, "columns", 0)
-        n_cats = len(entries)
-        expected = 8 * n_cols + 4 * (n_cats + n_cats * n_cols)
-        if len(body) != expected:
-            raise ValueError(f"{path}: model body is {len(body)} bytes, expected {expected}")
-        ids = np.frombuffer(body, "<i8", n_cols)
-        bias = np.frombuffer(body, "<f4", n_cats, offset=8 * n_cols)
-        block = np.frombuffer(body, "<f4", n_cols * n_cats,
-                              offset=8 * n_cols + 4 * n_cats).reshape(n_cols, n_cats)
-        if not (_all_finite(bias) and _all_finite(block)):
-            raise ValueError(f"{path}: model holds a non-finite weight or bias")
-        try:
-            return cls(ids, block, bias, CategoryVocab(entries), hash_seed, dim,
-                       header["context_mode"])
-        except ValueError as err:  # the column ids, the one part not checked above
+            return cls(ids, block, bias, CategoryVocab(header["vocab"]), header["hash_seed"],
+                       header["D"], header["context_mode"])
+        except ValueError as err:  # the row ids, the one part not checked above
             raise ValueError(f"{path}: {err}") from None
 
 
-def _header_int(path: str, header: dict, key: str, lo: int, hi: Optional[int] = None) -> int:
-    """An integer header field in [lo, hi); hi None means unbounded."""
+def _read_header(path: str, line: bytes) -> dict:
+    """The header line of a model file, its fields checked; errors name ``path:1``."""
+    try:
+        header = json.loads(line)
+    except RecursionError:
+        raise ValueError(f"{path}:1: model header is nested too deeply") from None
+    except ValueError as err:
+        raise ValueError(f"{path}:1: model header is not JSON: {err}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}:1: model header is not a JSON object")
+    version = header.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}:1: unsupported model format version: {version!r}")
+    for key in ("D", "hash_seed", "context_mode", "vocab", "columns"):
+        if key not in header:
+            raise ValueError(f"{path}:1: model header lacks {key!r}")
+    entries = header["vocab"]
+    if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)
+            and len(set(entries)) == len(entries)):
+        raise ValueError(f"{path}:1: model vocab must be a list of distinct strings")
+    modes = [m.value for m in ContextMode]
+    if header["context_mode"] not in modes:
+        raise ValueError(f"{path}:1: model header 'context_mode' is not one of "
+                         f"{', '.join(modes)}: {header['context_mode']!r}")
+    _header_int(path, header, "D", 1, MAX_FEATURE_DIM + 1)
+    _header_int(path, header, "hash_seed", 0, 2 ** 64)
+    _header_int(path, header, "columns", 0)
+    return header
+
+
+def _header_int(path: str, header: dict, key: str, lo: int, hi: Optional[int] = None) -> None:
+    """Refuse an integer header field outside [lo, hi); hi None means unbounded."""
     value = header[key]
     if type(value) is not int or value < lo or (hi is not None and value >= hi):
         raise ValueError(f"{path}:1: model header {key!r} is not an integer in range: {value!r}")
-    return value
+
+
+def _read(fh, path: str, dtype, count: int) -> np.ndarray:
+    """The next `count` items of `dtype` in a model file."""
+    out = np.empty(count, dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"{path}: model body ended early")
+    return out
+
+
+def _unpack(bitmap: np.ndarray, n_cats: int) -> np.ndarray:
+    """The rows x n_cats boolean mask of the stored weights that `bitmap` marks."""
+    return np.unpackbits(bitmap, axis=1, count=n_cats, bitorder="little").view(bool)
+
+
+def _read_rows(fh, path: str, bitmap: np.ndarray, rows: np.ndarray) -> None:
+    """Set the weights of `rows` that `bitmap` marks from the next ones in a model file."""
+    held = _unpack(bitmap, rows.shape[1])
+    values = _read(fh, path, "<f4", np.count_nonzero(held))
+    if not _all_finite(values):
+        raise ValueError(f"{path}: model holds a non-finite weight or bias")
+    rows[held] = values
+
+
+def _row_chunks(n_rows: int, n_cats: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the row chunks of a rows x n_cats block, each holding
+    at most `CHUNK_BYTES` of float32 weights, or one row."""
+    step = max(1, CHUNK_BYTES // (4 * n_cats or 1))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _prune(block: np.ndarray) -> None:
+    """Zero every weight with |w| < PRUNE_BELOW, a chunk of rows at a time."""
+    for lo, hi in _row_chunks(*block.shape):
+        rows = block[lo:hi]
+        rows[np.abs(rows) < PRUNE_BELOW] = 0.0
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -606,7 +683,9 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     the data, so a fixed seed gives bit-identical weights.  The weights and
     the bias are float32, the values the model file stores; each gradient
     step is computed in float64 and rounded as it is stored, and the L2
-    decay multiplies in float32.  Raises FloatingPointError when a batch
+    decay multiplies in float32.  After the last update, before the last
+    dev loss, every weight with |w| < `PRUNE_BELOW` becomes +0.0; the
+    bias is kept.  Raises FloatingPointError when a batch
     loss goes non-finite or a weight or the bias is not finite after the
     last update; numpy's overflow and invalid warnings are silenced, since
     those two checks report them.
@@ -638,12 +717,13 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
                     raise FloatingPointError(
                         f"training diverged: non-finite loss at epoch {epoch + 1}")
                 epoch_loss += loss
-            # A batch's loss is checked before its update, so only the last
-            # update can overflow unseen.
-            if epoch == config.epochs - 1 and not (_all_finite(model.block)
-                                                   and _all_finite(model.bias)):
-                raise FloatingPointError("training diverged: a weight or bias is not "
-                                         "finite after the last update")
+            if epoch == config.epochs - 1:
+                # A batch's loss is checked before its update, so only the
+                # last update can overflow unseen.
+                if not (_all_finite(model.block) and _all_finite(model.bias)):
+                    raise FloatingPointError("training diverged: a weight or bias is not "
+                                             "finite after the last update")
+                _prune(model.block)
             dev_loss = None if dev is None else _full_loss(model, dev)
             if on_epoch is not None:
                 on_epoch(epoch + 1, epoch_loss, dev_loss)

@@ -41,9 +41,6 @@ class CandidateSet:
     def entities(self) -> list[str]:
         return [e for e, _ in self.candidates]
 
-    def contains(self, entity: str) -> bool:
-        return any(e == entity for e, _ in self.candidates)
-
 
 @dataclass
 class PriorTable:
@@ -157,7 +154,7 @@ def gold_recall(records: Iterable[tuple[CandidateSet, str]]) -> float:
     total = 0
     for cset, gold in records:
         total += 1
-        if cset.contains(gold):
+        if gold in cset.entities():
             hits += 1
     if total == 0:
         raise ValueError("gold_recall needs at least one record")

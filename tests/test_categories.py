@@ -97,7 +97,7 @@ class TestSelectVocabulary:
         stream += [(f"m{i}", ["small"]) for i in range(2)]
         vocab = select_vocabulary(stream, 2)
         assert vocab.entries == ["big", "small"]
-        assert vocab.id_of("big") == 0
+        assert vocab.index["big"] == 0
 
 
 @st.composite
@@ -129,7 +129,7 @@ def test_vocab_round_trip(tmp_path):
     vocab.save(str(path))
     loaded = CategoryVocab.load(str(path))
     assert loaded.entries == vocab.entries
-    assert loaded.id_of("A") == 1
+    assert loaded.index["A"] == 1
     assert "B" in loaded and "missing" not in loaded
 
 

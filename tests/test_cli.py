@@ -819,22 +819,34 @@ class TestErrorCodes:
         assert code == 2
         assert err == f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}:1: {message}"
 
+    @staticmethod
+    def set_padding_bit(header, body):
+        """Set the last bit of the first stored row's bitmap, past the last category."""
+        n_cats = len(header["vocab"])
+        assert n_cats % 8, "the bitmap's last byte holds no padding bit"
+        at = 8 * header["columns"] + 4 * n_cats + math.ceil(n_cats / 8) - 1
+        return header, body[:at] + bytes([body[at] | 0x80]) + body[at + 1:]
+
     @pytest.mark.parametrize("corrupt", [
         lambda h, b: (h, b[:-8] + struct.pack("<d", math.nan)),
         lambda h, b: (h, b[:-1]),
         lambda h, b: (h, b + b"\0"),
+        lambda h, b: (h, b[:-4]),
+        lambda h, b: (h, b + b"\0" * 4),
+        set_padding_bit,
         lambda h, b: ({k: v for k, v in h.items() if k != "vocab"}, b),
         lambda h, b: ({**h, "columns": -1}, b),
         lambda h, b: ({**h, "D": 1}, b),
         lambda h, b: ({k: v for k, v in h.items() if k != "context_mode"}, b),
         lambda h, b: ({**h, "context_mode": "whole_document"}, b),
-    ], ids=["nan_weight", "truncated", "trailing_byte", "missing_key",
+    ], ids=["nan_weight", "truncated", "trailing_byte", "values_short", "values_long",
+            "bitmap_padding_bit", "missing_key",
             "negative_columns", "column_id_beyond_D", "missing_context_mode",
             "unknown_context_mode"])
     def test_corrupt_model_file(self, pipeline_run, capsys, tmp_path, corrupt):
         code, _, err = self.link_with_model(pipeline_run, capsys, tmp_path, corrupt)
         assert code == 2
-        assert "error: INVALID_INPUT:" in err
+        assert f"error: INVALID_INPUT: {tmp_path / 'bad_model.json'}" in err
         assert "Traceback" not in err
 
     def test_failed_link_leaves_existing_predictions(self, pipeline_run, capsys, tmp_path):

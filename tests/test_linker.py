@@ -238,9 +238,9 @@ class TestBuildCategoryIndex:
         index = build_category_index(types, vocab)
         ids = index.get("Someone").tolist()
         # expanded forms present in the vocabulary, sorted by id
-        assert ids == sorted([vocab.id_of("Musicians"),
-                              vocab.id_of("Musicians from Chicago"),
-                              vocab.id_of("from Chicago")])
+        assert ids == sorted([vocab.index["Musicians"],
+                              vocab.index["Musicians from Chicago"],
+                              vocab.index["from Chicago"]])
 
     def test_entity_missing_from_assignments_not_indexed(self):
         vocab = CategoryVocab(["a"])

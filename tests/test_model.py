@@ -606,6 +606,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="memory"):
             model.weights
 
+    def test_no_weight_below_the_prune_threshold_is_returned(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n_cats = 40
+        pairs = []
+        for _ in range(200):
+            toks = [f"t{i}" for i in rng.integers(0, 300, size=12)]
+            pairs.append((MentionExample(tokens=toks, span=(6, 7)),
+                          rng.choice(n_cats, size=2, replace=False).tolist()))
+        vocab = CategoryVocab([f"c{i}" for i in range(n_cats)])
+        config = TrainConfig(feature_dim=2 ** 12, epochs=3, learning_rate=0.5)
+        threshold = model_module.PRUNE_BELOW
+        pruned = train(pairs, vocab, config)
+        monkeypatch.setattr(model_module, "PRUNE_BELOW", 0.0)
+        full = train(pairs, vocab, config)
+        size = np.abs(full.block.astype(np.float64))
+        small = size < threshold
+        # the 30% of the weights below the threshold are zeroed, and only they
+        assert 0.25 < small.mean() < 0.35 and (size[small] > 0).all()
+        assert np.array_equal(pruned.block.view(np.uint32),
+                              np.where(small, np.float32(0.0), full.block).view(np.uint32))
+        size = np.abs(pruned.block.astype(np.float64))
+        assert not ((size > 0) & (size < threshold)).any()
+        assert np.array_equal(pruned.bias.view(np.uint32), full.bias.view(np.uint32))
+
     def test_dense_model_too_large_for_memory_rejected(self):
         with pytest.raises(ValueError, match="memory"):
             TypingModel.zeros(CategoryVocab(["cat_a", "cat_b"]), feature_dim=2 ** 58)
@@ -646,7 +670,7 @@ class TestTrain:
                 toks = [tok_pool[int(gen.integers(0, 20))] for _ in range(4)]
                 toks.append(f"men{i % 6}")
                 ex = MentionExample(tokens=toks, span=(4, 5))
-                pairs.append((ex, [vocab.id_of(l) for l in labels if l in vocab]))
+                pairs.append((ex, [vocab.index[l] for l in labels if l in vocab]))
             return vocab, pairs
 
         config = TrainConfig(feature_dim=256, epochs=3, seed=5, learning_rate=0.2)
@@ -656,11 +680,11 @@ class TestTrain:
         vocab_drop, pairs_drop = build(kept)
         model_drop = train(pairs_drop, vocab_drop, config)
         for cat in kept:
-            full_row = model_full.weights[vocab_full.id_of(cat)]
-            drop_row = model_drop.weights[vocab_drop.id_of(cat)]
+            full_row = model_full.weights[vocab_full.index[cat]]
+            drop_row = model_drop.weights[vocab_drop.index[cat]]
             assert np.array_equal(full_row, drop_row)
-            assert (model_full.bias[vocab_full.id_of(cat)]
-                    == model_drop.bias[vocab_drop.id_of(cat)])
+            assert (model_full.bias[vocab_full.index[cat]]
+                    == model_drop.bias[vocab_drop.index[cat]])
 
     @pytest.mark.parametrize("l2", [0.0, 0.01])
     def test_one_category_model_matches_its_row_of_a_wider_model(self, l2):
@@ -827,8 +851,9 @@ def patch_ids(body, ids):
 
 
 def body_bytes(n_cats, k):
-    """The length of a model body: k <i8 ids, then C + C*k <f4 numbers."""
-    return 8 * k + 4 * (n_cats + n_cats * k)
+    """The length of a model body with every weight stored: k <i8 ids, C <f4
+    biases, k bitmaps of ceil(C/8) bytes and C*k <f4 weights."""
+    return 8 * k + 4 * n_cats + k * -(-n_cats // 8) + 4 * n_cats * k
 
 
 class TestModelFile:
@@ -842,7 +867,8 @@ class TestModelFile:
     def build_with_signed_zero(self):
         """`build` plus a column holding only -0.0: two stored columns.
 
-        Its body: ids at bytes 0-16, the bias at 16-24, the block at 24-40.
+        Its body: ids at bytes 0-16, the bias at 16-24, one bitmap byte per
+        stored row at 24-26 and the three stored weights at 26-38.
 
         Its stored 2 x 2 block is not symmetric, so the file's layout shows.
         """
@@ -882,18 +908,22 @@ class TestModelFile:
         header, body = read_model_file(path)
         assert list(header) == ["format_version", "D", "hash_seed", "context_mode", "vocab",
                                 "columns"]
-        assert header["format_version"] == 5 and header["D"] == 8
+        assert header["format_version"] == 6 and header["D"] == 8
         assert header["context_mode"] == "sentence_only"
         # the -0.0 column is stored: its bit pattern is nonzero
         assert header["columns"] == 2
         c, k = 2, 2
-        assert len(body) == body_bytes(c, k) == 40
+        # one +0.0 weight is not stored
+        assert len(body) == body_bytes(c, k) - 4 == 38
         assert np.frombuffer(body, "<i8", k).tolist() == [3, 6]
         assert np.frombuffer(body, "<f4", c, offset=8 * k).tolist() == [0.0, -0.5]
-        # k x C, row-major: the row of feature 3, then the row of feature 6
-        block = np.frombuffer(body, "<f4", k * c, offset=8 * k + 4 * c).reshape(k, c)
-        assert block.tolist() == [[1.25, 2.5], [0.0, -0.0]]
-        assert math.copysign(1.0, block[1, 1]) == -1.0
+        # the row of feature 3 holds both categories, the row of feature 6
+        # only the second: bit j of a row is bit j % 8 of its byte j // 8
+        assert list(body[24:26]) == [0b11, 0b10]
+        # row-major: the row of feature 3, then the row of feature 6
+        values = np.frombuffer(body, "<f4", offset=26)
+        assert values.tolist() == [1.25, 2.5, -0.0]
+        assert math.copysign(1.0, values[2]) == -1.0
 
     def test_readme_header_example_matches_save(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -905,7 +935,7 @@ class TestModelFile:
         assert re.findall(r'"(\w+)":', example.group(0)) == list(header)
         assert int(example.group(1)) == header["format_version"]
 
-    def test_odd_category_count_loads_aligned_views(self, tmp_path):
+    def test_odd_category_count_loads_aligned_arrays(self, tmp_path):
         model = TypingModel([2, 5], [[1.0, -2.0, 0.5], [0.25, 0.0, -0.0]], [0.5, -1.0, 2.0],
                             CategoryVocab(["one", "two", "three"]), feature_dim=8)
         path = tmp_path / "model.json"
@@ -914,7 +944,6 @@ class TestModelFile:
         for array, dtype in ((loaded.feature_ids, np.int64), (loaded.bias, np.float32),
                              (loaded.block, np.float32)):
             assert array.dtype == dtype and array.flags.aligned
-            assert array.base is not None  # a view of the body, not a copy
         assert loaded.feature_ids.tolist() == [2, 5]
         assert loaded.bias.tolist() == [0.5, -1.0, 2.0]
         assert np.array_equal(loaded.block.view(np.uint32),
@@ -979,6 +1008,20 @@ class TestModelFile:
         peak = self.all_stored_save_peak(tmp_path, n_cats=2000, k=1000, seed=5)
         assert peak < 500_000
 
+    @pytest.mark.parametrize("n_cats", [1, 7, 8, 9, 17, 64])
+    def test_a_block_of_nonzero_weights_costs_its_bitmaps_over_a_dense_body(
+            self, tmp_path, n_cats):
+        k = 5
+        weights = np.random.default_rng(n_cats).uniform(0.5, 1.0, (k, n_cats))
+        model = TypingModel(np.arange(k) * 3, weights, np.ones(n_cats),
+                            CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=3 * k)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        _, body = read_model_file(path)
+        # format 5 stored the k x C block dense: 8k + 4C + 4Ck bytes
+        dense = 8 * k + 4 * n_cats + 4 * n_cats * k
+        assert len(body) == body_bytes(n_cats, k) == dense + k * math.ceil(n_cats / 8)
+
     def test_zero_rows_at_start_middle_and_end_hash_as_before(self, tmp_path):
         block = np.arange(30, dtype=float).reshape(10, 3) * 0.5 - 3.0
         block[[0, 4, 9]] = 0.0
@@ -988,10 +1031,10 @@ class TestModelFile:
                             feature_dim=32)
         path = tmp_path / "model.json"
         model.save(str(path))
-        # the header, the stored ids, the bias and the stored rows, each
-        # written in one piece
+        # the header, the stored ids, the bias, the bitmaps of the stored
+        # rows and their nonzero weights
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "7d6de8a3f417fbed9292819de782650ee16b0452dfd69f756d74139a8061555a"
+            "77bb30fc7006d874b7008ae6b367f80174665007fec41ac4207d0b00d3df08ca"
         loaded = TypingModel.load(str(path))
         stored = [1, 2, 3, 5, 6, 7, 8]
         assert loaded.feature_ids.tolist() == [ids[i] for i in stored]
@@ -1024,8 +1067,8 @@ class TestModelFile:
             dataclasses.replace(model, context_mode="whole_document")
 
     @pytest.mark.parametrize("corrupt", [
-        lambda h, b: (h, patch_f4(b, 28, math.nan)),
-        lambda h, b: (h, patch_f4(b, 36, -math.inf)),
+        lambda h, b: (h, patch_f4(b, 30, math.nan)),
+        lambda h, b: (h, patch_f4(b, 34, -math.inf)),
         lambda h, b: (h, patch_f4(b, 16, math.nan)),
         lambda h, b: (h, patch_f4(b, 20, math.inf)),
         lambda h, b: (h, b[:-1]),
@@ -1095,8 +1138,15 @@ class TestModelFile:
         (lambda h, b: ({**h, "context_mode": ["sentence_only"]}, b),
          ":1: model header 'context_mode' is not one of"),
         (lambda h, b: (["not", "an", "object"], b), ":1: model header is not a JSON object"),
-        (lambda h, b: (h, b[:-1]), ": model body is 39 bytes, expected 40"),
-        (lambda h, b: (h, patch_f4(b, 28, math.nan)),
+        (lambda h, b: (h, b[:-1]), ": model body is 37 bytes, expected 38"),
+        (lambda h, b: (h, b[:-4]), ": model body is 34 bytes, expected 38"),
+        (lambda h, b: (h, b + b"\0" * 4), ": model body is 42 bytes, expected 38"),
+        (lambda h, b: (h, b[:20]), ": model body is 20 bytes, expected at least 26"),
+        (lambda h, b: (h, b[:25] + bytes([b[25] | 0b100]) + b[26:]),
+         ": model bitmap sets a bit past the last category"),
+        (lambda h, b: (h, patch_f4(b, 26, math.nan)),
+         ": model holds a non-finite weight or bias"),
+        (lambda h, b: (h, patch_f4(b, 16, math.nan)),
          ": model holds a non-finite weight or bias"),
         (lambda h, b: (h, patch_ids(b, (6, 3))),
          ": feature ids must be strictly increasing in [0, D)"),
@@ -1107,7 +1157,8 @@ class TestModelFile:
         (lambda h, b: (h, patch_ids(b, (3, 8))),
          ": feature ids must be strictly increasing in [0, D)"),
     ], ids=["version", "missing_key", "vocab_type", "vocab_repeat", "unknown_context_mode",
-            "list_context_mode", "header_not_object", "body_length", "nan_weight",
+            "list_context_mode", "header_not_object", "body_length", "values_short",
+            "values_long", "bitmaps_cut", "padding_bit", "nan_weight", "nan_bias",
             "ids_decreasing", "ids_repeated", "id_negative", "id_equals_D"])
     def test_errors_name_the_file(self, tmp_path, corrupt, message):
         path = tmp_path / "model.json"
@@ -1127,7 +1178,7 @@ class TestModelFile:
         # 2**14 categories x 2**43 features would be 2**60 bytes of dense
         # weights; the file itself is 64 KiB of zero biases and no columns.
         path = tmp_path / "model.json"
-        header = {"format_version": 5, "D": 2 ** 43, "hash_seed": 0,
+        header = {"format_version": 6, "D": 2 ** 43, "hash_seed": 0,
                   "context_mode": "sentence_only",
                   "vocab": [f"c{i}" for i in range(2 ** 14)], "columns": 0}
         write_model_file(path, header, bytes(body_bytes(2 ** 14, 0)))
@@ -1149,23 +1200,10 @@ _weight_st = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                        st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
-    entries = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=4))
-    dim = data.draw(st.integers(1, 40))
-    hash_seed = data.draw(st.integers(0, 2 ** 64 - 1))
-    context_mode = data.draw(st.sampled_from([m.value for m in ContextMode]))
-    model = dataclasses.replace(
-        TypingModel.zeros(CategoryVocab(entries), feature_dim=dim, hash_seed=hash_seed),
-        context_mode=context_mode)
-    for col in data.draw(st.sets(st.integers(0, dim - 1), max_size=dim)):
-        for row in range(len(entries)):
-            model.weights[row, col] = data.draw(_weight_st)
-    for row in range(len(entries)):
-        model.bias[row] = data.draw(_weight_st)
-
-    path = tmp_path_factory.mktemp("model") / "model.json"
+def assert_round_trips_bit_exactly(model, path):
+    """Save `model`, load it and save it again: the float32 roundings of its
+    weights and bias come back bit for bit, and the file again byte for byte;
+    a model whose rounding overflows leaves no file."""
     with np.errstate(over="ignore"):
         weights, bias = model.weights.astype(np.float32), model.bias.astype(np.float32)
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
@@ -1181,12 +1219,57 @@ def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
     assert np.array_equal(loaded.weights.view(np.uint64),
                           weights.astype(np.float64).view(np.uint64))
     assert np.array_equal(loaded.bias.view(np.uint32), bias.view(np.uint32))
-    assert loaded.vocab.entries == entries
+    assert loaded.vocab.entries == model.vocab.entries
     assert (loaded.feature_dim, loaded.hash_seed, loaded.context_mode) == (
-        dim, hash_seed, context_mode)
+        model.feature_dim, model.hash_seed, model.context_mode)
     again = path.with_name("again.json")
     loaded.save(str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1e300]
+_weight_st = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_model_file_round_trips_bit_exactly(data, tmp_path_factory):
+    n_cats = data.draw(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 17]))
+    entries = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True,
+                                 min_size=n_cats, max_size=n_cats))
+    dim = data.draw(st.integers(1, 40))
+    hash_seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    context_mode = data.draw(st.sampled_from([m.value for m in ContextMode]))
+    model = dataclasses.replace(
+        TypingModel.zeros(CategoryVocab(entries), feature_dim=dim, hash_seed=hash_seed),
+        context_mode=context_mode)
+    for col in data.draw(st.sets(st.integers(0, dim - 1), max_size=dim)):
+        for row in range(n_cats):
+            model.weights[row, col] = data.draw(_weight_st)
+    # columns that hold -0.0 and nothing else
+    for col in data.draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+        model.weights[:, col] = -0.0
+    for row in range(n_cats):
+        model.bias[row] = data.draw(_weight_st)
+    assert_round_trips_bit_exactly(model, tmp_path_factory.mktemp("model") / "model.json")
+
+
+@pytest.mark.parametrize("n_cats", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("rows", ["none", "signed_zero_only", "mixed"])
+def test_model_file_round_trips_each_bitmap_width(tmp_path, n_cats, rows):
+    model = TypingModel.zeros(CategoryVocab([f"c{i}" for i in range(n_cats)]), feature_dim=6)
+    model.bias[:] = np.linspace(-1.0, 1.0, n_cats)
+    if rows == "signed_zero_only":
+        model.weights[:, [0, 4]] = -0.0
+    elif rows == "mixed":
+        model.weights[:, 1] = -0.0
+        model.weights[::2, 2] = 0.75
+        model.weights[-1, 5] = -2.5
+    assert_round_trips_bit_exactly(model, tmp_path / "model.json")
+    loaded = TypingModel.load(str(tmp_path / "model.json"))
+    assert loaded.feature_ids.tolist() == {"none": [], "signed_zero_only": [0, 4],
+                                           "mixed": [1, 2, 5]}[rows]
 
 
 class TestTrainConfig:
