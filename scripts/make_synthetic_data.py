@@ -12,24 +12,21 @@ import argparse
 
 from typelink.synthetic import BenchmarkSpec, write_benchmark
 
+# Each sizing flag and the BenchmarkSpec field it sets.
+FIELDS = {"--n-categories": "n_categories", "--train-sentences": "n_train_sentences",
+          "--test-examples": "n_test", "--words-per-category": "words_per_category",
+          "--distractor-shift": "distractor_shift", "--seed": "seed"}
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--n-categories", type=int, default=BenchmarkSpec.n_categories)
-    parser.add_argument("--train-sentences", type=int, default=BenchmarkSpec.n_train_sentences)
-    parser.add_argument("--test-examples", type=int, default=BenchmarkSpec.n_test)
-    parser.add_argument("--words-per-category", type=int, default=BenchmarkSpec.words_per_category)
-    parser.add_argument("--distractor-shift", type=int, default=BenchmarkSpec.distractor_shift)
-    parser.add_argument("--seed", type=int, default=BenchmarkSpec.seed)
+    for flag, field in FIELDS.items():
+        parser.add_argument(flag, type=int, default=getattr(BenchmarkSpec, field))
     args = parser.parse_args()
     try:
-        spec = BenchmarkSpec(n_categories=args.n_categories,
-                             n_train_sentences=args.train_sentences,
-                             n_test=args.test_examples,
-                             words_per_category=args.words_per_category,
-                             distractor_shift=args.distractor_shift,
-                             seed=args.seed)
+        spec = BenchmarkSpec(**{field: getattr(args, flag[2:].replace("-", "_"))
+                                for flag, field in FIELDS.items()})
     except ValueError as err:
         parser.error(str(err))
     paths = write_benchmark(args.out, spec)

@@ -427,18 +427,6 @@ PIPELINE_OUTPUTS = {"--mentions": "train_mentions.jsonl",
                     "--prior": "prior.tsv", "--model": "model.json",
                     "--predictions": "predictions.jsonl", "--report": "report.json"}
 
-# The code a missing input is reported under, by the kind of file its flag
-# names last (--eval-articles reads articles).
-NOT_FOUND = {
-    "articles": "ARTICLES_NOT_FOUND",
-    "categories": "CATEGORIES_NOT_FOUND",
-    "mentions": "MENTIONS_NOT_FOUND",
-    "vocab": "VOCAB_NOT_FOUND",
-    "prior": "PRIOR_NOT_FOUND",
-    "model": "MODEL_NOT_FOUND",
-    "predictions": "PREDICTIONS_NOT_FOUND",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -454,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in (*reads, *writes):
             action = p.add_argument(flag, required=flag not in optional)
             if flag in reads:
-                inputs[action.dest] = NOT_FOUND[flag.rsplit("-", 1)[1]]
+                # A missing input is reported under the kind of file its flag
+                # names last: --eval-articles gives ARTICLES_NOT_FOUND.
+                inputs[action.dest] = flag.rsplit("-", 1)[1].upper() + "_NOT_FOUND"
             else:
                 outputs.append(action.dest)
         for flag in settings:

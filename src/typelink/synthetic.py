@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from string import ascii_lowercase
 
 import numpy as np
 
@@ -46,119 +47,85 @@ class BenchmarkSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_categories < 2:
-            raise ValueError(f"n_categories must be at least 2, got {self.n_categories}")
-        if self.words_per_category < MAX_SENTENCE_WORDS:
-            raise ValueError(f"words_per_category must be at least {MAX_SENTENCE_WORDS} "
-                             f"(a sentence draws that many), got {self.words_per_category}")
+        for field, least in (("n_categories", 2), ("n_train_sentences", 1), ("n_test", 1)):
+            if getattr(self, field) < least:
+                raise ValueError(f"{field} must be at least {least}, got {getattr(self, field)}")
+        if not MAX_SENTENCE_WORDS <= self.words_per_category <= len(ascii_lowercase):
+            raise ValueError(f"words_per_category must be from {MAX_SENTENCE_WORDS} (a sentence "
+                             f"draws that many) to {len(ascii_lowercase)} (each word ends in "
+                             f"its own letter), got {self.words_per_category}")
         if self.n_categories % 2:
             raise ValueError("n_categories must be even (categories are paired)")
         shift = self.distractor_shift % self.n_categories
         if shift in (0, self.n_categories // 2):
             raise ValueError("distractor_shift maps a category onto its own pair")
 
-    def category(self, k: int) -> str:
-        return f"Field{k:02d}"
-
-    def partner(self, k: int) -> int:
-        return (k + self.n_categories // 2) % self.n_categories
-
-    def category_pair(self, k: int) -> list[str]:
-        return [self.category(k), self.category(self.partner(k))]
-
-    def context_words(self, k: int) -> list[str]:
-        return [f"term{k:02d}{chr(ord('a') + j)}" for j in range(self.words_per_category)]
-
-    def train_entity(self, k: int) -> str:
-        return f"Topic_{k:02d}"
-
-    def train_mention(self, k: int) -> str:
-        return f"study{k:02d}"
-
-    def gold_entity(self, i: int) -> str:
-        return f"Gold_{i:03d}"
-
-    def alt_entity(self, i: int) -> str:
-        return f"Alt_{i:03d}"
-
-    def probe_mention(self, i: int) -> str:
-        return f"probe{i:03d}"
-
-    def gold_category(self, i: int) -> int:
-        return i % self.n_categories
-
-    def alt_category(self, i: int) -> int:
-        return (self.gold_category(i) + self.distractor_shift) % self.n_categories
-
-    def gold_favored(self, i: int) -> bool:
-        return i % GOLD_FAVORED_PERIOD < GOLD_FAVORED_SLOTS
-
     @property
     def expected_mfe_accuracy(self) -> float:
         return GOLD_FAVORED_SLOTS / GOLD_FAVORED_PERIOD
 
 
-def _sentence(spec: BenchmarkSpec, rng: np.random.Generator, entity: str,
-              mention: str, k: int) -> str:
-    words = spec.context_words(k)
-    size = int(rng.integers(MIN_SENTENCE_WORDS, MAX_SENTENCE_WORDS + 1))
-    picks = rng.choice(len(words), size=size, replace=False)
-    chosen = " ".join(words[j] for j in picks)
-    return f"The [[{entity}|{mention}]] concerns {chosen} ."
-
-
 def corpus_paths(out_dir: str) -> dict[str, str]:
     """The paths of the four corpus files in `out_dir`, by kind."""
-    return {
-        "train_articles": os.path.join(out_dir, "train_articles.txt"),
-        "eval_articles": os.path.join(out_dir, "eval_articles.txt"),
-        "prior_articles": os.path.join(out_dir, "prior_articles.txt"),
-        "categories": os.path.join(out_dir, "categories.tsv"),
-    }
+    names = ("train_articles.txt", "eval_articles.txt", "prior_articles.txt", "categories.tsv")
+    return {name.split(".")[0]: os.path.join(out_dir, name) for name in names}
 
 
 def write_benchmark(out_dir: str, spec: BenchmarkSpec) -> dict[str, str]:
-    """Write the four corpus files; returns their paths."""
+    """Write the four corpus files into `out_dir`; returns their paths by kind.
+
+    With n = n_categories, the world is named thus:
+
+    * Category k (0 <= k < n) is ``Field{k:02d}``. It pairs with category
+      (k + n/2) mod n, and every entity carries its own category and that
+      partner.
+    * Category k's context words are ``term{k:02d}{letter}``, one for each
+      of the first words_per_category letters a, b, c, ...
+    * Category k's training entity ``Topic_{k:02d}`` is linked as
+      ``study{k:02d}`` by training sentence j (article ``TrainDoc{j:05d}``)
+      for each j = k mod n.
+    * Probe i (0 <= i < n_test) is the mention ``probe{i:03d}``. Its gold
+      ``Gold_{i:03d}`` has category i mod n, and its distractor
+      ``Alt_{i:03d}`` has category (i + distractor_shift) mod n. Article
+      ``EvalDoc{i:03d}`` links the gold amid the gold's context words.
+      In ``PriorDoc{i:03d}`` the favored candidate is linked FAVORED_COUNT
+      times and the other UNFAVORED_COUNT times; the gold is favored when
+      i mod GOLD_FAVORED_PERIOD < GOLD_FAVORED_SLOTS.
+
+    A sentence draws its size, then that many distinct words of its
+    category; every training sentence draws before the first eval one.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(spec.seed)
     paths = corpus_paths(out_dir)
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_categories
 
-    with open(paths["train_articles"], "w", encoding="utf-8") as fh:
-        for j in range(spec.n_train_sentences):
-            k = j % spec.n_categories
-            fh.write(f"TrainDoc{j:05d}\n")
-            fh.write(_sentence(spec, rng, spec.train_entity(k),
-                               spec.train_mention(k), k) + "\n")
-            fh.write(ARTICLE_SEPARATOR + "\n")
+    def article(title: str, entity: str, mention: str, k: int) -> str:
+        size = int(rng.integers(MIN_SENTENCE_WORDS, MAX_SENTENCE_WORDS + 1))
+        picks = rng.choice(spec.words_per_category, size=size, replace=False)
+        words = " ".join(f"term{k:02d}{ascii_lowercase[j]}" for j in picks)
+        return f"{title}\nThe [[{entity}|{mention}]] concerns {words} .\n{ARTICLE_SEPARATOR}\n"
 
-    with open(paths["eval_articles"], "w", encoding="utf-8") as fh:
-        for i in range(spec.n_test):
-            fh.write(f"EvalDoc{i:03d}\n")
-            fh.write(_sentence(spec, rng, spec.gold_entity(i),
-                               spec.probe_mention(i), spec.gold_category(i)) + "\n")
-            fh.write(ARTICLE_SEPARATOR + "\n")
+    # (entity, mention, category) of each training entity, probe gold and distractor.
+    topics = [(f"Topic_{k:02d}", f"study{k:02d}", k) for k in range(n)]
+    golds = [(f"Gold_{i:03d}", f"probe{i:03d}", i % n) for i in range(spec.n_test)]
+    alts = [(f"Alt_{i:03d}", probe, (i + spec.distractor_shift) % n)
+            for i, (_, probe, _) in enumerate(golds)]
 
-    with open(paths["prior_articles"], "w", encoding="utf-8") as fh:
-        for i in range(spec.n_test):
-            gold, alt = spec.gold_entity(i), spec.alt_entity(i)
-            n_gold, n_alt = ((FAVORED_COUNT, UNFAVORED_COUNT) if spec.gold_favored(i)
-                             else (UNFAVORED_COUNT, FAVORED_COUNT))
-            fh.write(f"PriorDoc{i:03d}\n")
-            probe = spec.probe_mention(i)
-            for _ in range(n_gold):
-                fh.write(f"See [[{gold}|{probe}]] now .\n")
-            for _ in range(n_alt):
-                fh.write(f"See [[{alt}|{probe}]] now .\n")
-            fh.write(ARTICLE_SEPARATOR + "\n")
+    train = [article(f"TrainDoc{j:05d}", *topics[j % n]) for j in range(spec.n_train_sentences)]
+    evals = [article(f"EvalDoc{i:03d}", *gold) for i, gold in enumerate(golds)]
+    prior = []
+    for i, pair in enumerate(zip(golds, alts)):
+        counts = ((FAVORED_COUNT, UNFAVORED_COUNT) if i % GOLD_FAVORED_PERIOD < GOLD_FAVORED_SLOTS
+                  else (UNFAVORED_COUNT, FAVORED_COUNT))
+        links = "".join(f"See [[{entity}|{probe}]] now .\n" * count
+                        for (entity, probe, _), count in zip(pair, counts))
+        prior.append(f"PriorDoc{i:03d}\n{links}{ARTICLE_SEPARATOR}\n")
+    typed = topics + [entity for pair in zip(golds, alts) for entity in pair]
+    categories = [f"{entity}\tField{c:02d}\n"
+                  for entity, _, k in typed for c in (k, (k + n // 2) % n)]
 
-    with open(paths["categories"], "w", encoding="utf-8") as fh:
-        for k in range(spec.n_categories):
-            for cat in spec.category_pair(k):
-                fh.write(f"{spec.train_entity(k)}\t{cat}\n")
-        for i in range(spec.n_test):
-            for cat in spec.category_pair(spec.gold_category(i)):
-                fh.write(f"{spec.gold_entity(i)}\t{cat}\n")
-            for cat in spec.category_pair(spec.alt_category(i)):
-                fh.write(f"{spec.alt_entity(i)}\t{cat}\n")
-
+    for path, lines in zip(paths.values(), (train, evals, prior, categories)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
     return paths

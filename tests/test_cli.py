@@ -1918,7 +1918,10 @@ def test_readme_lists_every_error_code_the_cli_prints():
     section = readme.split("## Errors and diagnostics", 1)[1].split("Recoverable", 1)[0]
     source = pathlib.Path(typelink.cli.__file__).read_text(encoding="utf-8")
     printed = set(re.findall(r'"([A-Z]+(?:_[A-Z]+)+)"', source))
-    assert "IO_ERROR" in printed
+    # A missing input's code is built from its flag, so it is read off the parser.
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    printed |= {code for p in sub.choices.values() for code in p.get_default("inputs").values()}
+    assert {"IO_ERROR", "ARTICLES_NOT_FOUND"} <= printed
     assert set(re.findall(r"`([A-Z_]+)`", section)) == printed
 
 

@@ -19,7 +19,12 @@ committed digests:
 * ``synthetic_standalone_eval``: ``link`` and then ``eval --model --prior
   --per-category --typing-threshold 0.3`` as separate commands on the
   ``synthetic`` run's files, so eval reads its posteriors' inputs from
-  files instead of taking them from link in memory.
+  files instead of taking them from link in memory;
+* ``synthetic_corpus``, ``train_wide_smoke_corpus`` and
+  ``train_wide_full_corpus``: the four files `typelink.synthetic` writes
+  for the `small_corpus` spec and for train_wide's smoke and full presets
+  at seed 1, so the generator's bytes are pinned apart from what the
+  pipeline makes of them.
 
 The bits depend on numpy and libm (``exp``, ``log1p``), so the file also
 records the Python and numpy versions the digests were made with.  A
@@ -75,6 +80,10 @@ def _sha256(path: pathlib.Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _corpus_digests(paths: dict) -> dict:
+    return {pathlib.Path(path).name: _sha256(pathlib.Path(path)) for path in paths.values()}
+
+
 def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
     """The digest of every output, by run and file name, and the stderr of the
     text_heavy run (its diagnostics)."""
@@ -124,6 +133,12 @@ def run_all(small_paths: dict, root: pathlib.Path) -> tuple[dict, str]:
           "--model", model, "--prior", prior, "--report", str(report),
           "--per-category", "--typing-threshold", "0.3", "--quiet"])
     digests[standalone.name] = {f.name: _sha256(f) for f in (predictions, report)}
+
+    digests["synthetic_corpus"] = _corpus_digests(small_paths)
+    for preset in ("smoke", "full"):
+        name = f"train_wide_{preset}_corpus"
+        paths = WORKLOADS["train_wide"].make_corpus(str(root / name), SMOKE_SEED, preset)
+        digests[name] = _corpus_digests(paths)
     return digests, stderr
 
 
