@@ -13,7 +13,12 @@ row per feature (the layout of Vowpal Wabbit's weights, after the hashing
 trick of Weinberger et al., 2009).  Its size follows the training data,
 not the feature-space size D.  Its file stores each nonzero row's
 nonzero weights behind a bitmap of the row, and a loaded model holds the
-same block again.  Training holds the weights as float32, the file
+same block again.  A row holds only the categories its feature can earn:
+category c when c labels a training example that contains the feature.
+`train` fixes that held set before its first update, and every other
+weight gets no gradient and stays +0.0, the primal sparsity that
+PD-Sparse (Yen et al., 2016) trains extreme multi-label linear models
+under.  Training holds the weights as float32, the file
 stores them so, and a loaded model keeps them so.  Once its last update
 is done, `train` zeroes every weight with |w| < `PRUNE_BELOW`, as DiSMEC
 (Babbar and Schoelkopf, 2017) prunes one-vs-rest linear weights, so the
@@ -21,7 +26,8 @@ file stores only the weights that matter.  One forward kernel serves
 training, the dev loss and `predict`: an input's logits are its block
 rows, widened to float64, scaled by the feature values and added one
 after another, plus the bias.  Every category has its own lane in that
-sum, and the pruning zeroes each weight on its own, so the trained
+sum, its held weights follow from its own labels alone, and the pruning
+zeroes each weight on its own, so the trained
 weights of one category are bit-for-bit unaffected by which other
 categories share the vocabulary, and a logit computed in training equals
 the one `predict` gives for the same input and the same weights: the
@@ -571,10 +577,13 @@ def loss_and_grad(model: TypingModel,
 
     Each target vector holds one 0 or 1 per category.  The gradient is
     `_batch_gradient`'s, with respect to the bias and the columns of W the
-    model holds, the parameters SGD moves.  It comes as a categories x D
-    matrix whose other columns are 0 by construction, not the derivative
-    there, so this is the full gradient of W only for a dense model such
-    as `TypingModel.zeros`.  Meant for small models and tests.
+    model holds.  It comes as a categories x D matrix whose other columns
+    are 0 by construction, not the derivative there, so this is the full
+    gradient of W only for a dense model such as `TypingModel.zeros`.
+    Here every category of a held column counts as held; training also
+    keeps each column to the categories its feature co-occurs with (see
+    `_sgd_step`), which a model does not record.  Meant for small models
+    and tests.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -652,18 +661,47 @@ def _batch_gradient(model: TypingModel,
     return _bce_sum(logits, targets), touched, grad, _sum_rows(err)
 
 
+def _held_bitmap(examples: Sequence[Encoded], n_rows: int, n_cats: int) -> np.ndarray:
+    """The weights training may move, in `save`'s bitmap layout: bit c of
+    row r is set when category c labels an example that holds row r.
+
+    The examples' rows are gathered per category, and each category sets
+    its bit in its rows' bitmaps with one scatter, so no rows x categories
+    mask is built.
+    """
+    rows_of = [[] for _ in range(n_cats)]
+    for rows, _, labels in examples:
+        for c in labels.tolist():
+            rows_of[c].append(rows)
+    bitmap = np.zeros((n_rows, -(-n_cats // 8)), np.uint8)
+    for c, parts in enumerate(rows_of):
+        if parts:
+            bitmap[np.concatenate(parts), c // 8] |= np.uint8(1 << c % 8)
+    return bitmap
+
+
 def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float,
-              l2_penalty: float) -> float:
+              l2_penalty: float, held: Optional[np.ndarray] = None) -> float:
     """One mini-batch update of the model; returns the batch's summed BCE before it.
 
-    L2 decays the held block only: every other weight is zero.  A
-    non-finite loss leaves the model unchanged.
+    `held`, a bitmap per block row as `_held_bitmap` builds it, names the
+    weights the step may move: the gradient of every other weight of the
+    touched rows is made 0 before the update, so a weight that is +0.0
+    stays so, the primal sparsity that PD-Sparse (Yen et al., 2016) trains
+    under.  None holds every weight.  L2 decays the block only: every
+    other weight is zero.  A non-finite loss leaves the model unchanged.
     """
     loss, touched, grad, bias_grad = _batch_gradient(model, batch)
     if not np.isfinite(loss):
         return loss
     if l2_penalty:
         model.block *= 1.0 - learning_rate * l2_penalty
+    if held is not None:
+        mask = _unpack(held[touched], grad.shape[1])
+        if _all_finite(grad):
+            grad *= mask  # a finite x * 0 is +-0.0, and +0.0 - +-0.0 is +0.0
+        else:  # inf * 0 is NaN, so the entries are set instead
+            grad[~mask] = 0.0
     grad *= learning_rate
     model.block[touched] -= grad
     model.bias -= learning_rate * bias_grad
@@ -679,9 +717,13 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
 
     `pairs` carries (example, vocab label ids).  The model holds the
     feature columns of the training examples, all starting at zero; no
-    other weight can move.  Each epoch visits a fresh seeded permutation of
-    the data, so a fixed seed gives bit-identical weights.  The weights and
-    the bias are float32, the values the model file stores; each gradient
+    other weight can move.  Within them, fixed before the first update, a
+    row holds category c when c labels an example that contains the row's
+    feature (`_held_bitmap`), and only held weights move: every other one
+    stays +0.0, as under PD-Sparse (Yen et al., 2016).  Each epoch visits
+    a fresh seeded permutation of the data, so a fixed seed gives
+    bit-identical weights.  The weights and the bias are float32, the
+    values the model file stores; each gradient
     step is computed in float64 and rounded as it is stored, and the L2
     decay multiplies in float32.  After the last update, before the last
     dev loss, every weight with |w| < `PRUNE_BELOW` becomes +0.0; the
@@ -701,6 +743,7 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
                         config.feature_dim)
     examples = [(*model.held_rows(fv), y) for fv, y in zip(feats, labels)]
     del feats
+    held = _held_bitmap(examples, len(feature_ids), n_cats)
     dev = None
     if dev_pairs is not None:
         dev = [(*model.held_rows(fv), y)
@@ -712,7 +755,7 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
             epoch_loss = 0.0
             for lo in range(0, len(order), config.batch_size):
                 batch = [examples[i] for i in order[lo:lo + config.batch_size]]
-                loss = _sgd_step(model, batch, config.learning_rate, config.l2_penalty)
+                loss = _sgd_step(model, batch, config.learning_rate, config.l2_penalty, held)
                 if not np.isfinite(loss):
                     raise FloatingPointError(
                         f"training diverged: non-finite loss at epoch {epoch + 1}")

@@ -325,6 +325,16 @@ def random_model_and_batch(rng, n_cats=None, dim=None, n_examples=None):
     return model, batch
 
 
+def held_mask(model, pairs, config):
+    """The rows x categories mask of the weights training may move: category c
+    of row r when c labels an example that has r's feature."""
+    held = np.zeros(model.block.shape, dtype=bool)
+    for ex, labels in pairs:
+        fv = featurize(ex, config.feature_dim, config.hash_seed)
+        held[np.searchsorted(model.feature_ids, fv.indices)[:, None], labels] = True
+    return held
+
+
 def numeric_gradients(model, batch, l2, step=1e-5):
     grad_w = np.zeros_like(model.weights)
     for i in range(model.weights.shape[0]):
@@ -615,20 +625,58 @@ class TestTrain:
             pairs.append((MentionExample(tokens=toks, span=(6, 7)),
                           rng.choice(n_cats, size=2, replace=False).tolist()))
         vocab = CategoryVocab([f"c{i}" for i in range(n_cats)])
-        config = TrainConfig(feature_dim=2 ** 12, epochs=3, learning_rate=0.5)
+        # A strong L2 decay over many small batches: a held weight shrinks by
+        # 0.6 for every step after its last update, so held weights spread
+        # over orders of magnitude on both sides of the threshold.
+        config = TrainConfig(feature_dim=2 ** 12, epochs=3, learning_rate=0.5,
+                             l2_penalty=0.8, batch_size=4)
         threshold = model_module.PRUNE_BELOW
         pruned = train(pairs, vocab, config)
         monkeypatch.setattr(model_module, "PRUNE_BELOW", 0.0)
         full = train(pairs, vocab, config)
+        held = held_mask(full, pairs, config)
+        for model in (pruned, full):
+            assert not model.block[~held].view(np.uint32).any()
         size = np.abs(full.block.astype(np.float64))
-        small = size < threshold
-        # the 30% of the weights below the threshold are zeroed, and only they
-        assert 0.25 < small.mean() < 0.35 and (size[small] > 0).all()
+        small = held & (size < threshold)
+        # the 30% of the held weights below the threshold are zeroed, and only they
+        assert 0.25 < small.sum() / held.sum() < 0.35 and (size[small] > 0).all()
         assert np.array_equal(pruned.block.view(np.uint32),
                               np.where(small, np.float32(0.0), full.block).view(np.uint32))
         size = np.abs(pruned.block.astype(np.float64))
         assert not ((size > 0) & (size < threshold)).any()
         assert np.array_equal(pruned.bias.view(np.uint32), full.bias.view(np.uint32))
+
+    def test_a_feature_moves_only_the_categories_it_co_occurs_with(self):
+        # alpha0 occurs only in examples labeled cat_a, and no beta example's
+        # feature shares its id.
+        pairs = separable_pairs()
+        config = TrainConfig(feature_dim=2 ** 20, epochs=3, seed=1)
+        model = train(pairs, CategoryVocab(["cat_a", "cat_b"]), config)
+        alpha_id = hash_feature("s|alpha0", config.hash_seed, config.feature_dim)
+        assert not any(alpha_id in featurize(ex, config.feature_dim, config.hash_seed).indices
+                       for ex, labels in pairs if labels == [1])
+        alpha = np.searchsorted(model.feature_ids, alpha_id)
+        assert model.block[alpha, 1].view(np.uint32) == 0  # +0.0 exactly
+        assert model.block[alpha, 0] > 0
+        # The same holds for every feature, and every held weight moved.
+        held = held_mask(model, pairs, config)
+        assert not model.block[~held].view(np.uint32).any()
+        assert model.block[held].all()
+
+    def test_an_infinite_gradient_leaves_an_unheld_weight_at_zero(self):
+        # Four examples of value 1e308 and logit 0 each add 0.5e308 to both
+        # gradient entries of the row: 2e308, which overflows to inf.  The
+        # batch loss is finite, so the step is taken.
+        model = TypingModel(np.array([0]), np.zeros((1, 2), np.float32),
+                            np.zeros(2, np.float32), CategoryVocab(["a", "b"]), feature_dim=1)
+        no_label = np.array([], dtype=np.int64)
+        batch = [(np.array([0]), np.array([1e308]), no_label)] * 4
+        held = np.packbits([[True, False]], axis=1, bitorder="little")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sgd_step(model, batch, 1.0, 0.0, held)
+        assert model.block[0, 0] == -np.inf
+        assert model.block[0, 1].view(np.uint32) == 0
 
     def test_dense_model_too_large_for_memory_rejected(self):
         with pytest.raises(ValueError, match="memory"):
