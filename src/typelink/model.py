@@ -681,27 +681,24 @@ def _held_bitmap(examples: Sequence[Encoded], n_rows: int, n_cats: int) -> np.nd
 
 
 def _sgd_step(model: TypingModel, batch: Sequence[Encoded], learning_rate: float,
-              l2_penalty: float, held: Optional[np.ndarray] = None) -> float:
+              l2_penalty: float, held: np.ndarray) -> float:
     """One mini-batch update of the model; returns the batch's summed BCE before it.
 
     `held`, a bitmap per block row as `_held_bitmap` builds it, names the
     weights the step may move: the gradient of every other weight of the
-    touched rows is made 0 before the update, so a weight that is +0.0
+    touched rows is set to 0 before the update, so a weight that is +0.0
     stays so, the primal sparsity that PD-Sparse (Yen et al., 2016) trains
-    under.  None holds every weight.  L2 decays the block only: every
-    other weight is zero.  A non-finite loss leaves the model unchanged.
+    under.  The entries are set, not multiplied by the mask, so an inf
+    gradient cannot make a non-held weight NaN.  L2 decays the block
+    only: every other weight is zero.  A non-finite loss leaves the model
+    unchanged.
     """
     loss, touched, grad, bias_grad = _batch_gradient(model, batch)
     if not np.isfinite(loss):
         return loss
     if l2_penalty:
         model.block *= 1.0 - learning_rate * l2_penalty
-    if held is not None:
-        mask = _unpack(held[touched], grad.shape[1])
-        if _all_finite(grad):
-            grad *= mask  # a finite x * 0 is +-0.0, and +0.0 - +-0.0 is +0.0
-        else:  # inf * 0 is NaN, so the entries are set instead
-            grad[~mask] = 0.0
+    np.putmask(grad, _unpack(~held[touched], grad.shape[1]), 0.0)
     grad *= learning_rate
     model.block[touched] -= grad
     model.bias -= learning_rate * bias_grad

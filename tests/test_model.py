@@ -335,6 +335,11 @@ def held_mask(model, pairs, config):
     return held
 
 
+def every_weight_held(model):
+    """A held bitmap, in `_sgd_step`'s layout, that lets a step move every weight."""
+    return np.full((len(model.feature_ids), -(-len(model.bias) // 8)), 0xFF, np.uint8)
+
+
 def numeric_gradients(model, batch, l2, step=1e-5):
     grad_w = np.zeros_like(model.weights)
     for i in range(model.weights.shape[0]):
@@ -486,7 +491,7 @@ class TestLossAndGrad:
         model, batch = random_model_and_batch(np.random.default_rng(5), n_examples=3)
         loss_and_grad(model, batch)
         _sgd_step(model, [(*model.held_rows(fv), np.flatnonzero(y)) for fv, y in batch],
-                  0.1, 0.0)
+                  0.1, 0.0, every_weight_held(model))
         train(separable_pairs(), CategoryVocab(["cat_a", "cat_b"]),
               TrainConfig(feature_dim=256, epochs=1))
         # loss_and_grad, the direct step, then training's two batches of 64 and 16
@@ -782,7 +787,7 @@ class TestForwardKernel:
         batch = [(np.array([0]), np.array([2.0]), no_label),
                  (np.array([0]), np.array([2e16]), no_label),
                  (np.array([0]), np.array([2e16]), np.array([0]))]
-        _sgd_step(model, batch, 1.0, 0.0)
+        _sgd_step(model, batch, 1.0, 0.0, every_weight_held(model))
         assert model.block[0, 0] == 0.0
         assert model.bias[0] == -0.5
 
@@ -811,7 +816,8 @@ def test_one_sgd_step_matches_loss_and_grad(seed, l2, learning_rate):
     weights = model.weights - learning_rate * grads.weights
     bias = model.bias - learning_rate * grads.bias
     encoded = [(*model.held_rows(fv), np.flatnonzero(y)) for fv, y in batch]
-    assert _sgd_step(model, encoded, learning_rate, l2) == pytest.approx(bce, abs=1e-12)
+    assert _sgd_step(model, encoded, learning_rate, l2,
+                     every_weight_held(model)) == pytest.approx(bce, abs=1e-12)
     assert np.abs(model.weights - weights).max() <= 1e-12
     assert np.abs(model.bias - bias).max() <= 1e-12
 
