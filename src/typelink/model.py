@@ -46,7 +46,10 @@ each of the 16 most recent hashings, `functools.lru_cache` memos from raw
 token to its `s|` and `m|` ids, from (offset, raw token) to its `w|` id
 and from mention to its `c3|`/`c4|` ids: a feature string is built and
 hashed only for a key its memo does not hold, and the ids are exactly
-those of the definition.
+those of the definition.  `train` encodes its whole set in one pass over
+the same memos: each example's ids, sorted, go into one flat array, and
+one run-length pass, in which an example's first id always starts a run,
+gives every example's `featurize` ids and counts.
 """
 
 from __future__ import annotations
@@ -176,21 +179,24 @@ class _FeatureIds:
 _feature_ids = lru_cache(maxsize=16)(_FeatureIds)
 
 
-def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
-              hash_seed: int = DEFAULT_HASH_SEED) -> FeatureVector:
-    """The hashed `feature_strings` of an example; colliding ids accumulate counts."""
-    memos = _feature_ids(hash_seed, feature_dim)
+def _raw_ids(example: MentionExample, memos: _FeatureIds) -> list[int]:
+    """The id of each of an example's `feature_strings`, read from the memos."""
     tokens = example.tokens
     start, end = example.span
     left = tokens[max(0, start - WINDOW_DISTANCE):start]
     right = tokens[end:end + WINDOW_DISTANCE]
-    ids = [*map(memos.context, tokens[:start]), *map(memos.context, tokens[end:]),
-           *map(memos.window, range(-len(left), 0), left),
-           *map(memos.window, range(1, len(right) + 1), right),
-           *map(memos.mention, tokens[start:end]),
-           *memos.ngrams(example.mention)]
+    return [*map(memos.context, tokens[:start]), *map(memos.context, tokens[end:]),
+            *map(memos.window, range(-len(left), 0), left),
+            *map(memos.window, range(1, len(right) + 1), right),
+            *map(memos.mention, tokens[start:end]),
+            *memos.ngrams(example.mention)]
+
+
+def featurize(example: MentionExample, feature_dim: int = DEFAULT_FEATURE_DIM,
+              hash_seed: int = DEFAULT_HASH_SEED) -> FeatureVector:
+    """The hashed `feature_strings` of an example; colliding ids accumulate counts."""
     # Sorted, each run of equal ids is one feature whose value is the run's length.
-    ids = np.array(ids, dtype=np.int64)
+    ids = np.array(_raw_ids(example, _feature_ids(hash_seed, feature_dim)), dtype=np.int64)
     ids.sort()
     first = np.empty(len(ids), dtype=bool)
     first[:1] = True
@@ -612,15 +618,47 @@ def loss_and_grad(model: TypingModel,
 Encoded = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _encode(pairs: Sequence[tuple[MentionExample, Sequence[int]]], config: TrainConfig,
-            n_cats: int) -> tuple[list[FeatureVector], list[np.ndarray]]:
-    """Featurize the examples; label ids come back sorted, deduplicated and checked."""
-    feats = [featurize(ex, config.feature_dim, config.hash_seed) for ex, _ in pairs]
-    labels = [np.asarray(sorted(set(ids)), dtype=np.int64) for _, ids in pairs]
+def _encode_set(pairs: Sequence[tuple[MentionExample, Sequence[int]]], config: TrainConfig,
+                n_cats: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every example's `featurize` ids and counts, one example after another,
+    each example's end offset in them, and its label ids, sorted,
+    deduplicated and checked: the one pass the module docstring describes."""
+    memos = _feature_ids(config.hash_seed, config.feature_dim)
+    flat: list[int] = []
+    ends = []
+    for example, _ in pairs:
+        ids = _raw_ids(example, memos)
+        ids.sort()
+        flat += ids
+        ends.append(len(flat))
+    ids = np.array(flat, dtype=np.int64)
+    ends = np.array(ends, dtype=np.int64)
+    first = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    # An example's span is never empty, so it has an id: its `m|` one.
+    first[ends[:-1]] = True
+    starts = np.flatnonzero(first)
+    ids = ids[starts]
+    values = np.diff(starts, append=len(first)).astype(np.float64)
+    ends = np.cumsum(first)[ends - 1]
+    # The invariants of a FeatureVector, checked once for the whole set.
+    increasing = ids[1:] > ids[:-1]
+    increasing[ends[:-1] - 1] = True
+    if len(ids) and not (ids.min() >= 0 and int(ids.max()) < config.feature_dim
+                         and increasing.all() and _all_finite(values)):
+        raise ValueError("feature ids must be strictly increasing in [0, D) with finite counts")
+    labels = [np.asarray(sorted(set(label_ids)), dtype=np.int64) for _, label_ids in pairs]
     for arr in labels:
         if len(arr) and (arr[0] < 0 or arr[-1] >= n_cats):
             raise ValueError("label id outside vocabulary")
-    return feats, labels
+    return ids, values, ends, labels
+
+
+def _examples(rows: np.ndarray, values: np.ndarray, ends: np.ndarray,
+              labels: Sequence[np.ndarray]) -> list[Encoded]:
+    """Each example's views of flat block rows and values, with its label ids."""
+    return [(rows[lo:hi], values[lo:hi], y)
+            for lo, hi, y in zip([0, *ends[:-1].tolist()], ends.tolist(), labels)]
 
 
 def _forward(model: TypingModel, batch: Sequence[Encoded]) -> tuple[np.ndarray, np.ndarray]:
@@ -712,12 +750,16 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
           on_epoch: Optional[Callable[[int, float, Optional[float]], None]] = None) -> TypingModel:
     """Mini-batch SGD on the summed BCE objective.
 
-    `pairs` carries (example, vocab label ids).  The model holds the
-    feature columns of the training examples, all starting at zero; no
-    other weight can move.  Within them, fixed before the first update, a
-    row holds category c when c labels an example that contains the row's
-    feature (`_held_bitmap`), and only held weights move: every other one
-    stays +0.0, as under PD-Sparse (Yen et al., 2016).  Each epoch visits
+    `pairs` carries (example, vocab label ids).  The examples are encoded
+    in one pass (`_encode_set`), their block rows found by one
+    `np.searchsorted`, and each is read as views of those flat arrays; a
+    dev example drops the ids the model does not hold, as `held_rows`
+    does.  The model holds the feature columns of the training examples,
+    all starting at zero; no other weight can move.  Within them, fixed
+    before the first update, a row holds category c when c labels an
+    example that contains the row's feature (`_held_bitmap`), and only
+    held weights move: every other one stays +0.0, as under PD-Sparse
+    (Yen et al., 2016).  Each epoch visits
     a fresh seeded permutation of the data, so a fixed seed gives
     bit-identical weights.  The weights and the bias are float32, the
     values the model file stores; each gradient
@@ -733,18 +775,23 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     if not pairs:
         raise ValueError("no training examples")
     n_cats = len(vocab)
-    feats, labels = _encode(pairs, config, n_cats)
-    feature_ids = np.unique(np.concatenate([fv.indices for fv in feats]))
+    ids, values, ends, labels = _encode_set(pairs, config, n_cats)
+    feature_ids = np.sort(ids)
+    first = np.ones(len(feature_ids), dtype=bool)
+    np.not_equal(feature_ids[1:], feature_ids[:-1], out=first[1:])
+    feature_ids = feature_ids[first]
     model = TypingModel(feature_ids, _zeros(len(feature_ids), n_cats, np.float32),
                         np.zeros(n_cats, np.float32), vocab, config.hash_seed,
                         config.feature_dim)
-    examples = [(*model.held_rows(fv), y) for fv, y in zip(feats, labels)]
-    del feats
+    examples = _examples(np.searchsorted(feature_ids, ids), values, ends, labels)
     held = _held_bitmap(examples, len(feature_ids), n_cats)
     dev = None
     if dev_pairs is not None:
-        dev = [(*model.held_rows(fv), y)
-               for fv, y in zip(*_encode(dev_pairs, config, n_cats))]
+        ids, values, ends, labels = _encode_set(dev_pairs, config, n_cats)
+        rows = np.searchsorted(feature_ids, ids)
+        # Drop the ids the model does not hold, as `held_rows` does.
+        kept = feature_ids.take(rows, mode="clip") == ids
+        dev = _examples(rows[kept], values[kept], np.cumsum(kept)[ends - 1], labels)
     rng = np.random.default_rng(config.seed)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
