@@ -19,21 +19,17 @@ category c when c labels a training example that contains the feature.
 weight gets no gradient and stays +0.0, the primal sparsity that
 PD-Sparse (Yen et al., 2016) trains extreme multi-label linear models
 under.  Training holds the weights as float32, the file
-stores them so, and a loaded model keeps them so.  Once its last update
-is done, `train` zeroes every weight with |w| < `PRUNE_BELOW`, as DiSMEC
-(Babbar and Schoelkopf, 2017) prunes one-vs-rest linear weights, so the
-file stores only the weights that matter.  One forward kernel serves
-training, the dev loss and `predict`: an input's logits are its block
-rows, widened to float64, scaled by the feature values and added one
-after another, plus the bias.  Every category has its own lane in that
-sum, its held weights follow from its own labels alone, and the pruning
-zeroes each weight on its own, so the trained
-weights of one category are bit-for-bit unaffected by which other
-categories share the vocabulary, and a logit computed in training equals
-the one `predict` gives for the same input and the same weights: the
-last epoch's dev loss, taken after the pruning, and every prediction use
-the float32 weights `train` returns, whether held in memory or read from
-the file.
+stores them so, and a loaded model keeps them so.  One forward kernel
+serves training, the dev loss and `predict`: an input's logits are its
+block rows, widened to float64, scaled by the feature values and added
+one after another, plus the bias.  Every category has its own lane in
+that sum and its held weights follow from its own labels alone, so the
+trained weights of one category are bit-for-bit unaffected by which
+other categories share the vocabulary, and a logit computed in training
+equals the one `predict` gives for the same input and the same weights:
+the last dev loss and every prediction use the weights of the last
+update, the float32 weights `train` returns, whether held in memory or
+read from the file.
 Likewise the SGD loop and `loss_and_grad`, which the finite-difference
 check tests, share one loss and gradient function.
 
@@ -74,11 +70,7 @@ DEFAULT_HASH_SEED = 0
 # Feature ids are int64, so D is at most 2**63 (ids 0 .. 2**63 - 1).
 MAX_FEATURE_DIM = 2 ** 63
 MODEL_FORMAT_VERSION = 6
-# `train` zeroes every weight with |w| below this once its last update is done:
-# 1e-4 as float32, the dtype of the weights it is compared with.
-PRUNE_BELOW = np.float32(1e-4)
-# Float32 weights in one chunk of rows that `save`, `load` and the pruning
-# read at a time.
+# Float32 weights in one chunk of rows that `save` and `load` read at a time.
 CHUNK_BYTES = 1 << 17
 WINDOW_DISTANCE = 3
 # Keys each token feature-id memo holds; the least recently used goes first.
@@ -517,13 +509,6 @@ def _row_chunks(n_rows: int, n_cats: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _prune(block: np.ndarray) -> None:
-    """Zero every weight with |w| < PRUNE_BELOW, a chunk of rows at a time."""
-    for lo, hi in _row_chunks(*block.shape):
-        rows = block[lo:hi]
-        rows[np.abs(rows) < PRUNE_BELOW] = 0.0
-
-
 def _sum_rows(a: np.ndarray) -> np.ndarray:
     """Sum a 2-D array over its rows, one row after another.
 
@@ -764,9 +749,9 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
     bit-identical weights.  The weights and the bias are float32, the
     values the model file stores; each gradient
     step is computed in float64 and rounded as it is stored, and the L2
-    decay multiplies in float32.  After the last update, before the last
-    dev loss, every weight with |w| < `PRUNE_BELOW` becomes +0.0; the
-    bias is kept.  Raises FloatingPointError when a batch
+    decay multiplies in float32.  The model returned holds the weights of
+    the last update: the last dev loss and every prediction use them.
+    Raises FloatingPointError when a batch
     loss goes non-finite or a weight or the bias is not finite after the
     last update; numpy's overflow and invalid warnings are silenced, since
     those two checks report them.
@@ -810,7 +795,6 @@ def train(pairs: Sequence[tuple[MentionExample, Sequence[int]]],
                 if not (_all_finite(model.block) and _all_finite(model.bias)):
                     raise FloatingPointError("training diverged: a weight or bias is not "
                                              "finite after the last update")
-                _prune(model.block)
             dev_loss = None if dev is None else _full_loss(model, dev)
             if on_epoch is not None:
                 on_epoch(epoch + 1, epoch_loss, dev_loss)

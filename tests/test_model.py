@@ -624,7 +624,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="memory"):
             model.weights
 
-    def test_no_weight_below_the_prune_threshold_is_returned(self, monkeypatch):
+    def test_every_held_weight_is_returned_however_small(self, tmp_path):
         rng = np.random.default_rng(23)
         n_cats = 40
         pairs = []
@@ -635,25 +635,21 @@ class TestTrain:
         vocab = CategoryVocab([f"c{i}" for i in range(n_cats)])
         # A strong L2 decay over many small batches: a held weight shrinks by
         # 0.6 for every step after its last update, so held weights spread
-        # over orders of magnitude on both sides of the threshold.
+        # over orders of magnitude, many of them below 1e-4.
         config = TrainConfig(feature_dim=2 ** 12, epochs=3, learning_rate=0.5,
                              l2_penalty=0.8, batch_size=4)
-        threshold = model_module.PRUNE_BELOW
-        pruned = train(pairs, vocab, config)
-        monkeypatch.setattr(model_module, "PRUNE_BELOW", 0.0)
-        full = train(pairs, vocab, config)
-        held = held_mask(full, pairs, config)
-        for model in (pruned, full):
-            assert not model.block[~held].view(np.uint32).any()
-        size = np.abs(full.block.astype(np.float64))
-        small = held & (size < threshold)
-        # the 30% of the held weights below the threshold are zeroed, and only they
-        assert 0.25 < small.sum() / held.sum() < 0.35 and (size[small] > 0).all()
-        assert np.array_equal(pruned.block.view(np.uint32),
-                              np.where(small, np.float32(0.0), full.block).view(np.uint32))
-        size = np.abs(pruned.block.astype(np.float64))
-        assert not ((size > 0) & (size < threshold)).any()
-        assert np.array_equal(pruned.bias.view(np.uint32), full.bias.view(np.uint32))
+        model = train(pairs, vocab, config)
+        held = held_mask(model, pairs, config)
+        assert not model.block[~held].view(np.uint32).any()
+        assert model.block[held].all()
+        small = held & (np.abs(model.block) < np.float32(1e-4))
+        assert 0.25 < small.sum() / held.sum() < 0.35
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        loaded = TypingModel.load(str(path))
+        assert np.array_equal(loaded.feature_ids, model.feature_ids)
+        assert np.array_equal(loaded.block.view(np.uint32), model.block.view(np.uint32))
+        assert np.array_equal(loaded.bias.view(np.uint32), model.bias.view(np.uint32))
 
     def test_a_feature_moves_only_the_categories_it_co_occurs_with(self):
         # alpha0 occurs only in examples labeled cat_a, and no beta example's
